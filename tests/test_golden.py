@@ -1,0 +1,63 @@
+"""Golden sha256 digests of CLI outputs.
+
+The digests pin the exact bytes of the metrics CSVs, a checkpoint and a
+grid CSV, so a change to any summation order, blend or update rule shows
+up here even when two runs of the same code still agree with each other.
+A change that alters these bytes on purpose updates the digests and says
+why.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from normlab.cli import main
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+GOLDEN = {
+    "smoke.csv": "23ef42595ee879f920fac73c9f262d036458ccefb30435af64f43a9b7b51a548",
+    "smoke.ckpt": "c879c1b2f774cc580d1a7af38b9c4489691fce01be4c0a352588b328e8bff9ee",
+    "grid.csv": "93ebcd43cfd229fddba5c09439d1384a901f3e45be1936f005ef622378cb9727",
+    "compare-cnn.csv": "0bee225fd8910c57f0e5ecb0218d87cc3e45f39c336f39db0ec5a55f5aa63dc7",
+    "compare-rnn.csv": "5a61a95ce1161bb269899cf5ba24f0bf12cc9cf622dc4cd5b105c424a819d923",
+}
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("BLN_SEED", raising=False)
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _write(tmp_path, name, config):
+    path = tmp_path / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    smoke = os.path.join(CONFIG_DIR, "cnn-bln-smoke.json")
+    out = {name: str(tmp_path / name) for name in GOLDEN}
+    assert main(["train", "--config", smoke, "--out", out["smoke.csv"],
+                 "--checkpoint", out["smoke.ckpt"]]) == 0
+    assert main(["gridsearch", "--config", smoke, "--checkpoint", out["smoke.ckpt"],
+                 "--out", out["grid.csv"]]) == 0
+    cnn = _write(tmp_path, "cnn.json", {
+        "task": "cnn-synthetic", "normalizer": ["bn", "ln", "bln"],
+        "batch_size": [1, 25], "epochs": 1, "seed": 7,
+    })
+    assert main(["compare", "--config", cnn, "--out", out["compare-cnn.csv"]]) == 0
+    rnn = _write(tmp_path, "rnn.json", {
+        "task": "rnn-synthetic", "normalizer": ["ln", "bln"],
+        "batch_size": 25, "epochs": 1, "seed": 7,
+    })
+    assert main(["compare", "--config", rnn, "--out", out["compare-rnn.csv"]]) == 0
+
+    assert {name: _digest(path) for name, path in out.items()} == GOLDEN
