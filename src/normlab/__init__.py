@@ -10,13 +10,11 @@ from .tensor import (
     Rng,
     Tensor,
     add,
-    apply,
     div,
     matmul,
     mul,
     ones,
     randn,
-    reduce_mean,
     reshape,
     sub,
     take,
@@ -64,7 +62,6 @@ from .nn import (
     cross_entropy,
     network_evaluate,
     network_train_epoch,
-    softmax,
 )
 from .search import ConfigResult, enumerate_configs, evaluate_all, rank_results, select_best
 from .data import (

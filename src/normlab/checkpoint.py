@@ -57,6 +57,54 @@ def save_checkpoint(path, net, meta=None):
             fh.write(struct.pack(f"<{len(data)}d", *data))
 
 
+def _malformed(path, what):
+    return DataFormatError(f"malformed checkpoint: {path} {what}")
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _rebuild_network(manifest, path):
+    """Network from the manifest's layer descriptors (parameters left at init)."""
+    descriptors = manifest.get("layers")
+    if not isinstance(descriptors, list):
+        raise _malformed(path, "manifest has no 'layers' list")
+    layers = []
+    for i, desc in enumerate(descriptors):
+        try:
+            layer = layer_from_descriptor(desc)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise _malformed(path, f"layer {i}: {exc}") from None
+        if layer.describe() != desc:
+            raise _malformed(path, f"layer {i} descriptor keys {sorted(desc)} are incomplete")
+        layers.append(layer)
+    try:
+        return Network(layers)
+    except ValueError as exc:
+        raise _malformed(path, str(exc)) from None
+
+
+def _check_layout(manifest, net, path):
+    """The buffer list and running counters must be exactly what the layers save."""
+    buffers = manifest.get("buffers")
+    expected = [{"name": n, "shape": s} for n, s, _ in _buffer_entries(net)]
+    if not isinstance(buffers, list) or len(buffers) != len(expected):
+        raise _malformed(path, f"manifest 'buffers' must list the {len(expected)} layer buffers")
+    for got, want in zip(buffers, expected):
+        if got != want:
+            raise _malformed(path, f"buffer entry {got!r} does not match {want!r}")
+    running = manifest.get("running")
+    normalizers = [i for i, layer in enumerate(net.layers) if isinstance(layer, Normalizer)]
+    if not isinstance(running, list) or len(running) != len(normalizers):
+        raise _malformed(path, f"manifest 'running' must list the {len(normalizers)} normalizers")
+    for entry, i in zip(running, normalizers):
+        if (not isinstance(entry, dict) or set(entry) != {"layer", "count", "batch_m"}
+                or entry["layer"] != i or not _is_count(entry["count"])
+                or not _is_count(entry["batch_m"])):
+            raise _malformed(path, f"running entry {entry!r} does not describe layer {i}")
+
+
 def load_checkpoint(path):
     """Rebuild (network, manifest) from a checkpoint file."""
     try:
@@ -73,11 +121,14 @@ def load_checkpoint(path):
         manifest = json.loads(raw[8:8 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"malformed checkpoint: {path} manifest unreadable") from exc
+    if not isinstance(manifest, dict):
+        raise _malformed(path, "manifest is not a JSON object")
     if manifest.get("version") != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
 
-    layers = [layer_from_descriptor(d) for d in manifest["layers"]]
-    net = Network(layers)
+    net = _rebuild_network(manifest, path)
+    _check_layout(manifest, net, path)
+    layers = net.layers
 
     offset = 8 + length
     buffers = {}

@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -23,19 +22,16 @@ from .config import (
 from .data import DataFormatError
 from .nn import Adam, build_dense_net, network_evaluate, network_train_epoch
 from .norm import (
+    SCHEMES,
     InferenceFlags,
     UninitializedStatsError,
-    bln_backward,
-    bln_forward_train,
-    bn_backward,
-    bn_forward_train,
+    backward,
+    forward_train,
     init_params,
     init_running,
-    ln_backward,
-    ln_forward,
 )
 from .search import evaluate_all, select_best
-from .tensor import Rng, Tensor, randn
+from .tensor import Rng, Tensor, ordered_sum, randn
 
 METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accuracy"
 GRID_HEADER = "rank,e_b,std_b,e_f,std_f,loss,accuracy"
@@ -81,8 +77,8 @@ def run_training(config):
         steps = network_train_epoch(net, train_ds, config.batch_size, optimizer, epoch_stream.child())
         total_steps += len(steps)
         seen = sum(n for _, _, n in steps)
-        train_loss = sum(l * n for l, _, n in steps) / seen
-        train_acc = sum(a * n for _, a, n in steps) / seen
+        train_loss = ordered_sum(l * n for l, _, n in steps) / seen
+        train_acc = ordered_sum(a * n for _, a, n in steps) / seen
         records.append(MetricsRecord(
             run_id, config.normalizer, config.batch_size, config.seed,
             epoch, total_steps, "train", train_loss, train_acc,
@@ -150,11 +146,7 @@ def cmd_train(args):
 def cmd_compare(args):
     raw = _apply_seed_override(load_config_file(args.config))
     configs = validate_experiment(raw, multi=True)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run_training, configs))
-    else:
-        outcomes = [run_training(c) for c in configs]
+    outcomes = [run_training(c) for c in configs]
     records = [record for recs, _ in outcomes for record in recs]
     effective = dict(raw)
     for key, value in configs[0].to_dict().items():
@@ -175,7 +167,7 @@ def cmd_gridsearch(args):
         raise DataFormatError("checkpoint has unpopulated running statistics")
     _, validation, test = prepare_task(config)
     dataset = test if args.search_on_test else validation
-    results = evaluate_all(net, dataset, threads=args.threads)
+    results = evaluate_all(net, dataset)
     write_grid_csv(args.out, config.to_dict(), results)
     best = select_best(results)
     print(f"wrote {args.out}; best configuration "
@@ -190,7 +182,7 @@ def cmd_gridsearch(args):
 # ---------------------------------------------------------------------------
 
 _GRADCHECK_KEYS = {"layer", "m", "d", "seed", "corrupt"}
-_GRADCHECK_LAYERS = ("bn", "ln", "bln", "network")
+_GRADCHECK_LAYERS = SCHEMES + ("network",)
 
 
 def _validate_gradcheck(raw):
@@ -218,16 +210,6 @@ def _validate_gradcheck(raw):
     return layer, m, d, seed, corrupt
 
 
-def _norm_layer_loss(kind, x, params, dy):
-    if kind == "bn":
-        y, _, _ = bn_forward_train(x, params, init_running(x.shape[1]))
-    elif kind == "ln":
-        y, _ = ln_forward(x, params)
-    else:
-        y, _, _ = bln_forward_train(x, params, init_running(x.shape[1]))
-    return sum(u * v for u, v in zip(y.data, dy.data))
-
-
 def _max_rel_error(analytic, numeric):
     worst = 0.0
     for a, n in zip(analytic, numeric):
@@ -237,10 +219,15 @@ def _max_rel_error(analytic, numeric):
     return worst
 
 
-def _perturbed(values, index, delta):
-    out = list(values)
-    out[index] += delta
-    return out
+def _central_differences(loss, values, step):
+    """Numeric d loss / d values[i] for every i, where loss takes the whole list."""
+    grads = []
+    for i in range(len(values)):
+        plus, minus = list(values), list(values)
+        plus[i] += step
+        minus[i] -= step
+        grads.append((loss(plus) - loss(minus)) / (2.0 * step))
+    return grads
 
 
 def norm_gradient_errors(kind, m, d, seed, corrupt=False, step=GRADCHECK_STEP):
@@ -252,46 +239,27 @@ def norm_gradient_errors(kind, m, d, seed, corrupt=False, step=GRADCHECK_STEP):
     params.gamma = randn([d], rng) * 0.5 + 1.0
     params.beta = randn([d], rng) * 0.5
 
-    if kind == "bn":
-        _, cache, _ = bn_forward_train(x, params, init_running(d))
-        dx, dgamma, dbeta = bn_backward(cache, dy)
-    elif kind == "ln":
-        _, cache = ln_forward(x, params)
-        dx, dgamma, dbeta = ln_backward(cache, dy)
-    else:
-        _, cache, _ = bln_forward_train(x, params, init_running(d))
-        dx, dgamma, dbeta = bln_backward(cache, dy)
+    _, cache, _ = forward_train(kind, x, params, init_running(d))
+    dx, dgamma, dbeta = backward(cache, dy)
 
     analytic_dx = list(dx.data)
     if corrupt:
         analytic_dx[0] += 1e-2
 
-    numeric_dx = []
-    for i in range(m * d):
-        plus = _norm_layer_loss(kind, Tensor._wrap((m, d), _perturbed(x.data, i, step)), params, dy)
-        minus = _norm_layer_loss(kind, Tensor._wrap((m, d), _perturbed(x.data, i, -step)), params, dy)
-        numeric_dx.append((plus - minus) / (2.0 * step))
-
-    def param_loss(name, values):
+    def loss(x_data=x.data, gamma=params.gamma.data, beta=params.beta.data):
         trial = init_params(d, params.epsilon, params.momentum)
-        trial.gamma = Tensor._wrap((d,), values) if name == "gamma" else params.gamma
-        trial.beta = Tensor._wrap((d,), values) if name == "beta" else params.beta
-        return _norm_layer_loss(kind, x, trial, dy)
-
-    numeric_dgamma = []
-    numeric_dbeta = []
-    for k in range(d):
-        plus = param_loss("gamma", _perturbed(params.gamma.data, k, step))
-        minus = param_loss("gamma", _perturbed(params.gamma.data, k, -step))
-        numeric_dgamma.append((plus - minus) / (2.0 * step))
-        plus = param_loss("beta", _perturbed(params.beta.data, k, step))
-        minus = param_loss("beta", _perturbed(params.beta.data, k, -step))
-        numeric_dbeta.append((plus - minus) / (2.0 * step))
+        trial.gamma = Tensor._wrap((d,), gamma)
+        trial.beta = Tensor._wrap((d,), beta)
+        y, _, _ = forward_train(kind, Tensor._wrap((m, d), x_data), trial, init_running(d))
+        return ordered_sum(u * v for u, v in zip(y.data, dy.data))
 
     return {
-        "dx": _max_rel_error(analytic_dx, numeric_dx),
-        "dgamma": _max_rel_error(dgamma.data, numeric_dgamma),
-        "dbeta": _max_rel_error(dbeta.data, numeric_dbeta),
+        "dx": _max_rel_error(analytic_dx, _central_differences(
+            lambda v: loss(x_data=v), x.data, step)),
+        "dgamma": _max_rel_error(dgamma.data, _central_differences(
+            lambda v: loss(gamma=v), params.gamma.data, step)),
+        "dbeta": _max_rel_error(dbeta.data, _central_differences(
+            lambda v: loss(beta=v), params.beta.data, step)),
     }
 
 
@@ -305,18 +273,16 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False, step=GRADCHEC
     _, _, caches, dlogits = net.loss(x, labels, train=True, update_stats=False)
     grads = net.backward(caches, dlogits)
 
+    def loss(key, shape, values):
+        net.set_param(key, Tensor._wrap(shape, values))
+        return net.loss(x, labels, train=True, update_stats=False)[0]
+
     errors = {}
     for key, p in net.params().items():
         analytic = list(grads[key].data)
         if corrupt:
             analytic[0] += 1e-2
-        numeric = []
-        for i in range(p.size):
-            net.set_param(key, Tensor._wrap(p.shape, _perturbed(p.data, i, step)))
-            plus, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
-            net.set_param(key, Tensor._wrap(p.shape, _perturbed(p.data, i, -step)))
-            minus, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
-            numeric.append((plus - minus) / (2.0 * step))
+        numeric = _central_differences(lambda v: loss(key, p.shape, v), p.data, step)
         net.set_param(key, p)
         errors[key] = _max_rel_error(analytic, numeric)
     return errors
@@ -325,20 +291,17 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False, step=GRADCHEC
 def cmd_gradcheck(args):
     layer, m, d, seed, corrupt = _validate_gradcheck(load_config_file(args.config))
     if layer == "network":
-        failed = False
-        for scheme in ("bn", "ln", "bln"):
-            errors = network_gradient_errors(scheme, m, d, seed, corrupt)
-            worst = max(errors.values())
-            status = "PASS" if worst < GRADCHECK_TOLERANCE else "FAIL"
-            failed = failed or worst >= GRADCHECK_TOLERANCE
-            print(f"network[{scheme}] m={m} d={d} max_rel_err={worst:.3e} {status}")
-        return 3 if failed else 0
-    errors = norm_gradient_errors(layer, m, d, seed, corrupt)
+        checks = [(f"network[{scheme}] m={m} d={d}",
+                   max(network_gradient_errors(scheme, m, d, seed, corrupt).values()))
+                  for scheme in SCHEMES]
+    else:
+        checks = [(f"{layer} m={m} d={d} {group}", err)
+                  for group, err in norm_gradient_errors(layer, m, d, seed, corrupt).items()]
     failed = False
-    for group, err in errors.items():
+    for label, err in checks:
         status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
         failed = failed or err >= GRADCHECK_TOLERANCE
-        print(f"{layer} m={m} d={d} {group} max_rel_err={err:.3e} {status}")
+        print(f"{label} max_rel_err={err:.3e} {status}")
     return 3 if failed else 0
 
 
@@ -365,7 +328,6 @@ def build_parser():
     compare = sub.add_parser("compare", help="train several normalizer variants with shared settings")
     compare.add_argument("--config", required=True)
     compare.add_argument("--out", required=True)
-    compare.add_argument("--threads", type=int, default=1)
     compare.set_defaults(func=cmd_compare)
 
     grid = sub.add_parser("gridsearch", help="rank all 16 inference-statistics configurations")
@@ -374,7 +336,6 @@ def build_parser():
     grid.add_argument("--out", required=True)
     grid.add_argument("--search-on-test", action="store_true",
                       help="rank on the test split instead of the held-out validation slice")
-    grid.add_argument("--threads", type=int, default=1)
     grid.set_defaults(func=cmd_gridsearch)
 
     check = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

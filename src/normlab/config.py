@@ -258,12 +258,3 @@ def build_network_for_config(config, rng):
     return build_cnn(3, 32, 32, 10, config.normalizer, rng,
                      config.epsilon, config.momentum)
 
-
-def input_shape_for_task(task):
-    """Per-sample input shape the task's network expects."""
-    if task == "cnn-synthetic":
-        side = int(math.isqrt(BLOBS_DIM))
-        return (1, side, side)
-    if task == "rnn-synthetic":
-        return (PARITY_LENGTH, PARITY_VOCAB)
-    return (3, 32, 32)

@@ -8,9 +8,9 @@ optimizer; nothing shares mutable buffers.
 
 import math
 
-from .tensor import Rng, Tensor, matmul, randn, reshape, take, transpose2d, zeros
+from .tensor import Rng, Tensor, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
 from . import norm as _norm
-from .norm import InferenceFlags, init_params, init_running
+from .norm import init_params, init_running
 
 
 class Dense:
@@ -233,10 +233,10 @@ def _relu(v):
 
 
 class Activation:
-    """Elementwise nonlinearity: relu, tanh, sigmoid, or rowwise softmax."""
+    """Elementwise nonlinearity: relu or tanh."""
 
     kind = "activation"
-    NAMES = ("relu", "tanh", "sigmoid", "softmax")
+    NAMES = ("relu", "tanh")
 
     def __init__(self, name):
         if name not in self.NAMES:
@@ -247,13 +247,7 @@ class Activation:
         if self.name == "relu":
             y = Tensor._wrap(x.shape, [_relu(v) for v in x.data])
             return y, x
-        if self.name == "tanh":
-            y = Tensor._wrap(x.shape, [math.tanh(v) for v in x.data])
-            return y, y
-        if self.name == "sigmoid":
-            y = Tensor._wrap(x.shape, [1.0 / (1.0 + math.exp(-v)) for v in x.data])
-            return y, y
-        y = softmax(x)
+        y = Tensor._wrap(x.shape, [math.tanh(v) for v in x.data])
         return y, y
 
     def backward(self, cache, dy):
@@ -261,15 +255,9 @@ class Activation:
             x = cache
             dx = [g if v > 0.0 else 0.0 for v, g in zip(x.data, dy.data)]
             return Tensor._wrap(x.shape, dx), {}
-        if self.name == "tanh":
-            y = cache
-            dx = [g * (1.0 - t * t) for t, g in zip(y.data, dy.data)]
-            return Tensor._wrap(y.shape, dx), {}
-        if self.name == "sigmoid":
-            y = cache
-            dx = [g * s * (1.0 - s) for s, g in zip(y.data, dy.data)]
-            return Tensor._wrap(y.shape, dx), {}
-        return softmax_backward(cache, dy), {}
+        y = cache
+        dx = [g * (1.0 - t * t) for t, g in zip(y.data, dy.data)]
+        return Tensor._wrap(y.shape, dx), {}
 
     def params(self):
         return {}
@@ -360,7 +348,7 @@ class Normalizer:
     """
 
     kind = "normalizer"
-    SCHEMES = ("bn", "ln", "bln")
+    SCHEMES = _norm.SCHEMES
 
     def __init__(self, scheme, d, epsilon=1e-4, momentum=0.9):
         if scheme not in self.SCHEMES:
@@ -376,40 +364,22 @@ class Normalizer:
         if flat.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {flat.shape[1]}")
         if train:
-            if self.scheme == "bn":
-                y, cache, new_running = _norm.bn_forward_train(flat, self.norm_params, self.running)
-            elif self.scheme == "ln":
-                y, cache = _norm.ln_forward(flat, self.norm_params)
-                new_running = self.running
-            else:
-                y, cache, new_running = _norm.bln_forward_train(flat, self.norm_params, self.running)
+            y, cache, new_running = _norm.forward_train(
+                self.scheme, flat, self.norm_params, self.running)
             if update_stats:
                 self.running = new_running
-            out = y if x.rank == 2 else reshape(y, orig)
-            return out, (cache, orig)
-        if self.scheme == "bn":
-            y = _norm.bn_forward_infer(flat, self.norm_params, self.running)
-        elif self.scheme == "ln":
-            y, _ = _norm.ln_forward(flat, self.norm_params)
         else:
-            y = _norm.bln_forward_infer(
-                flat, self.norm_params, self.running,
-                flags if flags is not None else InferenceFlags.all_false(),
-            )
+            y = _norm.forward_infer(self.scheme, flat, self.norm_params, self.running, flags)
+            cache = None
         out = y if x.rank == 2 else reshape(y, orig)
-        return out, (None, orig)
+        return out, (cache, orig)
 
     def backward(self, cache, dy):
         norm_cache, orig = cache
         if norm_cache is None:
             raise ValueError("no backward pass through an inference-mode forward")
         flat_dy = dy if dy.rank == 2 else reshape(dy, (orig[0], dy.size // orig[0]))
-        if self.scheme == "bn":
-            dx, dgamma, dbeta = _norm.bn_backward(norm_cache, flat_dy)
-        elif self.scheme == "ln":
-            dx, dgamma, dbeta = _norm.ln_backward(norm_cache, flat_dy)
-        else:
-            dx, dgamma, dbeta = _norm.bln_backward(norm_cache, flat_dy)
+        dx, dgamma, dbeta = _norm.backward(norm_cache, flat_dy)
         if dy.rank != 2:
             dx = reshape(dx, orig)
         return dx, {"gamma": dgamma, "beta": dbeta}
@@ -447,24 +417,19 @@ _LAYER_TYPES = {
 
 
 def layer_from_descriptor(desc):
-    """Rebuild a layer from its describe() dict (parameters left at init)."""
+    """Rebuild a layer from its describe() dict (parameters left at init).
+
+    Every describe() key but "kind" names a constructor parameter, so an
+    unknown key raises TypeError. The initializer stream `rng` is the one
+    constructor parameter that is not a descriptor key.
+    """
     desc = dict(desc)
-    kind = desc.pop("kind")
-    if kind == "dense":
-        return Dense(desc["in_dim"], desc["out_dim"])
-    if kind == "conv2d":
-        return Conv2d(desc["in_channels"], desc["out_channels"], desc["kernel"])
-    if kind == "avgpool2x2":
-        return AvgPool2x2()
-    if kind == "flatten":
-        return Flatten()
-    if kind == "activation":
-        return Activation(desc["name"])
-    if kind == "rnn-cell":
-        return RnnCell(desc["in_dim"], desc["hidden"])
-    if kind == "normalizer":
-        return Normalizer(desc["scheme"], desc["d"], desc["epsilon"], desc["momentum"])
-    raise ValueError(f"unknown layer kind {kind!r}")
+    kind = desc.pop("kind", None)
+    if kind not in _LAYER_TYPES:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if "rng" in desc:
+        raise ValueError("'rng' is not a layer descriptor key")
+    return _LAYER_TYPES[kind](**desc)
 
 
 class Network:
@@ -537,37 +502,6 @@ class Network:
         return hash(tuple(acc))
 
 
-def softmax(x):
-    """Rowwise softmax of a rank-2 tensor."""
-    m, c = x.shape
-    out = [0.0] * (m * c)
-    xd = x.data
-    for i in range(m):
-        base = i * c
-        row = xd[base:base + c]
-        mx = max(row)
-        exps = [math.exp(v - mx) for v in row]
-        z = sum(exps)
-        for k in range(c):
-            out[base + k] = exps[k] / z
-    return Tensor._wrap((m, c), out)
-
-
-def softmax_backward(y, dy):
-    """Input gradient of rowwise softmax given its output y."""
-    m, c = y.shape
-    out = [0.0] * (m * c)
-    yd, dyd = y.data, dy.data
-    for i in range(m):
-        base = i * c
-        dot = 0.0
-        for k in range(c):
-            dot += dyd[base + k] * yd[base + k]
-        for k in range(c):
-            out[base + k] = yd[base + k] * (dyd[base + k] - dot)
-    return Tensor._wrap((m, c), out)
-
-
 def cross_entropy(logits, labels):
     """Mean negative log softmax probability and its logits gradient.
 
@@ -588,7 +522,7 @@ def cross_entropy(logits, labels):
         row = ld[base:base + c]
         mx = max(row)
         exps = [math.exp(v - mx) for v in row]
-        z = sum(exps)
+        z = ordered_sum(exps)
         total -= (row[label] - mx) - math.log(z)
         for k in range(c):
             dlogits[base + k] = exps[k] / z * inv_m

@@ -4,6 +4,10 @@ All forwards take a (batch m, features d) tensor. Training forwards return
 the output, a cache for the matching backward pass, and a functionally
 updated copy of the running statistics; nothing is mutated in place.
 
+One standardize kernel serves all three schemes: moments, normalize and
+backward along axis 0 (the batch) or axis 1 (the features). bn uses axis
+0, ln axis 1, and bln both, blended.
+
 Conventions that differ between the two statistic families and matter
 everywhere below:
   * batch std includes epsilon inside the square root, so it is bounded
@@ -13,9 +17,10 @@ everywhere below:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import add, mul, sub
 
-from .tensor import Tensor, ones, zeros
+from .tensor import Tensor, ones, ordered_sum, zeros
 
 # below this, a feature-branch denominator is treated as exactly zero
 SIGMA_F_GUARD = 1e-12
@@ -152,44 +157,136 @@ def _require_rank2(x):
     return x.shape
 
 
+def _check_input(x, params):
+    m, d = _require_rank2(x)
+    if params.gamma.shape[0] != d:
+        raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
+    return m, d
+
+
+def _vec(values):
+    return Tensor._wrap((len(values),), values)
+
+
+# ---------------------------------------------------------------------------
+# the standardize kernel shared by bn, ln and bln
+# ---------------------------------------------------------------------------
+# A line is one column (axis 0, across the batch) or one row (axis 1, across
+# the features) of a flat row-major (m, d) buffer. Line sums run in index
+# order from 0.0, which fixes each output element's accumulation order;
+# everything else is elementwise over the flat buffer, with per-line values
+# broadcast to it.
+
+def _line_sums(values, shape, axis, weights=None):
+    """Sum of each line of a flat (m, d) list along `axis`.
+
+    With weights, the sum of values * weights, each product formed as it
+    is added.
+    """
+    m, d = shape
+    sums = [0.0] * (d if axis == 0 else m)
+    for i in range(m):
+        row = values[i * d:(i + 1) * d]
+        if weights is not None:
+            w = weights[i * d:(i + 1) * d]
+            if axis == 0:
+                sums = [s + v * u for s, v, u in zip(sums, row, w)]
+            else:
+                sums[i] = ordered_sum(map(mul, row, w))
+        elif axis == 0:
+            sums = [s + v for s, v in zip(sums, row)]
+        else:
+            sums[i] = ordered_sum(row)
+    return sums
+
+
+def _broadcast(per_line, shape, axis):
+    """Per-line values repeated over the flat (m, d) buffer."""
+    m, d = shape
+    if axis == 0:
+        return per_line * m
+    out = []
+    for v in per_line:
+        out += [v] * d
+    return out
+
+
+def _mean(x, axis):
+    """Mean of each line along `axis`."""
+    inv_n = 1.0 / x.shape[axis]
+    return [s * inv_n for s in _line_sums(x.data, x.shape, axis)]
+
+
+def _center(x, axis, mean):
+    """x - mean along each line, as a flat buffer."""
+    return list(map(sub, x.data, _broadcast(mean, x.shape, axis)))
+
+
+def _variance(centered, shape, axis):
+    """Biased variance of each line from its centered values."""
+    inv_n = 1.0 / shape[axis]
+    return [s * inv_n for s in _line_sums(centered, shape, axis, centered)]
+
+
+def _std(centered, shape, axis, epsilon=0.0):
+    """sqrt(variance + epsilon) of each line; the feature axis takes no epsilon."""
+    return [math.sqrt(v + epsilon) for v in _variance(centered, shape, axis)]
+
+
+def _stats(x, axis, epsilon=0.0):
+    """(mean, std, centered values) of each line of x along `axis`."""
+    mu = _mean(x, axis)
+    centered = _center(x, axis, mu)
+    return mu, _std(centered, x.shape, axis, epsilon), centered
+
+
+def _normalize(centered, shape, axis, inv_std):
+    """Centered values times each line's inverse std."""
+    return list(map(mul, centered, _broadcast(inv_std, shape, axis)))
+
+
+def _normalize_backward(dh, h, shape, axis, inv_std):
+    """inv_std * (dh - mean(dh) - h * mean(dh * h)) along each line, flat.
+
+    dh is the gradient with respect to the normalized values h.
+    """
+    inv_n = 1.0 / shape[axis]
+    mean_dh = [inv_n * s for s in _line_sums(dh, shape, axis)]
+    sum_dh_h = _line_sums(dh, shape, axis, h)
+    per_line = (_broadcast(v, shape, axis) for v in (inv_std, mean_dh, sum_dh_h))
+    return [inv * (a - mdh - b * inv_n * sdh)
+            for a, b, inv, mdh, sdh in zip(dh, h, *per_line)]
+
+
+def _scale_shift(h, scale, shift):
+    """scale * h + shift, per feature, over a flat (m, d) buffer."""
+    m = len(h) // len(scale)
+    return [s * v + t for v, s, t in zip(h, scale * m, shift * m)]
+
+
+def _times_gamma(dy, gamma):
+    return [v * g for v, g in zip(dy.data, gamma.data * dy.shape[0])]
+
+
+def _param_grads(dx, dy, h):
+    """(dx, dgamma, dbeta) with dgamma = column sums of dy * h, dbeta of dy."""
+    dgamma = _line_sums(dy.data, dy.shape, 0, h)
+    dbeta = _line_sums(dy.data, dy.shape, 0)
+    return Tensor._wrap(dy.shape, dx), _vec(dgamma), _vec(dbeta)
+
+
 def batch_stats(x, epsilon):
     """Per-feature batch mean and std with epsilon inside the square root."""
-    m, d = _require_rank2(x)
-    xd = x.data
-    mu = [0.0] * d
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            mu[k] += xd[base + k]
-    inv_m = 1.0 / m
-    mu = [v * inv_m for v in mu]
-    var = [0.0] * d
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            diff = xd[base + k] - mu[k]
-            var[k] += diff * diff
-    sigma = [math.sqrt(v * inv_m + epsilon) for v in var]
-    return BatchStats(Tensor._wrap((d,), mu), Tensor._wrap((d,), sigma))
+    _require_rank2(x)
+    mu, sigma, _ = _stats(x, 0, epsilon)
+    return BatchStats(_vec(mu), _vec(sigma))
 
 
 def feature_stats(x):
     """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
-    m, d = _require_rank2(x)
-    xd = x.data
-    mu = [0.0] * m
-    sigma = [0.0] * m
-    inv_d = 1.0 / d
-    for i in range(m):
-        row = xd[i * d:(i + 1) * d]
-        mean = sum(row) * inv_d
-        mu[i] = mean
-        acc = 0.0
-        for v in row:
-            diff = v - mean
-            acc += diff * diff
-        sigma[i] = math.sqrt(acc * inv_d)
-    return FeatureStats(Tensor._wrap((m,), mu), Tensor._wrap((m,), sigma))
+    _require_rank2(x)
+    mu, sigma, _ = _stats(x, 1)
+    return FeatureStats(_vec(mu), _vec(sigma))
 
 
 def _blend_scalar(old, new, momentum, count):
@@ -223,24 +320,39 @@ def update_running(running, bstats, fstats, momentum):
     mu_b = _blend_vector(running.e_mu_b.data, bstats.mu_b.data, momentum, count)
     sigma_b = _blend_vector(running.e_sigma_b.data, bstats.sigma_b.data, momentum, count)
     m = fstats.mu_f.shape[0]
-    mu_f_new = sum(fstats.mu_f.data) / m
-    sigma_f_new = sum(fstats.sigma_f.data) / m
+    mu_f_new = ordered_sum(fstats.mu_f.data) / m
+    sigma_f_new = ordered_sum(fstats.sigma_f.data) / m
     mu_f = _blend_scalar(running.e_mu_f, mu_f_new, momentum, count)
     sigma_f = _blend_scalar(running.e_sigma_f, sigma_f_new, momentum, count)
-    d = len(mu_b)
-    return RunningStats(
-        Tensor._wrap((d,), mu_b),
-        Tensor._wrap((d,), sigma_b),
-        mu_f,
-        sigma_f,
-        count + 1,
-        m,
-    )
+    return RunningStats(_vec(mu_b), _vec(sigma_b), mu_f, sigma_f, count + 1, m)
 
 
 def _bessel(m):
     # m/(m-1) is undefined for a single sample; fall back to no correction
     return m / (m - 1.0) if m > 1 else 1.0
+
+
+def _standardize(kind, axis, x, params):
+    """The bn (axis 0) and ln (axis 1) forward: (output, cache, mean, variance).
+
+    Epsilon goes inside the square root, so no line needs a zero guard.
+    """
+    m, d = _check_input(x, params)
+    mu = _mean(x, axis)
+    centered = _center(x, axis, mu)
+    var = _variance(centered, x.shape, axis)
+    inv_std = [1.0 / math.sqrt(v + params.epsilon) for v in var]
+    x_hat = _normalize(centered, x.shape, axis, inv_std)
+    y = _scale_shift(x_hat, params.gamma.data, params.beta.data)
+    return Tensor._wrap((m, d), y), NormCache(kind, m, d, params.gamma, x_hat, inv_std), mu, var
+
+
+def _standardize_backward(kind, axis, cache, dy):
+    """Gradients of _standardize: (dx, dgamma, dbeta)."""
+    _check_cache(cache, kind, dy)
+    dx = _normalize_backward(_times_gamma(dy, cache.gamma), cache.x_hat, dy.shape, axis,
+                             cache.inv_std)
+    return _param_grads(dx, dy, cache.x_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -249,52 +361,17 @@ def _bessel(m):
 
 def bn_forward_train(x, params, running):
     """Batch normalization training forward; absorbs mean/variance estimates."""
-    m, d = _require_rank2(x)
-    if params.gamma.shape[0] != d:
-        raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
-    xd = x.data
-    inv_m = 1.0 / m
-    mu = [0.0] * d
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            mu[k] += xd[base + k]
-    mu = [v * inv_m for v in mu]
-    var = [0.0] * d
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            diff = xd[base + k] - mu[k]
-            var[k] += diff * diff
-    var = [v * inv_m for v in var]
-    eps = params.epsilon
-    inv_std = [1.0 / math.sqrt(v + eps) for v in var]
-
-    g, b = params.gamma.data, params.beta.data
-    x_hat = [0.0] * (m * d)
-    y = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            h = (xd[base + k] - mu[k]) * inv_std[k]
-            x_hat[base + k] = h
-            y[base + k] = g[k] * h + b[k]
-
+    y, cache, mu, var = _standardize("bn", 0, x, params)
     # this layer tracks variances, not stds, in its running slot
-    count = running.count
-    mom = params.momentum
-    e_mu = _blend_vector(running.e_mu_b.data, mu, mom, count)
-    e_var = _blend_vector(running.e_sigma_b.data, var, mom, count)
-    new_running = RunningStats(
-        Tensor._wrap((d,), e_mu),
-        Tensor._wrap((d,), e_var),
-        running.e_mu_f,
-        running.e_sigma_f,
-        count + 1,
-        m,
+    count, mom = running.count, params.momentum
+    new_running = replace(
+        running,
+        e_mu_b=_vec(_blend_vector(running.e_mu_b.data, mu, mom, count)),
+        e_sigma_b=_vec(_blend_vector(running.e_sigma_b.data, var, mom, count)),
+        count=count + 1,
+        batch_m=cache.m,
     )
-    cache = NormCache("bn", m, d, params.gamma, x_hat, inv_std)
-    return Tensor._wrap((m, d), y), cache, new_running
+    return y, cache, new_running
 
 
 def bn_forward_infer(x, params, running):
@@ -317,50 +394,12 @@ def bn_forward_infer(x, params, running):
         denom = math.sqrt(factor * e_var[k] + eps)
         scale[k] = g[k] / denom
         shift[k] = b[k] - scale[k] * e_mu[k]
-    xd = x.data
-    y = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            y[base + k] = scale[k] * xd[base + k] + shift[k]
-    return Tensor._wrap((m, d), y)
+    return Tensor._wrap((m, d), _scale_shift(x.data, scale, shift))
 
 
 def bn_backward(cache, dy):
     """Gradients of the batch-normalization training forward."""
-    _check_cache(cache, "bn", dy)
-    m, d = cache.m, cache.d
-    g = cache.gamma.data
-    x_hat, inv_std, dyd = cache.x_hat, cache.inv_std, dy.data
-
-    dgamma = [0.0] * d
-    dbeta = [0.0] * d
-    sum_dh = [0.0] * d
-    sum_dh_h = [0.0] * d
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            dv = dyd[base + k]
-            h = x_hat[base + k]
-            dgamma[k] += dv * h
-            dbeta[k] += dv
-            dh = dv * g[k]
-            sum_dh[k] += dh
-            sum_dh_h[k] += dh * h
-    inv_m = 1.0 / m
-    dx = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            dh = dyd[base + k] * g[k]
-            dx[base + k] = inv_std[k] * (
-                dh - inv_m * sum_dh[k] - x_hat[base + k] * inv_m * sum_dh_h[k]
-            )
-    return (
-        Tensor._wrap((m, d), dx),
-        Tensor._wrap((d,), dgamma),
-        Tensor._wrap((d,), dbeta),
-    )
+    return _standardize_backward("bn", 0, cache, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -369,68 +408,13 @@ def bn_backward(cache, dy):
 
 def ln_forward(x, params):
     """Layer normalization forward; identical in training and inference."""
-    m, d = _require_rank2(x)
-    if params.gamma.shape[0] != d:
-        raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
-    eps = params.epsilon
-    xd = x.data
-    g, b = params.gamma.data, params.beta.data
-    inv_d = 1.0 / d
-    x_hat = [0.0] * (m * d)
-    y = [0.0] * (m * d)
-    inv_std = [0.0] * m
-    for i in range(m):
-        base = i * d
-        row = xd[base:base + d]
-        mean = sum(row) * inv_d
-        acc = 0.0
-        for v in row:
-            diff = v - mean
-            acc += diff * diff
-        inv = 1.0 / math.sqrt(acc * inv_d + eps)
-        inv_std[i] = inv
-        for k in range(d):
-            h = (row[k] - mean) * inv
-            x_hat[base + k] = h
-            y[base + k] = g[k] * h + b[k]
-    cache = NormCache("ln", m, d, params.gamma, x_hat, inv_std)
-    return Tensor._wrap((m, d), y), cache
+    y, cache, _, _ = _standardize("ln", 1, x, params)
+    return y, cache
 
 
 def ln_backward(cache, dy):
     """Gradients of the layer-normalization forward."""
-    _check_cache(cache, "ln", dy)
-    m, d = cache.m, cache.d
-    g = cache.gamma.data
-    x_hat, inv_std, dyd = cache.x_hat, cache.inv_std, dy.data
-    inv_d = 1.0 / d
-
-    dgamma = [0.0] * d
-    dbeta = [0.0] * d
-    dx = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        sum_dh = 0.0
-        sum_dh_h = 0.0
-        for k in range(d):
-            dv = dyd[base + k]
-            h = x_hat[base + k]
-            dgamma[k] += dv * h
-            dbeta[k] += dv
-            dh = dv * g[k]
-            sum_dh += dh
-            sum_dh_h += dh * h
-        inv = inv_std[i]
-        for k in range(d):
-            dh = dyd[base + k] * g[k]
-            dx[base + k] = inv * (
-                dh - inv_d * sum_dh - x_hat[base + k] * inv_d * sum_dh_h
-            )
-    return (
-        Tensor._wrap((m, d), dx),
-        Tensor._wrap((d,), dgamma),
-        Tensor._wrap((d,), dbeta),
-    )
+    return _standardize_backward("ln", 1, cache, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +435,29 @@ def bln_weights(m, epsilon):
     return w_batch, w_feat
 
 
-def _bln_combine(x_hat, x_hh, m, d, params):
+def _bln_normalize(shape, params, centered_b, std_b, centered_f, std_f):
+    """Normalize on both axes with the given statistics, blend, scale/shift.
+
+    The feature branch has no epsilon, so a zero std is guarded: the row's
+    inverse std becomes 0.0 and its normalized values are zero.
+    """
+    m, d = shape
+    inv_std_b = [1.0 / s for s in std_b]
+    inv_std_f = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std_f]
+    x_hat = _normalize(centered_b, shape, 0, inv_std_b)
+    x_hh = _normalize(centered_f, shape, 1, inv_std_f)
     w_batch, w_feat = bln_weights(m, params.epsilon)
     inv_root_d = 1.0 / math.sqrt(d)
     wb = w_batch * inv_root_d
     wf = w_feat * inv_root_d
-    g, b = params.gamma.data, params.beta.data
-    x_comb = [0.0] * (m * d)
-    y = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            c = wb * x_hat[base + k] + wf * x_hh[base + k]
-            x_comb[base + k] = c
-            y[base + k] = g[k] * c + b[k]
-    return x_comb, y, w_batch, w_feat
+    x_comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
+    y = _scale_shift(x_comb, params.gamma.data, params.beta.data)
+    cache = NormCache(
+        "bln", m, d, params.gamma, x_hat, inv_std_b,
+        x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
+        w_batch=w_batch, w_feat=w_feat,
+    )
+    return Tensor._wrap((m, d), y), cache
 
 
 def bln_forward_train(x, params, running):
@@ -475,36 +467,13 @@ def bln_forward_train(x, params, running):
     the two with the inverse-batch-size weights, divides by sqrt(d), and
     applies scale/shift. Running statistics absorb the batch.
     """
-    m, d = _require_rank2(x)
-    if params.gamma.shape[0] != d:
-        raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
-    bstats = batch_stats(x, params.epsilon)
-    fstats = feature_stats(x)
-    xd = x.data
-    mu_b, sigma_b = bstats.mu_b.data, bstats.sigma_b.data
-    mu_f, sigma_f = fstats.mu_f.data, fstats.sigma_f.data
-
-    inv_std_b = [1.0 / s for s in sigma_b]
-    inv_std_f = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in sigma_f]
-
-    x_hat = [0.0] * (m * d)
-    x_hh = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        inv_f = inv_std_f[i]
-        for k in range(d):
-            v = xd[base + k]
-            x_hat[base + k] = (v - mu_b[k]) * inv_std_b[k]
-            x_hh[base + k] = (v - mu_f[i]) * inv_f
-
-    x_comb, y, w_batch, w_feat = _bln_combine(x_hat, x_hh, m, d, params)
-    new_running = update_running(running, bstats, fstats, params.momentum)
-    cache = NormCache(
-        "bln", m, d, params.gamma, x_hat, inv_std_b,
-        x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
-        w_batch=w_batch, w_feat=w_feat,
-    )
-    return Tensor._wrap((m, d), y), cache, new_running
+    _check_input(x, params)
+    mu_b, sigma_b, centered_b = _stats(x, 0, params.epsilon)
+    mu_f, sigma_f, centered_f = _stats(x, 1)
+    y, cache = _bln_normalize(x.shape, params, centered_b, sigma_b, centered_f, sigma_f)
+    bstats = BatchStats(_vec(mu_b), _vec(sigma_b))
+    fstats = FeatureStats(_vec(mu_f), _vec(sigma_f))
+    return y, cache, update_running(running, bstats, fstats, params.momentum)
 
 
 def bln_forward_infer(x, params, running, flags):
@@ -516,68 +485,21 @@ def bln_forward_infer(x, params, running, flags):
     on population stds uses the current batch size; all-False reproduces
     the training forward bit for bit.
     """
-    m, d = _require_rank2(x)
-    if params.gamma.shape[0] != d:
-        raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
+    m, _ = _check_input(x, params)
     if flags.any() and running.count == 0:
         raise UninitializedStatsError("uninitialized population statistics")
-    eps = params.epsilon
-    xd = x.data
-    inv_m = 1.0 / m
-    inv_d = 1.0 / d
     factor = _bessel(m)
-
-    if flags.e_b:
-        e_b = list(running.e_mu_b.data)
-    else:
-        e_b = [0.0] * d
-        for i in range(m):
-            base = i * d
-            for k in range(d):
-                e_b[k] += xd[base + k]
-        e_b = [v * inv_m for v in e_b]
-
+    centered_b = _center(x, 0, running.e_mu_b.data if flags.e_b else _mean(x, 0))
     if flags.std_b:
         std_b = [factor * s for s in running.e_sigma_b.data]
     else:
-        std_b = [0.0] * d
-        for i in range(m):
-            base = i * d
-            for k in range(d):
-                diff = xd[base + k] - e_b[k]
-                std_b[k] += diff * diff
-        std_b = [math.sqrt(v * inv_m + eps) for v in std_b]
-
-    if flags.e_f:
-        e_f = [running.e_mu_f] * m
-    else:
-        e_f = [sum(xd[i * d:(i + 1) * d]) * inv_d for i in range(m)]
-
+        std_b = _std(centered_b, x.shape, 0, params.epsilon)
+    centered_f = _center(x, 1, [running.e_mu_f] * m if flags.e_f else _mean(x, 1))
     if flags.std_f:
         std_f = [factor * running.e_sigma_f] * m
     else:
-        std_f = [0.0] * m
-        for i in range(m):
-            base = i * d
-            acc = 0.0
-            for k in range(d):
-                diff = xd[base + k] - e_f[i]
-                acc += diff * diff
-            std_f[i] = math.sqrt(acc * inv_d)
-
-    inv_std_b = [1.0 / s for s in std_b]
-    inv_std_f = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std_f]
-    x_hat = [0.0] * (m * d)
-    x_hh = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        inv_f = inv_std_f[i]
-        for k in range(d):
-            v = xd[base + k]
-            x_hat[base + k] = (v - e_b[k]) * inv_std_b[k]
-            x_hh[base + k] = (v - e_f[i]) * inv_f
-    _, y, _, _ = _bln_combine(x_hat, x_hh, m, d, params)
-    return Tensor._wrap((m, d), y)
+        std_f = _std(centered_f, x.shape, 1)
+    return _bln_normalize(x.shape, params, centered_b, std_b, centered_f, std_f)[0]
 
 
 def bln_backward(cache, dy):
@@ -588,60 +510,15 @@ def bln_backward(cache, dy):
     branch; guarded rows contribute nothing through the feature branch.
     """
     _check_cache(cache, "bln", dy)
-    m, d = cache.m, cache.d
-    g = cache.gamma.data
-    dyd = dy.data
-    inv_root_d = 1.0 / math.sqrt(d)
+    inv_root_d = 1.0 / math.sqrt(cache.d)
     wb = cache.w_batch * inv_root_d
     wf = cache.w_feat * inv_root_d
-    x_hat, x_hh, x_comb = cache.x_hat, cache.x_hh, cache.x_comb
-    inv_std_b, inv_std_f = cache.inv_std, cache.inv_std_f
-    inv_m = 1.0 / m
-    inv_d = 1.0 / d
-
-    dgamma = [0.0] * d
-    dbeta = [0.0] * d
-    # batch branch accumulators (per feature)
-    sum_db = [0.0] * d
-    sum_db_h = [0.0] * d
-    # feature branch accumulators (per sample)
-    sum_df = [0.0] * m
-    sum_df_h = [0.0] * m
-    for i in range(m):
-        base = i * d
-        for k in range(d):
-            dv = dyd[base + k]
-            dgamma[k] += dv * x_comb[base + k]
-            dbeta[k] += dv
-            dc = dv * g[k]
-            db = dc * wb
-            df = dc * wf
-            sum_db[k] += db
-            sum_db_h[k] += db * x_hat[base + k]
-            sum_df[i] += df
-            sum_df_h[i] += df * x_hh[base + k]
-
-    dx = [0.0] * (m * d)
-    for i in range(m):
-        base = i * d
-        inv_f = inv_std_f[i]
-        for k in range(d):
-            dc = dyd[base + k] * g[k]
-            db = dc * wb
-            df = dc * wf
-            grad = inv_std_b[k] * (
-                db - inv_m * sum_db[k] - x_hat[base + k] * inv_m * sum_db_h[k]
-            )
-            if inv_f != 0.0:
-                grad += inv_f * (
-                    df - inv_d * sum_df[i] - x_hh[base + k] * inv_d * sum_df_h[i]
-                )
-            dx[base + k] = grad
-    return (
-        Tensor._wrap((m, d), dx),
-        Tensor._wrap((d,), dgamma),
-        Tensor._wrap((d,), dbeta),
-    )
+    dc = _times_gamma(dy, cache.gamma)
+    dx_b = _normalize_backward([v * wb for v in dc], cache.x_hat, dy.shape, 0, cache.inv_std)
+    dx_f = _normalize_backward([v * wf for v in dc], cache.x_hh, dy.shape, 1, cache.inv_std_f)
+    live = _broadcast([inv != 0.0 for inv in cache.inv_std_f], dy.shape, 1)
+    dx = [b + f if keep else b for b, f, keep in zip(dx_b, dx_f, live)]
+    return _param_grads(dx, dy, cache.x_comb)
 
 
 def _check_cache(cache, kind, dy):
@@ -649,3 +526,46 @@ def _check_cache(cache, kind, dy):
         raise ValueError(f"cache kind {cache.kind!r} does not match backward {kind!r}")
     if dy.shape != (cache.m, cache.d):
         raise ValueError(f"gradient shape {dy.shape} does not match cache ({cache.m}, {cache.d})")
+
+
+# ---------------------------------------------------------------------------
+# scheme dispatch
+# ---------------------------------------------------------------------------
+# The scheme functions are looked up as module globals at call time, so a
+# wrapper installed on this module (a profiler, a tracer) sees every call.
+
+SCHEMES = ("bn", "ln", "bln")
+
+
+def forward_train(scheme, x, params, running):
+    """Training forward of a scheme: (output, cache, running statistics).
+
+    ln keeps no running statistics and hands `running` back unchanged.
+    """
+    if scheme == "bn":
+        return bn_forward_train(x, params, running)
+    if scheme == "ln":
+        return (*ln_forward(x, params), running)
+    if scheme == "bln":
+        return bln_forward_train(x, params, running)
+    raise ValueError(f"unknown normalization scheme {scheme!r}")
+
+
+def forward_infer(scheme, x, params, running, flags=None):
+    """Inference forward of a scheme; bln uses `flags` (default all-False)."""
+    if scheme == "bn":
+        return bn_forward_infer(x, params, running)
+    if scheme == "ln":
+        return ln_forward(x, params)[0]
+    if scheme == "bln":
+        return bln_forward_infer(x, params, running, flags or InferenceFlags.all_false())
+    raise ValueError(f"unknown normalization scheme {scheme!r}")
+
+
+def backward(cache, dy):
+    """Gradients (dx, dgamma, dbeta) of the forward that produced `cache`."""
+    if cache.kind == "bn":
+        return bn_backward(cache, dy)
+    if cache.kind == "ln":
+        return ln_backward(cache, dy)
+    return bln_backward(cache, dy)

@@ -1,6 +1,5 @@
 """Exhaustive search over the 16 inference-statistics configurations."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .nn import network_evaluate
@@ -34,18 +33,13 @@ def rank_results(results):
     ]
 
 
-def evaluate_all(net, dataset, threads=1):
+def evaluate_all(net, dataset):
     """Evaluate a frozen network under every configuration; returns ranked results.
 
-    Inference passes are read-only, so the network is shared across worker
-    threads and left bit-identical.
+    Inference passes are read-only, so the network is left bit-identical.
     """
     configs = enumerate_configs()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            metrics = list(pool.map(lambda f: network_evaluate(net, dataset, flags=f), configs))
-    else:
-        metrics = [network_evaluate(net, dataset, flags=f) for f in configs]
+    metrics = [network_evaluate(net, dataset, flags=f) for f in configs]
     results = [
         ConfigResult(flags, loss, acc)
         for flags, (loss, acc) in zip(configs, metrics)

@@ -132,11 +132,6 @@ class Tensor:
             return [build(shape[1:], offset + i * step) for i in range(shape[0])]
         return build(self.shape, 0)
 
-    def item(self):
-        if len(self.data) != 1:
-            raise ValueError("item() requires a single-element tensor")
-        return self.data[0]
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
@@ -180,11 +175,6 @@ def ones(shape):
     return Tensor(shape, [1.0] * _numel(shape))
 
 
-def full(shape, value):
-    """Tensor of the given shape filled with a constant."""
-    return Tensor(shape, [float(value)] * _numel(shape))
-
-
 def randn(shape, rng):
     """Tensor of seeded standard-normal draws."""
     return Tensor(shape, [rng.normal() for _ in range(_numel(shape))])
@@ -225,27 +215,17 @@ def transpose2d(x):
     return Tensor._wrap((n, m), out)
 
 
-def reduce_mean(x, axis):
-    """Mean along one axis; the axis is removed (rank-1 input yields shape (1,))."""
-    if not 0 <= axis < x.rank:
-        raise ValueError(f"axis {axis} out of range for rank {x.rank}")
-    if x.rank == 1:
-        return Tensor._wrap((1,), [sum(x.data) / len(x.data)])
-    shape = x.shape
-    outer = _numel(shape[:axis])
-    count = shape[axis]
-    inner = _numel(shape[axis + 1:])
-    out = [0.0] * (outer * inner)
-    xd = x.data
-    for o in range(outer):
-        for t in range(count):
-            base = (o * count + t) * inner
-            obase = o * inner
-            for j in range(inner):
-                out[obase + j] += xd[base + j]
-    inv = 1.0 / count
-    out = [v * inv for v in out]
-    return Tensor._wrap(shape[:axis] + shape[axis + 1:], out)
+def ordered_sum(values):
+    """Sum of floats accumulated left to right from 0.0.
+
+    The builtin sum() compensates its rounding from CPython 3.12 on, so the
+    same floats would sum to different bits on different interpreters. This
+    order is the one the norm kernel, the loss and the epoch aggregates use.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _binary(a, b, op):
@@ -275,11 +255,6 @@ def mul(a, b):
 def div(a, b):
     """Elementwise quotient; division by exact zero raises."""
     return _binary(a, b, lambda u, v: u / v)
-
-
-def apply(x, f):
-    """Elementwise map of a unary function."""
-    return Tensor._wrap(x.shape, [f(v) for v in x.data])
 
 
 def reshape(x, shape):

@@ -109,12 +109,6 @@ class TestEvaluateAll:
         assert [(r.flags, r.loss, r.accuracy, r.rank) for r in a] == \
             [(r.flags, r.loss, r.accuracy, r.rank) for r in b]
 
-    def test_threaded_evaluation_matches_serial(self):
-        net, ds = trained_net()
-        serial = evaluate_all(net, ds)
-        threaded = evaluate_all(net, ds, threads=4)
-        assert [(r.flags, r.loss) for r in serial] == [(r.flags, r.loss) for r in threaded]
-
     def test_all_false_row_matches_direct_evaluation(self):
         net, ds = trained_net()
         results = evaluate_all(net, ds)
