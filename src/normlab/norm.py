@@ -18,7 +18,7 @@ everywhere below:
 
 import math
 from dataclasses import dataclass, replace
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .tensor import Tensor, ones, ordered_sum, zeros
 
@@ -380,21 +380,14 @@ def bn_forward_infer(x, params, running):
     Uses the population mean and the Bessel-corrected population variance;
     the correction uses the training batch size recorded at absorption.
     """
-    m, d = _require_rank2(x)
+    _check_input(x, params)
     if running.count == 0:
         raise UninitializedStatsError("uninitialized population statistics")
-    eps = params.epsilon
     factor = _bessel(running.batch_m)
-    e_mu = running.e_mu_b.data
-    e_var = running.e_sigma_b.data
-    g, b = params.gamma.data, params.beta.data
-    scale = [0.0] * d
-    shift = [0.0] * d
-    for k in range(d):
-        denom = math.sqrt(factor * e_var[k] + eps)
-        scale[k] = g[k] / denom
-        shift[k] = b[k] - scale[k] * e_mu[k]
-    return Tensor._wrap((m, d), _scale_shift(x.data, scale, shift))
+    scale = [g / math.sqrt(factor * v + params.epsilon)
+             for g, v in zip(params.gamma.data, running.e_sigma_b.data)]
+    shift = [b - s * mu for b, s, mu in zip(params.beta.data, scale, running.e_mu_b.data)]
+    return Tensor._wrap(x.shape, _scale_shift(x.data, scale, shift))
 
 
 def bn_backward(cache, dy):
