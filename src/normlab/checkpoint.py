@@ -11,7 +11,7 @@ import json
 import struct
 
 from .data import DataFormatError
-from .nn import Network, Normalizer, layer_from_descriptor
+from .nn import Network, Normalizer, descriptor_param_shapes, layer_from_descriptor
 from .tensor import Tensor
 
 MAGIC = b"BLN1"
@@ -65,11 +65,50 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _rebuild_network(manifest, path):
-    """Network from the manifest's layer descriptors (parameters left at init)."""
+def _numel(shape):
+    count = 1
+    for s in shape:
+        count *= s
+    return count
+
+
+def _check_declared_sizes(manifest, payload_bytes, path):
+    """Every declared parameter is a listed buffer; the buffers fill the payload.
+
+    Runs before any layer is built, so a manifest that declares more floats
+    than its file holds is rejected without drawing a weight.
+    """
     descriptors = manifest.get("layers")
     if not isinstance(descriptors, list):
         raise _malformed(path, "manifest has no 'layers' list")
+    buffers = manifest.get("buffers")
+    if not isinstance(buffers, list):
+        raise _malformed(path, "manifest has no 'buffers' list")
+    listed = {}
+    for entry in buffers:
+        if (not isinstance(entry, dict) or set(entry) != {"name", "shape"}
+                or not isinstance(entry["name"], str) or not isinstance(entry["shape"], list)
+                or not all(_is_count(s) for s in entry["shape"])):
+            raise _malformed(path, f"buffer entry {entry!r} is not a name and a list of sizes")
+        listed[entry["name"]] = entry["shape"]
+    for i, desc in enumerate(descriptors):
+        try:
+            shapes = descriptor_param_shapes(desc)
+        except (TypeError, ValueError) as exc:
+            raise _malformed(path, f"layer {i}: {exc}") from None
+        for name, shape in shapes.items():
+            if listed.get(f"{i}.{name}") != shape:
+                raise _malformed(path, f"layer {i} parameter {name!r} of shape {shape} "
+                                       "is not a listed buffer")
+    declared = 8 * sum(_numel(entry["shape"]) for entry in buffers)
+    if declared > payload_bytes:
+        raise _malformed(path, "payload truncated")
+    if declared < payload_bytes:
+        raise _malformed(path, "has trailing bytes")
+
+
+def _rebuild_network(descriptors, path):
+    """Network from the manifest's layer descriptors (parameters left at init)."""
     layers = []
     for i, desc in enumerate(descriptors):
         try:
@@ -89,7 +128,7 @@ def _check_layout(manifest, net, path):
     """The buffer list and running counters must be exactly what the layers save."""
     buffers = manifest.get("buffers")
     expected = [{"name": n, "shape": s} for n, s, _ in _buffer_entries(net)]
-    if not isinstance(buffers, list) or len(buffers) != len(expected):
+    if len(buffers) != len(expected):
         raise _malformed(path, f"manifest 'buffers' must list the {len(expected)} layer buffers")
     for got, want in zip(buffers, expected):
         if got != want:
@@ -126,7 +165,8 @@ def load_checkpoint(path):
     if manifest.get("version") != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
 
-    net = _rebuild_network(manifest, path)
+    _check_declared_sizes(manifest, len(raw) - 8 - length, path)
+    net = _rebuild_network(manifest["layers"], path)
     _check_layout(manifest, net, path)
     layers = net.layers
 
@@ -134,17 +174,11 @@ def load_checkpoint(path):
     buffers = {}
     for entry in manifest["buffers"]:
         shape = tuple(entry["shape"])
-        count = 1
-        for s in shape:
-            count *= s
+        count = _numel(shape)
         end = offset + 8 * count
-        if end > len(raw):
-            raise DataFormatError(f"malformed checkpoint: {path} payload truncated")
         values = list(struct.unpack(f"<{count}d", raw[offset:end]))
         buffers[entry["name"]] = (shape, values)
         offset = end
-    if offset != len(raw):
-        raise DataFormatError(f"malformed checkpoint: {path} has trailing bytes")
 
     for i, layer in enumerate(layers):
         for name in layer.params():

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,10 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_STEP = 1e-5
 
 
+class DivergedRunError(Exception):
+    """A training run reached a non-finite loss."""
+
+
 @dataclass
 class MetricsRecord:
     run_id: str
@@ -58,11 +63,17 @@ class MetricsRecord:
         )
 
 
+def _require_finite(loss, run_id, epoch, split):
+    if not math.isfinite(loss):
+        raise DivergedRunError(f"run {run_id} diverged: epoch {epoch} {split} loss is {loss!r}")
+
+
 def run_training(config):
     """Train one network per the config; returns (metrics records, network).
 
     Fully deterministic: datasets, initialization, and epoch shuffles all
-    derive from the config seed.
+    derive from the config seed. Raises DivergedRunError as soon as an
+    epoch's train or test loss is not finite.
     """
     train_ds, _, test_ds = prepare_task(config)
     plan = seed_plan(config.seed)
@@ -79,11 +90,13 @@ def run_training(config):
         seen = sum(n for _, _, n in steps)
         train_loss = ordered_sum(l * n for l, _, n in steps) / seen
         train_acc = ordered_sum(a * n for _, a, n in steps) / seen
+        _require_finite(train_loss, run_id, epoch, "train")
         records.append(MetricsRecord(
             run_id, config.normalizer, config.batch_size, config.seed,
             epoch, total_steps, "train", train_loss, train_acc,
         ))
         test_loss, test_acc = network_evaluate(net, test_ds, flags=flags)
+        _require_finite(test_loss, run_id, epoch, "test")
         records.append(MetricsRecord(
             run_id, config.normalizer, config.batch_size, config.seed,
             epoch, total_steps, "test", test_loss, test_acc,
@@ -355,6 +368,9 @@ def main(argv=None):
     except (DataFormatError, UninitializedStatsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergedRunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():

@@ -3,7 +3,9 @@
 Layers follow one protocol: forward returns (output, cache), backward takes
 (cache, upstream gradient) and returns (input gradient, parameter gradient
 dict). Parameters live on the layer and are replaced functionally by the
-optimizer; nothing shares mutable buffers.
+optimizer; nothing shares mutable buffers. The static param_shapes, called
+with the describe() keys, gives a layer's parameter shapes without building
+it, so a checkpoint can be checked before any weight is drawn.
 """
 
 import math
@@ -24,8 +26,13 @@ class Dense:
         if rng is None:
             rng = Rng(0)
         scale = 1.0 / math.sqrt(in_dim)
-        self.w = randn([in_dim, out_dim], rng) * scale
-        self.b = zeros([out_dim])
+        shapes = self.param_shapes(in_dim, out_dim)
+        self.w = randn(shapes["w"], rng) * scale
+        self.b = zeros(shapes["b"])
+
+    @staticmethod
+    def param_shapes(in_dim, out_dim):
+        return {"w": [in_dim, out_dim], "b": [out_dim]}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         y = matmul(x, self.w) + _broadcast_row(self.b, x.shape[0])
@@ -60,8 +67,13 @@ class Conv2d:
         if rng is None:
             rng = Rng(0)
         scale = 1.0 / math.sqrt(in_channels * kernel * kernel)
-        self.w = randn([out_channels, in_channels, kernel, kernel], rng) * scale
-        self.b = zeros([out_channels])
+        shapes = self.param_shapes(in_channels, out_channels, kernel)
+        self.w = randn(shapes["w"], rng) * scale
+        self.b = zeros(shapes["b"])
+
+    @staticmethod
+    def param_shapes(in_channels, out_channels, kernel):
+        return {"w": [out_channels, in_channels, kernel, kernel], "b": [out_channels]}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         m, cin, h, w = x.shape
@@ -154,6 +166,10 @@ class AvgPool2x2:
 
     kind = "avgpool2x2"
 
+    @staticmethod
+    def param_shapes():
+        return {}
+
     def forward(self, x, train=True, flags=None, update_stats=True):
         m, c, h, w = x.shape
         if h % 2 or w % 2:
@@ -211,6 +227,10 @@ class Flatten:
 
     kind = "flatten"
 
+    @staticmethod
+    def param_shapes():
+        return {}
+
     def forward(self, x, train=True, flags=None, update_stats=True):
         m = x.shape[0]
         return reshape(x, (m, x.size // m)), x.shape
@@ -242,6 +262,10 @@ class Activation:
         if name not in self.NAMES:
             raise ValueError(f"unknown activation {name!r}")
         self.name = name
+
+    @staticmethod
+    def param_shapes(name):
+        return {}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         if self.name == "relu":
@@ -279,9 +303,14 @@ class RnnCell:
         self.hidden = hidden
         if rng is None:
             rng = Rng(0)
-        self.w_xh = randn([in_dim, hidden], rng) * (1.0 / math.sqrt(in_dim))
-        self.w_hh = randn([hidden, hidden], rng) * (1.0 / math.sqrt(hidden))
-        self.b = zeros([hidden])
+        shapes = self.param_shapes(in_dim, hidden)
+        self.w_xh = randn(shapes["w_xh"], rng) * (1.0 / math.sqrt(in_dim))
+        self.w_hh = randn(shapes["w_hh"], rng) * (1.0 / math.sqrt(hidden))
+        self.b = zeros(shapes["b"])
+
+    @staticmethod
+    def param_shapes(in_dim, hidden):
+        return {"w_xh": [in_dim, hidden], "w_hh": [hidden, hidden], "b": [hidden]}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         m, steps, v = x.shape
@@ -358,6 +387,10 @@ class Normalizer:
         self.norm_params = init_params(d, epsilon, momentum)
         self.running = init_running(d)
 
+    @staticmethod
+    def param_shapes(scheme, d, epsilon=1e-4, momentum=0.9):
+        return {"gamma": [d], "beta": [d]}
+
     def forward(self, x, train=True, flags=None, update_stats=True):
         orig = x.shape
         flat = x if x.rank == 2 else reshape(x, (orig[0], x.size // orig[0]))
@@ -416,12 +449,13 @@ _LAYER_TYPES = {
 }
 
 
-def layer_from_descriptor(desc):
-    """Rebuild a layer from its describe() dict (parameters left at init).
+def _descriptor_args(desc):
+    """(layer class, constructor keywords) of a describe() dict.
 
     Every describe() key but "kind" names a constructor parameter, so an
-    unknown key raises TypeError. The initializer stream `rng` is the one
-    constructor parameter that is not a descriptor key.
+    unknown key raises TypeError once the keywords are passed on. The
+    initializer stream `rng` is the one constructor parameter that is not a
+    descriptor key.
     """
     desc = dict(desc)
     kind = desc.pop("kind", None)
@@ -429,7 +463,23 @@ def layer_from_descriptor(desc):
         raise ValueError(f"unknown layer kind {kind!r}")
     if "rng" in desc:
         raise ValueError("'rng' is not a layer descriptor key")
-    return _LAYER_TYPES[kind](**desc)
+    return _LAYER_TYPES[kind], desc
+
+
+def layer_from_descriptor(desc):
+    """Rebuild a layer from its describe() dict (parameters left at init)."""
+    cls, kwargs = _descriptor_args(desc)
+    return cls(**kwargs)
+
+
+def descriptor_param_shapes(desc):
+    """{parameter name: shape} of the layer a describe() dict declares.
+
+    Nothing is built or drawn, so a declared size can be checked before any
+    memory goes to it.
+    """
+    cls, kwargs = _descriptor_args(desc)
+    return cls.param_shapes(**kwargs)
 
 
 class Network:
@@ -446,12 +496,7 @@ class Network:
         self.layers = list(layers)
 
     def forward(self, x, train=True, flags=None, update_stats=True):
-        caches = []
-        out = x
-        for layer in self.layers:
-            out, cache = layer.forward(out, train=train, flags=flags, update_stats=update_stats)
-            caches.append(cache)
-        return out, caches
+        return forward_layers(self.layers, x, train, flags, update_stats)
 
     def backward(self, caches, dout):
         grads = {}
@@ -500,6 +545,16 @@ class Network:
                      r.e_mu_f, r.e_sigma_f, r.count, r.batch_m),
                 ))
         return hash(tuple(acc))
+
+
+def forward_layers(layers, x, train=True, flags=None, update_stats=True):
+    """Run `x` through `layers` in order; returns (output, per-layer caches)."""
+    caches = []
+    out = x
+    for layer in layers:
+        out, cache = layer.forward(out, train=train, flags=flags, update_stats=update_stats)
+        caches.append(cache)
+    return out, caches
 
 
 def cross_entropy(logits, labels):
@@ -607,8 +662,13 @@ def network_train_epoch(net, dataset, batch_size, optimizer, rng):
 def network_evaluate(net, dataset, flags=None):
     """Loss and accuracy over the whole dataset as one inference batch."""
     logits, _ = net.forward(dataset.inputs, train=False, flags=flags)
-    value, _ = cross_entropy(logits, dataset.labels)
-    return value, accuracy(logits, dataset.labels)
+    return score(logits, dataset.labels)
+
+
+def score(logits, labels):
+    """(cross-entropy loss, accuracy) of inference logits."""
+    value, _ = cross_entropy(logits, labels)
+    return value, accuracy(logits, labels)
 
 
 def build_cnn(in_channels, height, width, num_classes, normalizer, rng,

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .nn import network_evaluate
+from .nn import Normalizer, forward_layers, score
 from .norm import InferenceFlags
 
 
@@ -33,17 +33,32 @@ def rank_results(results):
     ]
 
 
+def flag_prefix_length(net):
+    """Number of leading layers in front of the first bln normalizer.
+
+    Only bln normalizers read the inference flags, so these layers give the
+    same output under every configuration.
+    """
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Normalizer) and layer.scheme == "bln":
+            return i
+    return len(net.layers)
+
+
 def evaluate_all(net, dataset):
     """Evaluate a frozen network under every configuration; returns ranked results.
 
+    The flag-independent prefix runs once; the remaining layers run once per
+    configuration and are scored like `network_evaluate`, with the same bits.
     Inference passes are read-only, so the network is left bit-identical.
     """
-    configs = enumerate_configs()
-    metrics = [network_evaluate(net, dataset, flags=f) for f in configs]
-    results = [
-        ConfigResult(flags, loss, acc)
-        for flags, (loss, acc) in zip(configs, metrics)
-    ]
+    split = flag_prefix_length(net)
+    prefix, rest = net.layers[:split], net.layers[split:]
+    hidden, _ = forward_layers(prefix, dataset.inputs, train=False)
+    results = []
+    for flags in enumerate_configs():
+        logits, _ = forward_layers(rest, hidden, train=False, flags=flags)
+        results.append(ConfigResult(flags, *score(logits, dataset.labels)))
     return rank_results(results)
 
 

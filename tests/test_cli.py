@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from normlab import nn
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
 from normlab.config import validate_experiment
@@ -35,7 +36,19 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
+def assert_diverged(code, err):
+    assert code == 3
+    assert err.startswith("error: run ") and "diverged" in err and err.count("\n") == 1
+
+
 class TestTrainCommand:
+    def test_diverged_run_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, normalizer="bn", seed=1, learning_rate=1e200)
+        out, ck = tmp_path / "m.csv", tmp_path / "m.ckpt"
+        code = main(["train", "--config", config, "--out", str(out), "--checkpoint", str(ck)])
+        assert_diverged(code, capsys.readouterr().err)
+        assert not out.exists() and not ck.exists()
+
     def test_runs_and_is_byte_identical_across_reruns(self, tmp_path):
         config = write_config(tmp_path)
         out1, ck1 = str(tmp_path / "a.csv"), str(tmp_path / "a.ckpt")
@@ -178,8 +191,42 @@ class TestMalformedManifest:
         assert code == 2
         assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
 
+    def test_oversized_layer_rejected_before_any_weight_is_drawn(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the manifest declares a 1000x1000 dense layer the payload cannot hold
+        ck = str(tmp_path / "net.ckpt")
+        net = build_cnn(1, 6, 6, 2, "bln", Rng(0))
+        save_checkpoint(ck, net)
+        last = len(net.layers) - 1
+
+        def grow_last_dense(m):
+            m["layers"][last].update(in_dim=1000, out_dim=1000)
+            for entry in m["buffers"]:
+                if entry["name"] == f"{last}.w":
+                    entry["shape"] = [1000, 1000]
+                elif entry["name"] == f"{last}.b":
+                    entry["shape"] = [1000]
+
+        _rewrite_manifest(ck, grow_last_dense)
+        draws = []
+        original = nn.randn
+        monkeypatch.setattr(nn, "randn", lambda *a: draws.append(a) or original(*a))
+        code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
+                     "--out", str(tmp_path / "grid.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
+        assert draws == []
+
 
 class TestCompareCommand:
+    def test_diverged_run_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, normalizer=["bn", "bln"], seed=1, learning_rate=1e200)
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", config, "--out", str(out)])
+        assert_diverged(code, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_six_runs_with_distinct_ids(self, tmp_path):
         config = write_config(tmp_path, normalizer=["bn", "ln", "bln"], batch_size=[5, 25])
         out = str(tmp_path / "cmp.csv")

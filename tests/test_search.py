@@ -2,10 +2,28 @@ import pytest
 
 import oracles
 from conftest import assert_lists_close, rows_of
+from normlab.cli import run_training
+from normlab.config import prepare_task, validate_experiment
 from normlab.data import gen_blobs
-from normlab.nn import Adam, build_dense_net, network_evaluate, network_train_epoch
+from normlab.nn import (
+    Activation,
+    Adam,
+    Dense,
+    Network,
+    Normalizer,
+    build_dense_net,
+    network_evaluate,
+    network_train_epoch,
+)
 from normlab.norm import InferenceFlags
-from normlab.search import ConfigResult, enumerate_configs, evaluate_all, rank_results, select_best
+from normlab.search import (
+    ConfigResult,
+    enumerate_configs,
+    evaluate_all,
+    flag_prefix_length,
+    rank_results,
+    select_best,
+)
 from normlab.tensor import Rng
 
 
@@ -16,6 +34,43 @@ def trained_net(seed=55):
     for epoch in range(3):
         network_train_epoch(net, ds, 4, opt, Rng(seed + epoch))
     return net, ds
+
+
+def trained_cnn():
+    config = validate_experiment({"task": "cnn-synthetic", "normalizer": "bln", "batch_size": 25,
+                                  "epochs": 1, "seed": 7, "train_fraction": 0.1})
+    _, net = run_training(config)
+    _, validation, _ = prepare_task(config)
+    return net, validation
+
+
+def trained_bn_then_bln(seed=55):
+    ds = gen_blobs(12, 2, 4, 5.0, seed=seed)
+    rng = Rng(seed)
+    net = Network([
+        Dense(4, 6, rng), Activation("tanh"), Normalizer("bn", 6),
+        Dense(6, 5, rng), Activation("relu"), Normalizer("bln", 5),
+        Dense(5, 2, rng),
+    ])
+    opt = Adam()
+    for epoch in range(3):
+        network_train_epoch(net, ds, 4, opt, Rng(seed + epoch))
+    return net, ds
+
+
+def count_forwards(net):
+    """Per-layer forward call counters, installed on the layer instances."""
+    calls = [0] * len(net.layers)
+    for i, layer in enumerate(net.layers):
+        def counted(*args, _i=i, _forward=layer.forward, **kwargs):
+            calls[_i] += 1
+            return _forward(*args, **kwargs)
+        layer.forward = counted
+    return calls
+
+
+def bits_by_flags(pairs):
+    return {flags: (repr(loss), repr(acc)) for flags, (loss, acc) in pairs}
 
 
 class TestEnumeration:
@@ -139,3 +194,26 @@ class TestEvaluateAll:
             )
             for got_row, want_row in zip(rows_of(got), want):
                 assert_lists_close(got_row, want_row)
+
+
+class TestSharedPrefix:
+    @pytest.mark.parametrize("make", [trained_net, trained_cnn, trained_bn_then_bln],
+                             ids=["dense", "cnn-synthetic", "bn-then-bln"])
+    def test_matches_sixteen_network_evaluate_calls_bit_for_bit(self, make):
+        net, ds = make()
+        want = bits_by_flags((f, network_evaluate(net, ds, flags=f)) for f in enumerate_configs())
+        got = bits_by_flags((r.flags, (r.loss, r.accuracy)) for r in evaluate_all(net, ds))
+        assert got == want
+
+    @pytest.mark.parametrize("make, prefix", [(trained_net, 2), (trained_cnn, 2),
+                                              (trained_bn_then_bln, 5)],
+                             ids=["dense", "cnn-synthetic", "bn-then-bln"])
+    def test_prefix_runs_once_and_the_rest_sixteen_times(self, make, prefix):
+        net, ds = make()
+        assert flag_prefix_length(net) == prefix
+        before = net.checksum()
+        calls = count_forwards(net)
+        evaluate_all(net, ds)
+        assert calls == [1] * prefix + [16] * (len(net.layers) - prefix)
+        assert net.checksum() == before
+
