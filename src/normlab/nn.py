@@ -2,15 +2,19 @@
 
 Layers follow one protocol: forward returns (output, cache), backward takes
 (cache, upstream gradient) and returns (input gradient, parameter gradient
-dict). Parameters live on the layer and are replaced functionally by the
-optimizer; nothing shares mutable buffers. The static param_shapes, called
-with the describe() keys, gives a layer's parameter shapes without building
-it, so a checkpoint can be checked before any weight is drawn.
+dict). Network.backward passes need_dx=False to the first layer, whose input
+gradient nothing reads; Dense, Conv2d and RnnCell then skip it and return
+None in its place. Parameters live on the layer and are replaced
+functionally by the optimizer; nothing shares mutable buffers. The static
+param_shapes, called with the describe() keys, gives a layer's parameter
+shapes without building it, so a checkpoint can be checked before any
+weight is drawn.
 """
 
 import math
+from itertools import compress
 
-from .tensor import Rng, Tensor, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
+from .tensor import Rng, Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
 from . import norm as _norm
 from .norm import init_params, init_running
 
@@ -38,11 +42,11 @@ class Dense:
         y = matmul(x, self.w) + _broadcast_row(self.b, x.shape[0])
         return y, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         x = cache
         dw = matmul(transpose2d(x), dy)
         db = _col_sum(dy)
-        dx = matmul(dy, transpose2d(self.w))
+        dx = matmul(dy, transpose2d(self.w)) if need_dx else None
         return dx, {"w": dw, "b": db}
 
     def params(self):
@@ -83,68 +87,82 @@ class Conv2d:
         oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"kernel {k} too large for input {h}x{w}")
-        cout = self.out_channels
-        xd, wd, bd = x.data, self.w.data, self.b.data
-        out = [0.0] * (m * cout * oh * ow)
+        cols = _im2col(x, k)
+        taps = cin * k * k
+        wd = self.w.data
+        # each output starts at its bias and adds x*w in (ic, ky, kx) order
+        planes = [
+            _accumulate([bias] * len(cols[0]), wd[oc * taps:(oc + 1) * taps], cols)
+            for oc, bias in enumerate(self.b.data)
+        ]
+        plane = oh * ow
+        out = []
         for s in range(m):
-            sbase = s * cin * h * w
-            obase_s = s * cout * oh * ow
-            for oc in range(cout):
-                wbase_oc = oc * cin * k * k
-                obase = obase_s + oc * oh * ow
-                bias = bd[oc]
-                for oy in range(oh):
-                    for ox in range(ow):
-                        acc = bias
-                        for ic in range(cin):
-                            xbase = sbase + ic * h * w
-                            wbase = wbase_oc + ic * k * k
-                            for ky in range(k):
-                                xrow = xbase + (oy + ky) * w + ox
-                                wrow = wbase + ky * k
-                                for kx in range(k):
-                                    acc += xd[xrow + kx] * wd[wrow + kx]
-                        out[obase + oy * ow + ox] = acc
-        return Tensor._wrap((m, cout, oh, ow), out), x
+            for acc in planes:
+                out += acc[s * plane:(s + 1) * plane]
+        return Tensor._wrap((m, self.out_channels, oh, ow), out), (x, cols)
 
-    def backward(self, cache, dy):
-        x = cache
-        m, cin, h, w = x.shape
-        k = self.kernel
+    def backward(self, cache, dy, need_dx=True):
+        x, cols = cache
+        m = x.shape[0]
         cout = self.out_channels
-        _, _, oh, ow = dy.shape
-        xd, wd, dyd = x.data, self.w.data, dy.data
-        dwd = [0.0] * len(wd)
-        dbd = [0.0] * cout
-        dxd = [0.0] * len(xd)
+        plane = dy.shape[2] * dy.shape[3]
+        dyd = dy.data
+        dwd = []
+        dbd = []
+        for oc in range(cout):
+            # this channel's non-zero g over (s, oy, ox), in that order
+            g = []
+            for s in range(m):
+                g += dyd[(s * cout + oc) * plane:(s * cout + oc + 1) * plane]
+            nonzero = [v != 0.0 for v in g]
+            g = list(compress(g, nonzero))
+            dbd.append(ordered_sum(g))
+            for col in cols:
+                acc = 0.0
+                for gv, xv in zip(g, compress(col, nonzero)):
+                    acc += gv * xv
+                dwd.append(acc)
+        grads = {
+            "w": Tensor._wrap(self.w.shape, dwd),
+            "b": Tensor._wrap((cout,), dbd),
+        }
+        return (self._input_grad(x.shape, dy) if need_dx else None), grads
+
+    def _input_grad(self, x_shape, dy):
+        """dx with each element's terms in (oc, ky desc, kx desc) order, zero g skipped.
+
+        That is the (oc, oy, ox) order of a scatter over the outputs. The
+        work runs on an (ic, y, x, s) layout, where one (oc, ky, kx, oy)
+        step touches ow*m contiguous entries.
+        """
+        m, cin, h, w = x_shape
+        k = self.kernel
+        _, cout, oh, ow = dy.shape
+        run = ow * m
+        plane = oh * ow
+        dyd, wd = dy.data, self.w.data
+        acc = [0.0] * (cin * h * w * m)
+        for oc in range(cout):
+            # dy[:, oc] as (oy, ox, s)
+            g = [0.0] * (plane * m)
+            for s in range(m):
+                g[s::m] = dyd[(s * cout + oc) * plane:(s * cout + oc + 1) * plane]
+            grows = [g[oy * run:(oy + 1) * run] for oy in range(oh)]
+            for ky in range(k - 1, -1, -1):
+                for kx in range(k - 1, -1, -1):
+                    for ic in range(cin):
+                        wv = wd[((oc * cin + ic) * k + ky) * k + kx]
+                        for oy, grow in enumerate(grows):
+                            lo = ((ic * h + oy + ky) * w + kx) * m
+                            acc[lo:lo + run] = [
+                                d if gv == 0.0 else d + gv * wv
+                                for d, gv in zip(acc[lo:lo + run], grow)
+                            ]
+        dxd = []
         for s in range(m):
-            sbase = s * cin * h * w
-            obase_s = s * cout * oh * ow
-            for oc in range(cout):
-                wbase_oc = oc * cin * k * k
-                obase = obase_s + oc * oh * ow
-                for oy in range(oh):
-                    for ox in range(ow):
-                        g = dyd[obase + oy * ow + ox]
-                        if g == 0.0:
-                            continue
-                        dbd[oc] += g
-                        for ic in range(cin):
-                            xbase = sbase + ic * h * w
-                            wbase = wbase_oc + ic * k * k
-                            for ky in range(k):
-                                xrow = xbase + (oy + ky) * w + ox
-                                wrow = wbase + ky * k
-                                for kx in range(k):
-                                    dwd[wrow + kx] += g * xd[xrow + kx]
-                                    dxd[xrow + kx] += g * wd[wrow + kx]
-        return (
-            Tensor._wrap(x.shape, dxd),
-            {
-                "w": Tensor._wrap(self.w.shape, dwd),
-                "b": Tensor._wrap((cout,), dbd),
-            },
-        )
+            dxd += acc[s::m]
+        return Tensor._wrap(x_shape, dxd)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -159,6 +177,25 @@ class Conv2d:
             "out_channels": self.out_channels,
             "kernel": self.kernel,
         }
+
+
+def _im2col(x, k):
+    """One column per (ic, ky, kx), each x[s, ic, oy + ky, ox + kx] over (s, oy, ox)."""
+    m, cin, h, w = x.shape
+    oh, ow = h - k + 1, w - k + 1
+    xd = x.data
+    cols = []
+    for ic in range(cin):
+        for ky in range(k):
+            for kx in range(k):
+                col = []
+                for s in range(m):
+                    base = ((s * cin + ic) * h + ky) * w + kx
+                    for oy in range(oh):
+                        lo = base + oy * w
+                        col += xd[lo:lo + ow]
+                cols.append(col)
+    return cols
 
 
 class AvgPool2x2:
@@ -191,7 +228,7 @@ class AvgPool2x2:
                         )
         return Tensor._wrap((m, c, oh, ow), out), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         m, c, h, w = cache
         oh, ow = h // 2, w // 2
         dyd = dy.data
@@ -235,7 +272,7 @@ class Flatten:
         m = x.shape[0]
         return reshape(x, (m, x.size // m)), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         return reshape(dy, cache), {}
 
     def params(self):
@@ -246,10 +283,6 @@ class Flatten:
 
     def describe(self):
         return {"kind": self.kind}
-
-
-def _relu(v):
-    return v if v > 0.0 else 0.0
 
 
 class Activation:
@@ -269,12 +302,12 @@ class Activation:
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         if self.name == "relu":
-            y = Tensor._wrap(x.shape, [_relu(v) for v in x.data])
+            y = Tensor._wrap(x.shape, [v if v > 0.0 else 0.0 for v in x.data])
             return y, x
         y = Tensor._wrap(x.shape, [math.tanh(v) for v in x.data])
         return y, y
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         if self.name == "relu":
             x = cache
             dx = [g if v > 0.0 else 0.0 for v, g in zip(x.data, dy.data)]
@@ -328,15 +361,15 @@ class RnnCell:
             hs.append(h)
         return h, (x.shape, xs, hs)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         (m, steps, v), xs, hs = cache
         hidden = self.hidden
         dw_xh = zeros([v, hidden])
         dw_hh = zeros([hidden, hidden])
         db = zeros([hidden])
-        dxd = [0.0] * (m * steps * v)
+        dxd = [0.0] * (m * steps * v) if need_dx else None
         dh = dy
-        w_xh_t = transpose2d(self.w_xh)
+        w_xh_t = transpose2d(self.w_xh) if need_dx else None
         w_hh_t = transpose2d(self.w_hh)
         for t in range(steps - 1, -1, -1):
             ht = hs[t + 1]
@@ -347,17 +380,17 @@ class RnnCell:
             dw_xh = dw_xh + matmul(transpose2d(xs[t]), da)
             dw_hh = dw_hh + matmul(transpose2d(hs[t]), da)
             db = db + _col_sum(da)
-            dxt = matmul(da, w_xh_t)
-            for s in range(m):
-                base = (s * steps + t) * v
-                row = s * v
-                for j in range(v):
-                    dxd[base + j] = dxt.data[row + j]
-            dh = matmul(da, w_hh_t)
-        return (
-            Tensor._wrap((m, steps, v), dxd),
-            {"w_xh": dw_xh, "w_hh": dw_hh, "b": db},
-        )
+            if need_dx:
+                dxt = matmul(da, w_xh_t)
+                for s in range(m):
+                    base = (s * steps + t) * v
+                    row = s * v
+                    for j in range(v):
+                        dxd[base + j] = dxt.data[row + j]
+            if t:  # at t = 0 it would be the gradient of the zero initial state
+                dh = matmul(da, w_hh_t)
+        dx = Tensor._wrap((m, steps, v), dxd) if need_dx else None
+        return dx, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
 
     def params(self):
         return {"w_xh": self.w_xh, "w_hh": self.w_hh, "b": self.b}
@@ -407,7 +440,7 @@ class Normalizer:
         out = y if x.rank == 2 else reshape(y, orig)
         return out, (cache, orig)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, need_dx=True):
         norm_cache, orig = cache
         if norm_cache is None:
             raise ValueError("no backward pass through an inference-mode forward")
@@ -502,7 +535,7 @@ class Network:
         grads = {}
         grad = dout
         for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(caches[i], grad)
+            grad, layer_grads = self.layers[i].backward(caches[i], grad, need_dx=i > 0)
             for name, g in layer_grads.items():
                 grads[f"{i}.{name}"] = g
         return grads

@@ -189,16 +189,26 @@ def matmul(a, b):
     if k != k2:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...; each
+    # comprehension runs along the longer output axis
+    if n >= m:
+        brows = [bd[t * n:(t + 1) * n] for t in range(k)]
+        out = []
+        for i in range(m):
+            out += _accumulate([0.0] * n, ad[i * k:(i + 1) * k], brows)
+        return Tensor._wrap((m, n), out)
+    acols = [ad[t::k] for t in range(k)]
     out = [0.0] * (m * n)
-    for i in range(m):
-        arow = ad[i * k:(i + 1) * k]
-        base = i * n
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += arow[t] * bd[t * n + j]
-            out[base + j] = acc
+    for j in range(n):
+        out[j::n] = _accumulate([0.0] * m, bd[j::n], acols)
     return Tensor._wrap((m, n), out)
+
+
+def _accumulate(acc, coeffs, rows):
+    """acc + c0*r0 + c1*r1 + ... elementwise, the terms added in that order."""
+    for c, row in zip(coeffs, rows):
+        acc = [v + c * r for v, r in zip(acc, row)]
+    return acc
 
 
 def transpose2d(x):

@@ -14,3 +14,8 @@ def rows_of(tensor):
     """Rank-2 tensor as a list of row lists."""
     m, d = tensor.shape
     return [tensor.data[i * d:(i + 1) * d] for i in range(m)]
+
+
+def hexes(values):
+    """float.hex of every value: equal lists mean equal bits."""
+    return [v.hex() for v in values]

@@ -1,4 +1,4 @@
-"""Independent scalar-loop oracles for the normalization transforms.
+"""Independent scalar-loop oracles for the normalization transforms and kernels.
 
 Deliberately naive: plain lists of floats, explicit index loops, direct
 transcription of the defining formulas, and no code shared with the
@@ -172,3 +172,81 @@ def max_rel_error(analytic, numeric, floor=1e-6):
         if err > worst:
             worst = err
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Scalar-loop kernels: the package's matmul and Conv2d loops as they were
+# before the comprehension kernels, kept as bitwise references. Flat
+# row-major lists in, flat lists out.
+# ---------------------------------------------------------------------------
+
+def matmul_loops(ad, bd, m, k, n):
+    """(m,k) x (k,n): out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..."""
+    out = [0.0] * (m * n)
+    for i in range(m):
+        arow = ad[i * k:(i + 1) * k]
+        base = i * n
+        for j in range(n):
+            acc = 0.0
+            for t in range(k):
+                acc += arow[t] * bd[t * n + j]
+            out[base + j] = acc
+    return out
+
+
+def conv2d_forward_loops(xd, wd, bd, x_shape, cout, k):
+    """Stride-1 valid convolution of x (m,cin,h,w) with w (cout,cin,k,k) plus bias."""
+    m, cin, h, w = x_shape
+    oh, ow = h - k + 1, w - k + 1
+    out = [0.0] * (m * cout * oh * ow)
+    for s in range(m):
+        sbase = s * cin * h * w
+        obase_s = s * cout * oh * ow
+        for oc in range(cout):
+            wbase_oc = oc * cin * k * k
+            obase = obase_s + oc * oh * ow
+            bias = bd[oc]
+            for oy in range(oh):
+                for ox in range(ow):
+                    acc = bias
+                    for ic in range(cin):
+                        xbase = sbase + ic * h * w
+                        wbase = wbase_oc + ic * k * k
+                        for ky in range(k):
+                            xrow = xbase + (oy + ky) * w + ox
+                            wrow = wbase + ky * k
+                            for kx in range(k):
+                                acc += xd[xrow + kx] * wd[wrow + kx]
+                    out[obase + oy * ow + ox] = acc
+    return out
+
+
+def conv2d_backward_loops(xd, wd, dyd, x_shape, cout, k):
+    """(dx, dw, db) of the convolution above for upstream gradient dy; zero g skipped."""
+    m, cin, h, w = x_shape
+    oh, ow = h - k + 1, w - k + 1
+    dwd = [0.0] * len(wd)
+    dbd = [0.0] * cout
+    dxd = [0.0] * len(xd)
+    for s in range(m):
+        sbase = s * cin * h * w
+        obase_s = s * cout * oh * ow
+        for oc in range(cout):
+            wbase_oc = oc * cin * k * k
+            obase = obase_s + oc * oh * ow
+            for oy in range(oh):
+                for ox in range(ow):
+                    g = dyd[obase + oy * ow + ox]
+                    if g == 0.0:
+                        continue
+                    dbd[oc] += g
+                    for ic in range(cin):
+                        xbase = sbase + ic * h * w
+                        wbase = wbase_oc + ic * k * k
+                        for ky in range(k):
+                            xrow = xbase + (oy + ky) * w + ox
+                            wrow = wbase + ky * k
+                            for kx in range(k):
+                                dwd[wrow + kx] += g * xd[xrow + kx]
+                                dxd[xrow + kx] += g * wd[wrow + kx]
+    return dxd, dwd, dbd

@@ -364,3 +364,28 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--config", self.write_spec(tmp_path, stride=2)])
         assert code == 1
         assert "'stride'" in capsys.readouterr().err
+
+
+class TestGradcheckOutput:
+    """gradcheck prints the same errors, digit for digit, as the scalar-loop kernels gave."""
+
+    CONFIG = __file__.rsplit("/", 2)[0] + "/configs/gradcheck-bln.json"
+
+    def test_committed_config_stdout(self, capsys):
+        assert main(["gradcheck", "--config", self.CONFIG]) == 0
+        assert capsys.readouterr().out == (
+            "bln m=25 d=8 dx max_rel_err=4.001e-08 PASS\n"
+            "bln m=25 d=8 dgamma max_rel_err=1.943e-10 PASS\n"
+            "bln m=25 d=8 dbeta max_rel_err=2.250e-10 PASS\n"
+        )
+
+    def test_network_stdout(self, tmp_path, capsys):
+        spec = tmp_path / "network.json"
+        spec.write_text(json.dumps({"layer": "network", "m": 4, "d": 6, "seed": 0}),
+                        encoding="utf-8")
+        assert main(["gradcheck", "--config", str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            "network[bn] m=4 d=6 max_rel_err=3.069e-08 PASS\n"
+            "network[ln] m=4 d=6 max_rel_err=5.322e-09 PASS\n"
+            "network[bln] m=4 d=6 max_rel_err=8.023e-09 PASS\n"
+        )

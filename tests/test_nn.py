@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from conftest import assert_lists_close
+from conftest import assert_lists_close, hexes
 from normlab.data import gen_blobs
 from normlab.nn import (
     Activation,
@@ -16,7 +16,9 @@ from normlab.nn import (
     Normalizer,
     RnnCell,
     accuracy,
+    build_cnn,
     build_dense_net,
+    build_rnn,
     cross_entropy,
     network_evaluate,
     network_train_epoch,
@@ -199,6 +201,59 @@ class TestRnnCell:
                 oracles.central_difference(loss_p, p0.data, i, STEP) for i in range(p0.size)
             ]
             assert oracles.max_rel_error(grads[name].data, numeric_p) < TOLERANCE
+
+
+class TestNeedDx:
+    """backward(..., need_dx=False) drops only the input gradient."""
+
+    @pytest.mark.parametrize("make_layer, shape", [
+        (lambda rng: Conv2d(2, 3, 2, rng), [3, 2, 4, 5]),
+        (lambda rng: Dense(5, 4, rng), [3, 5]),
+        (lambda rng: RnnCell(3, 4, rng), [3, 5, 3]),
+    ], ids=["conv2d", "dense", "rnn-cell"])
+    def test_parameter_gradients_unchanged_and_dx_none(self, make_layer, shape):
+        rng = Rng(12)
+        layer = make_layer(rng)
+        y, cache = layer.forward(randn(shape, rng))
+        dy = randn(list(y.shape), rng)
+        dy.data[::3] = [0.0] * len(dy.data[::3])
+        dx, full = layer.backward(cache, dy)
+        assert dx is not None and dx.shape == tuple(shape)
+        skipped, grads = layer.backward(cache, dy, need_dx=False)
+        assert skipped is None
+        assert sorted(grads) == sorted(full)
+        for name in full:
+            assert hexes(grads[name].data) == hexes(full[name].data), name
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: build_dense_net(4, 5, 3, "bln", rng),
+        lambda rng: build_cnn(1, 6, 6, 2, "bn", rng),
+        lambda rng: build_rnn(3, 4, 2, "ln", rng),
+    ], ids=["dense", "cnn", "rnn"])
+    def test_network_skips_the_first_layer_only(self, build):
+        rng = Rng(13)
+        net = build(rng)
+        shape = {Dense: [4, 4], Conv2d: [4, 1, 6, 6], RnnCell: [4, 2, 3]}[type(net.layers[0])]
+        _, _, caches, dlogits = net.loss(randn(shape, rng), [0, 1, 1, 0], train=True)
+        seen = []
+        for i, layer in enumerate(net.layers):
+            def spy(cache, dy, need_dx=True, _i=i, _backward=layer.backward):
+                seen.append((_i, need_dx))
+                return _backward(cache, dy, need_dx=need_dx)
+            layer.backward = spy
+        grads = net.backward(caches, dlogits)
+        last = len(net.layers) - 1
+        assert seen == [(i, i > 0) for i in range(last, -1, -1)]
+        for i, layer in enumerate(net.layers):
+            del layer.backward
+        full = {}
+        grad = dlogits
+        for i in range(last, -1, -1):
+            grad, layer_grads = net.layers[i].backward(caches[i], grad)
+            full.update({f"{i}.{name}": g for name, g in layer_grads.items()})
+        assert sorted(grads) == sorted(full)
+        for key in full:
+            assert hexes(grads[key].data) == hexes(full[key].data), key
 
 
 class TestAdam:

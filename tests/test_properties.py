@@ -1,10 +1,25 @@
 """Property tests over randomly drawn inputs (hypothesis)."""
 
+import os
+import tempfile
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from conftest import hexes
+from normlab.checkpoint import load_checkpoint, save_checkpoint
+from normlab.data import DataFormatError, Dataset
+from normlab.nn import (
+    Adam,
+    Conv2d,
+    build_cnn,
+    build_dense_net,
+    build_rnn,
+    network_train_epoch,
+)
 from normlab.norm import (
     InferenceFlags,
     bln_forward_infer,
@@ -12,7 +27,7 @@ from normlab.norm import (
     init_params,
     init_running,
 )
-from normlab.tensor import Tensor
+from normlab.tensor import Rng, Tensor, matmul, randn
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -46,3 +61,191 @@ def test_bln_all_false_inference_equals_training_forward_bit_for_bit(batch):
     trained, _, _ = bln_forward_train(x, params, init_running(d))
     inferred = bln_forward_infer(x, params, init_running(d), InferenceFlags.all_false())
     assert [v.hex() for v in inferred.data] == [v.hex() for v in trained.data]
+
+
+# ---------------------------------------------------------------------------
+# matmul and Conv2d against the scalar-loop kernels, bit for bit
+# ---------------------------------------------------------------------------
+
+ZERO_HEAVY = st.one_of(st.sampled_from([0.0, -0.0]), VALUES)  # about half exact zeros
+
+INF = float("inf")
+
+
+@st.composite
+def matmul_operands(draw):
+    m, k, n = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    a = draw(st.lists(ZERO_HEAVY, min_size=m * k, max_size=m * k))
+    b = draw(st.lists(ZERO_HEAVY, min_size=k * n, max_size=k * n))
+    return m, k, n, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matmul_operands())
+@example((1, 1, 1, [-0.0], [0.0]))
+@example((1, 4, 1, [1.0, 2.0, 3.0, 4.0], [0.5, -0.0, 1e3, -2.0]))
+def test_matmul_matches_scalar_loops_bit_for_bit(operands):
+    m, k, n, a, b = operands
+    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    assert out.shape == (m, n)
+    assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
+
+
+@st.composite
+def conv_cases(draw):
+    """(x shape, cout, kernel, x, w, b, dy): cin 1-3, kernel 1 up to the input side."""
+    m, cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(h, w)))
+    x = draw(st.lists(ZERO_HEAVY, min_size=m * cin * h * w, max_size=m * cin * h * w))
+    wd = draw(st.lists(ZERO_HEAVY, min_size=cout * cin * k * k, max_size=cout * cin * k * k))
+    b = draw(st.lists(ZERO_HEAVY, min_size=cout, max_size=cout))
+    n_out = m * cout * (h - k + 1) * (w - k + 1)
+    dy = draw(st.lists(ZERO_HEAVY, min_size=n_out, max_size=n_out))
+    return (m, cin, h, w), cout, k, x, wd, b, dy
+
+
+# an inf weight and an inf input meet exact-zero gradients: only the zero
+# skip keeps inf*0 = nan out of dx and dw
+INF_CASE = (
+    (2, 1, 3, 4), 2, 2,
+    [1.0, -2.0, 0.5, 3.0, INF, 1.5, -0.0, 2.0, 0.25, -1.0, 4.0, 0.0,
+     2.0, 1.0, -3.0, 0.5, 1.5, -0.5, 0.0, 2.5, 1.0, 3.0, -1.5, 0.75],
+    [INF, 1.0, -0.5, 2.0, 0.5, -1.0, 3.0, 0.25],
+    [0.5, -0.25],
+    [0.0, 1.0, -0.0, 2.0, 0.5, 0.0, -1.0, 0.0, 0.0, 3.0, -0.0, 1.0,
+     0.0, 0.0, 2.0, -0.0, 1.5, 0.0, -2.0, 0.0, 0.5, 0.0, 0.0, 1.0],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conv_cases())
+@example(INF_CASE)
+@example(((1, 1, 1, 1), 1, 1, [2.0], [-0.0], [0.0], [-0.0]))
+@example(((2, 3, 2, 5), 2, 2, [1.0] * 60, [0.5] * 24, [0.0, -0.0], [0.0] * 16))
+def test_conv2d_matches_scalar_loops_bit_for_bit(case):
+    shape, cout, k, x, wd, b, dy = case
+    conv = Conv2d(shape[1], cout, k)
+    conv.w = Tensor(conv.w.shape, wd)
+    conv.b = Tensor((cout,), b)
+    y, cache = conv.forward(Tensor(shape, x))
+    assert hexes(y.data) == hexes(oracles.conv2d_forward_loops(x, wd, b, shape, cout, k))
+
+    dx, grads = conv.backward(cache, Tensor(y.shape, dy))
+    want_dx, want_dw, want_db = oracles.conv2d_backward_loops(x, wd, dy, shape, cout, k)
+    assert dx.shape == shape
+    assert hexes(dx.data) == hexes(want_dx)
+    assert hexes(grads["w"].data) == hexes(want_dw)
+    assert hexes(grads["b"].data) == hexes(want_db)
+
+    skipped, grads = conv.backward(cache, Tensor(y.shape, dy), need_dx=False)
+    assert skipped is None
+    assert hexes(grads["w"].data) == hexes(want_dw)
+    assert hexes(grads["b"].data) == hexes(want_db)
+
+
+def test_inf_case_meets_exact_zero_gradients():
+    """INF_CASE's first g is 0.0 and meets the inf weight w[0,0,0,0] (in dx[0,0,0,0])
+    and the inf input x[0,0,1,0] (in dw[0,0,1,0]); unskipped, both would be nan."""
+    shape, cout, k, x, wd, b, dy = INF_CASE
+    assert dy[0] == 0.0 and wd[0] == INF and x[4] == INF
+    dx, dw, _ = oracles.conv2d_backward_loops(x, wd, dy, shape, cout, k)
+    assert all(v == v for v in dx + dw)
+    assert INF in [abs(v) for v in dx] and INF in [abs(v) for v in dw]
+
+
+# ---------------------------------------------------------------------------
+# checkpoints: round trips, truncation and corruption
+# ---------------------------------------------------------------------------
+
+SCHEMES = ("bn", "ln", "bln")
+
+
+@st.composite
+def trained_networks(draw, arch, scheme):
+    """A small random network of one architecture after a few Adam steps."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = Rng(seed)
+    classes = draw(st.integers(2, 3))
+    n = draw(st.integers(classes, 6))
+    if arch == "dense":
+        d = draw(st.integers(1, 5))
+        net = build_dense_net(d, draw(st.integers(2, 5)), classes, scheme, rng,
+                              activation=draw(st.sampled_from(["relu", "tanh"])))
+        shape = [n, d]
+    elif arch == "cnn":
+        cin, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        h, w = draw(st.sampled_from([2, 4])) + k - 1, draw(st.sampled_from([2, 4])) + k - 1
+        net = build_cnn(cin, h, w, classes, scheme, rng, filters=draw(st.integers(1, 3)),
+                        kernel=k, dense_width=draw(st.integers(2, 5)))
+        shape = [n, cin, h, w]
+    else:
+        v = draw(st.integers(1, 3))
+        net = build_rnn(v, draw(st.integers(2, 5)), classes, scheme, rng)
+        shape = [n, draw(st.integers(1, 3)), v]
+    labels = [i if i < classes else rng.randint(classes) for i in range(n)]
+    data = Dataset(randn(shape, rng), labels, classes)
+    network_train_epoch(net, data, draw(st.integers(1, 3)), Adam(1e-2), rng)
+    return net
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("arch", ["dense", "cnn", "rnn"])
+def test_checkpoint_round_trip_is_exact(arch, scheme, tmp_path_factory):
+    directory = tmp_path_factory.mktemp(f"{arch}-{scheme}")
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(trained_networks(arch, scheme))
+    def round_trip(net):
+        first, second = str(directory / "one.ckpt"), str(directory / "two.ckpt")
+        save_checkpoint(first, net, meta={"arch": arch})
+        loaded, manifest = load_checkpoint(first)
+        assert loaded.checksum() == net.checksum()
+        assert manifest["meta"] == {"arch": arch}
+        save_checkpoint(second, loaded, meta=manifest["meta"])
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+    round_trip()
+
+
+@pytest.fixture(scope="module")
+def rnn_bln_checkpoint(tmp_path_factory):
+    rng = Rng(11)
+    net = build_rnn(2, 4, 2, "bln", rng)
+    data = Dataset(randn([6, 3, 2], rng), [0, 1, 0, 1, 1, 0], 2)
+    network_train_epoch(net, data, 2, Adam(1e-2), rng)
+    path = str(tmp_path_factory.mktemp("ckpt") / "rnn-bln.ckpt")
+    save_checkpoint(path, net)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_bytes(blob):
+    fd, path = tempfile.mkstemp(suffix=".ckpt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        return load_checkpoint(path)
+    finally:
+        os.remove(path)
+
+
+def test_every_truncation_raises_data_format_error(rnn_bln_checkpoint):
+    blob = rnn_bln_checkpoint
+    _load_bytes(blob)
+    for end in range(len(blob)):
+        with pytest.raises(DataFormatError):
+            _load_bytes(blob[:end])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_single_byte_corruption_loads_or_raises_data_format_error(rnn_bln_checkpoint, data):
+    blob = bytearray(rnn_bln_checkpoint)
+    at = data.draw(st.integers(0, len(blob) - 1))
+    blob[at] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]))
+    try:
+        _load_bytes(bytes(blob))
+    except DataFormatError:
+        pass
