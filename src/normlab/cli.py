@@ -68,14 +68,16 @@ def _require_finite(loss, run_id, epoch, split):
         raise DivergedRunError(f"run {run_id} diverged: epoch {epoch} {split} loss is {loss!r}")
 
 
-def run_training(config):
+def run_training(config, splits=None):
     """Train one network per the config; returns (metrics records, network).
 
     Fully deterministic: datasets, initialization, and epoch shuffles all
-    derive from the config seed. Raises DivergedRunError as soon as an
-    epoch's train or test loss is not finite.
+    derive from the config seed. `splits` is the config's prepare_task
+    result when the caller already has it; nothing mutates a dataset, so
+    runs may share one. Raises DivergedRunError as soon as an epoch's train
+    or test loss is not finite.
     """
-    train_ds, _, test_ds = prepare_task(config)
+    train_ds, _, test_ds = splits if splits is not None else prepare_task(config)
     plan = seed_plan(config.seed)
     net = build_network_for_config(config, Rng(plan["init"]))
     optimizer = Adam(config.learning_rate)
@@ -159,7 +161,10 @@ def cmd_train(args):
 def cmd_compare(args):
     raw = _apply_seed_override(load_config_file(args.config))
     configs = validate_experiment(raw, multi=True)
-    outcomes = [run_training(c) for c in configs]
+    # the runs differ only in normalizer and batch size, which the splits
+    # do not depend on
+    splits = prepare_task(configs[0])
+    outcomes = [run_training(c, splits) for c in configs]
     records = [record for recs, _ in outcomes for record in recs]
     effective = dict(raw)
     for key, value in configs[0].to_dict().items():

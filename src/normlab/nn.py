@@ -211,42 +211,30 @@ class AvgPool2x2:
         m, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
-        oh, ow = h // 2, w // 2
         xd = x.data
-        out = [0.0] * (m * c * oh * ow)
-        for s in range(m):
-            for ch in range(c):
-                ibase = (s * c + ch) * h * w
-                obase = (s * c + ch) * oh * ow
-                for oy in range(oh):
-                    r0 = ibase + 2 * oy * w
-                    r1 = r0 + w
-                    for ox in range(ow):
-                        col = 2 * ox
-                        out[obase + oy * ow + ox] = 0.25 * (
-                            xd[r0 + col] + xd[r0 + col + 1] + xd[r1 + col] + xd[r1 + col + 1]
-                        )
-        return Tensor._wrap((m, c, oh, ow), out), x.shape
+        # the upper and the lower row of every 2x2 window, window rows in order
+        top, bottom = [], []
+        for lo in range(0, len(xd), 2 * w):
+            top += xd[lo:lo + w]
+            bottom += xd[lo + w:lo + 2 * w]
+        out = [
+            0.25 * (((p + q) + r) + s)
+            for p, q, r, s in zip(top[::2], top[1::2], bottom[::2], bottom[1::2])
+        ]
+        return Tensor._wrap((m, c, h // 2, w // 2), out), x.shape
 
     def backward(self, cache, dy, need_dx=True):
         m, c, h, w = cache
-        oh, ow = h // 2, w // 2
-        dyd = dy.data
-        dxd = [0.0] * (m * c * h * w)
-        for s in range(m):
-            for ch in range(c):
-                ibase = (s * c + ch) * h * w
-                obase = (s * c + ch) * oh * ow
-                for oy in range(oh):
-                    r0 = ibase + 2 * oy * w
-                    r1 = r0 + w
-                    for ox in range(ow):
-                        g = 0.25 * dyd[obase + oy * ow + ox]
-                        col = 2 * ox
-                        dxd[r0 + col] = g
-                        dxd[r0 + col + 1] = g
-                        dxd[r1 + col] = g
-                        dxd[r1 + col + 1] = g
+        g = [0.25 * v for v in dy.data]
+        # each output row spread over the w columns of its two input rows
+        rows = [0.0] * (2 * len(g))
+        rows[::2] = g
+        rows[1::2] = g
+        dxd = []
+        for lo in range(0, len(rows), w):
+            row = rows[lo:lo + w]
+            dxd += row
+            dxd += row
         return Tensor._wrap((m, c, h, w), dxd), {}
 
     def params(self):
@@ -648,7 +636,9 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
+        c1, c2 = 1.0 - b1, 1.0 - b2
         lr, eps = self.learning_rate, self.epsilon
+        sqrt = math.sqrt
         out = {}
         for key, p in params.items():
             g = grads[key]
@@ -660,12 +650,12 @@ class Adam:
                 mom = [0.0] * p.size
                 vel = [0.0] * p.size
             gd = g.data
-            mom = [b1 * a + (1.0 - b1) * b for a, b in zip(mom, gd)]
-            vel = [b2 * a + (1.0 - b2) * b * b for a, b in zip(vel, gd)]
+            mom = [b1 * a + c1 * b for a, b in zip(mom, gd)]
+            vel = [b2 * a + c2 * b * b for a, b in zip(vel, gd)]
             self.m[key] = mom
             self.v[key] = vel
             new = [
-                w - lr * (a / bc1) / (math.sqrt(b / bc2) + eps)
+                w - lr * (a / bc1) / (sqrt(b / bc2) + eps)
                 for w, a, b in zip(p.data, mom, vel)
             ]
             out[key] = Tensor._wrap(p.shape, new)
@@ -754,7 +744,5 @@ def _col_sum(x):
     out = [0.0] * d
     xd = x.data
     for i in range(m):
-        base = i * d
-        for k in range(d):
-            out[k] += xd[base + k]
+        out = [s + v for s, v in zip(out, xd[i * d:(i + 1) * d])]
     return Tensor._wrap((d,), out)

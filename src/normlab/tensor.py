@@ -5,6 +5,9 @@ inputs; tensors are treated as immutable values once constructed.
 """
 
 import math
+import operator
+from functools import reduce
+from itertools import repeat
 
 MAX_RANK = 4
 
@@ -189,18 +192,35 @@ def matmul(a, b):
     if k != k2:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...; each
-    # comprehension runs along the longer output axis
-    if n >= m:
-        brows = [bd[t * n:(t + 1) * n] for t in range(k)]
+    # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ... in t order.
+    # The row form scales rows of B by entries of A, the column form columns
+    # of A by entries of B, both skipping zero entries. The form with fewer
+    # multiply-adds left runs (on a tie, the one whose comprehensions run
+    # along the longer output axis), or one dot product per output when
+    # there are fewer outputs than that form has comprehensions. all() is
+    # the cheaper scan, and operands without zeros are common.
+    row_terms = m * k - (0 if all(ad) else ad.count(0.0))
+    col_terms = n * k - (0 if all(bd) else bd.count(0.0))
+    use_rows = row_terms * n < col_terms * m or (row_terms * n == col_terms * m and n >= m)
+    if m * n < (row_terms if use_rows else col_terms):
+        bcols = [bd[j::n] for j in range(n)]
         out = []
         for i in range(m):
-            out += _accumulate([0.0] * n, ad[i * k:(i + 1) * k], brows)
+            arow = ad[i * k:(i + 1) * k]
+            out += [reduce(operator.add, map(operator.mul, arow, bcol), 0.0) for bcol in bcols]
+        return Tensor._wrap((m, n), out)
+    if use_rows:
+        brows = [bd[t * n:(t + 1) * n] for t in range(k)]
+        finite = [None] * k
+        out = []
+        for i in range(m):
+            out += _accumulate_nonzero([0.0] * n, ad[i * k:(i + 1) * k], brows, finite)
         return Tensor._wrap((m, n), out)
     acols = [ad[t::k] for t in range(k)]
+    finite = [None] * k
     out = [0.0] * (m * n)
     for j in range(n):
-        out[j::n] = _accumulate([0.0] * m, bd[j::n], acols)
+        out[j::n] = _accumulate_nonzero([0.0] * m, bd[j::n], acols, finite)
     return Tensor._wrap((m, n), out)
 
 
@@ -211,17 +231,35 @@ def _accumulate(acc, coeffs, rows):
     return acc
 
 
+def _accumulate_nonzero(acc, coeffs, rows, finite):
+    """_accumulate from an all-+0.0 acc, skipping zero coefficients of finite rows.
+
+    Exact: c*r is +-0.0 for c = +-0.0 and finite r, and adding +-0.0 leaves
+    an accumulator that started at +0.0 unchanged, since under
+    round-to-nearest it never becomes -0.0. A row holding inf or nan is
+    never skipped (0*inf is nan). finite[t] caches whether rows[t] is
+    finite, None until a zero coefficient first meets it.
+    """
+    for t, c in enumerate(coeffs):
+        if c == 0.0:
+            ok = finite[t]
+            if ok is None:
+                ok = finite[t] = all(map(math.isfinite, rows[t]))
+            if ok:
+                continue
+        acc = [v + c * r for v, r in zip(acc, rows[t])]
+    return acc
+
+
 def transpose2d(x):
     """Transpose of a rank-2 tensor."""
     if x.rank != 2:
         raise ValueError(f"transpose2d needs a rank-2 tensor, got {x.shape}")
     m, n = x.shape
     xd = x.data
-    out = [0.0] * (m * n)
-    for i in range(m):
-        base = i * n
-        for j in range(n):
-            out[j * m + i] = xd[base + j]
+    out = []
+    for j in range(n):
+        out += xd[j::n]
     return Tensor._wrap((n, m), out)
 
 
@@ -240,31 +278,30 @@ def ordered_sum(values):
 
 def _binary(a, b, op):
     if isinstance(b, (int, float)):
-        bb = float(b)
-        return Tensor._wrap(a.shape, [op(v, bb) for v in a.data])
+        return Tensor._wrap(a.shape, list(map(op, a.data, repeat(float(b)))))
     if a.shape != b.shape:
         raise ValueError(f"elementwise op shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor._wrap(a.shape, [op(u, v) for u, v in zip(a.data, b.data)])
+    return Tensor._wrap(a.shape, list(map(op, a.data, b.data)))
 
 
 def add(a, b):
     """Elementwise sum; second operand may be a scalar."""
-    return _binary(a, b, lambda u, v: u + v)
+    return _binary(a, b, operator.add)
 
 
 def sub(a, b):
     """Elementwise difference; second operand may be a scalar."""
-    return _binary(a, b, lambda u, v: u - v)
+    return _binary(a, b, operator.sub)
 
 
 def mul(a, b):
     """Elementwise product; second operand may be a scalar."""
-    return _binary(a, b, lambda u, v: u * v)
+    return _binary(a, b, operator.mul)
 
 
 def div(a, b):
     """Elementwise quotient; division by exact zero raises."""
-    return _binary(a, b, lambda u, v: u / v)
+    return _binary(a, b, operator.truediv)
 
 
 def reshape(x, shape):

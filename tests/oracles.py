@@ -250,3 +250,60 @@ def conv2d_backward_loops(xd, wd, dyd, x_shape, cout, k):
                                 dwd[wrow + kx] += g * xd[xrow + kx]
                                 dxd[xrow + kx] += g * wd[wrow + kx]
     return dxd, dwd, dbd
+
+
+# ---------------------------------------------------------------------------
+# Index loops of AvgPool2x2 and transpose2d, as they were before the slice
+# versions, kept as bitwise references.
+# ---------------------------------------------------------------------------
+
+def avgpool2x2_forward_loops(xd, x_shape):
+    """2x2 stride-2 means of x (m,c,h,w): 0.25 * (((p + q) + r) + s) per window."""
+    m, c, h, w = x_shape
+    oh, ow = h // 2, w // 2
+    out = [0.0] * (m * c * oh * ow)
+    for s in range(m):
+        for ch in range(c):
+            ibase = (s * c + ch) * h * w
+            obase = (s * c + ch) * oh * ow
+            for oy in range(oh):
+                r0 = ibase + 2 * oy * w
+                r1 = r0 + w
+                for ox in range(ow):
+                    col = 2 * ox
+                    out[obase + oy * ow + ox] = 0.25 * (
+                        xd[r0 + col] + xd[r0 + col + 1] + xd[r1 + col] + xd[r1 + col + 1]
+                    )
+    return out
+
+
+def avgpool2x2_backward_loops(dyd, x_shape):
+    """dx of the pooling above: 0.25 * dy copied to each of its window's four inputs."""
+    m, c, h, w = x_shape
+    oh, ow = h // 2, w // 2
+    dxd = [0.0] * (m * c * h * w)
+    for s in range(m):
+        for ch in range(c):
+            ibase = (s * c + ch) * h * w
+            obase = (s * c + ch) * oh * ow
+            for oy in range(oh):
+                r0 = ibase + 2 * oy * w
+                r1 = r0 + w
+                for ox in range(ow):
+                    g = 0.25 * dyd[obase + oy * ow + ox]
+                    col = 2 * ox
+                    dxd[r0 + col] = g
+                    dxd[r0 + col + 1] = g
+                    dxd[r1 + col] = g
+                    dxd[r1 + col + 1] = g
+    return dxd
+
+
+def transpose2d_loops(xd, m, n):
+    """(n,m) transpose of a row-major (m,n) buffer."""
+    out = [0.0] * (m * n)
+    for i in range(m):
+        base = i * n
+        for j in range(n):
+            out[j * m + i] = xd[base + j]
+    return out

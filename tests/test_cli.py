@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from normlab import nn
+from normlab import cli, nn
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
 from normlab.config import validate_experiment
@@ -250,6 +250,15 @@ class TestCompareCommand:
         solo = [l for l in open(solo_out, encoding="utf-8").read().splitlines()
                 if not l.startswith("#")][1:]
         assert combined[:len(solo)] == solo
+
+    def test_each_distinct_split_is_prepared_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.prepare_task
+        monkeypatch.setattr(cli, "prepare_task", lambda c: calls.append(c) or original(c))
+        config = write_config(tmp_path, normalizer=["bn", "ln", "bln"], batch_size=[5, 25])
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", "--config", config, "--out", out]) == 0
+        assert [(c.task, c.seed, c.train_fraction) for c in calls] == [("cnn-synthetic", 123, 0.1)]
 
     def test_single_normalizer_rejected(self, tmp_path):
         config = write_config(tmp_path, normalizer=["bn"])

@@ -12,8 +12,10 @@ import oracles
 from conftest import hexes
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.data import DataFormatError, Dataset
+from normlab import tensor
 from normlab.nn import (
     Adam,
+    AvgPool2x2,
     Conv2d,
     build_cnn,
     build_dense_net,
@@ -27,7 +29,7 @@ from normlab.norm import (
     init_params,
     init_running,
 )
-from normlab.tensor import Rng, Tensor, matmul, randn
+from normlab.tensor import Rng, Tensor, matmul, randn, transpose2d
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -89,6 +91,114 @@ def test_matmul_matches_scalar_loops_bit_for_bit(operands):
     out = matmul(Tensor((m, k), a), Tensor((k, n), b))
     assert out.shape == (m, n)
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
+
+
+# non-finite and huge values in the lines that zero coefficients scale: a
+# skipped 0*inf or 0*nan would turn a nan into a number
+SPECIALS = st.sampled_from([0.0, -0.0, INF, -INF, float("nan"), 1e308, -1e308])
+
+
+@st.composite
+def special_operands(draw):
+    m, k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), SPECIALS, VALUES)
+    a = draw(st.lists(values, min_size=m * k, max_size=m * k))
+    b = draw(st.lists(values, min_size=k * n, max_size=k * n))
+    return m, k, n, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(special_operands())
+@example((1, 2, 1, [0.0, 1.0], [INF, 2.0]))
+@example((2, 2, 1, [1.0, 2.0, -0.0, 3.0], [float("nan"), 1e308]))
+@example((3, 2, 1, [INF, 0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0]))
+@example((2, 2, 2, [1e308, 1e308, 0.0, 0.0], [1e308, -1e308, 1e308, 1e308]))
+def test_matmul_zero_skip_keeps_non_finite_lines(operands):
+    m, k, n, a, b = operands
+    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
+
+
+def _operand(rng, size, zero_every, specials=()):
+    """Random values with every zero_every-th entry 0.0 (none if 0), then specials set."""
+    values = [rng.normal() for _ in range(size)]
+    if zero_every:
+        values[::zero_every] = [0.0] * len(values[::zero_every])
+    for at, value in specials:
+        values[at] = value
+    return values
+
+
+# (m, k, n, zero_every of A, zero_every of B, specials of A, specials of B, form)
+# where form is the variant that runs: "rows" accumulates length-n rows,
+# "columns" length-m columns, "dot" takes one reduce per output
+VARIANT_CASES = [
+    (2, 3, 4, 0, 0, (), (), "rows"),        # dense, n >= m
+    (5, 3, 2, 0, 0, (), (), "columns"),     # dense, n < m
+    (32, 1, 32, 0, 0, (), (), "rows"),      # 1024 outputs from 32 comprehensions
+    (128, 25, 1, 0, 0, (), (), "columns"),  # 128 outputs from 25 comprehensions
+    (2, 4, 5, 0, 2, (), (), "columns"),     # zeros in B outweigh the n >= m default
+    (5, 4, 2, 2, 0, (), (), "rows"),        # zeros in A outweigh the n < m default
+    # zero coefficients that meet a non-finite line in either variant
+    (3, 4, 6, 0, 2, ((4, INF),), ((1, INF), (12, float("nan"))), "columns"),
+    (6, 4, 3, 2, 0, ((1, -INF),), ((0, INF),), "rows"),
+    (1, 32, 2, 0, 0, (), (), "dot"),        # 2 outputs against 32 comprehensions
+    (1, 6, 1, 0, 0, (), (), "dot"),
+    (2, 8, 2, 0, 4, ((3, INF),), (), "dot"),
+]
+
+
+@pytest.mark.parametrize("case", VARIANT_CASES, ids=lambda c: "x".join(map(str, c[:3])) + "-" + c[-1])
+def test_matmul_variant_choice_keeps_the_bits(case, monkeypatch):
+    m, k, n, zero_a, zero_b, special_a, special_b, form = case
+    rng = Rng(m * 100 + k * 10 + n)
+    a = _operand(rng, m * k, zero_a, special_a)
+    b = _operand(rng, k * n, zero_b, special_b)
+    lengths = []
+    original = tensor._accumulate_nonzero
+
+    def spy(acc, coeffs, rows, finite):
+        lengths.append(len(acc))
+        return original(acc, coeffs, rows, finite)
+
+    monkeypatch.setattr(tensor, "_accumulate_nonzero", spy)
+    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
+    expected = {"rows": [n] * m, "columns": [m] * n, "dot": []}[form]
+    assert lengths == expected
+
+
+@st.composite
+def pool_cases(draw):
+    m, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = 2 * draw(st.integers(1, 4)), 2 * draw(st.integers(1, 4))
+    values = st.one_of(SPECIALS, VALUES)
+    x = draw(st.lists(values, min_size=m * c * h * w, max_size=m * c * h * w))
+    dy = draw(st.lists(values, min_size=m * c * h * w // 4, max_size=m * c * h * w // 4))
+    return (m, c, h, w), x, dy
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pool_cases())
+@example(((1, 1, 2, 2), [1e308, 1e308, -1e308, 1.0], [-0.0]))
+def test_avgpool2x2_matches_index_loops_bit_for_bit(case):
+    shape, x, dy = case
+    pool = AvgPool2x2()
+    y, cache = pool.forward(Tensor(shape, x))
+    assert y.shape == (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+    assert hexes(y.data) == hexes(oracles.avgpool2x2_forward_loops(x, shape))
+    dx, grads = pool.backward(cache, Tensor(y.shape, dy))
+    assert dx.shape == shape and grads == {}
+    assert hexes(dx.data) == hexes(oracles.avgpool2x2_backward_loops(dy, shape))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_transpose2d_matches_index_loops_bit_for_bit(m, n, data):
+    x = data.draw(st.lists(st.one_of(SPECIALS, VALUES), min_size=m * n, max_size=m * n))
+    out = transpose2d(Tensor((m, n), x))
+    assert out.shape == (n, m)
+    assert hexes(out.data) == hexes(oracles.transpose2d_loops(x, m, n))
 
 
 @st.composite
