@@ -92,7 +92,7 @@ class Conv2d:
         wd = self.w.data
         # each output starts at its bias and adds x*w in (ic, ky, kx) order
         planes = [
-            _accumulate([bias] * len(cols[0]), wd[oc * taps:(oc + 1) * taps], cols)
+            _accumulate([bias] * len(cols[0]), "scaled", wd[oc * taps:(oc + 1) * taps], cols)
             for oc, bias in enumerate(self.b.data)
         ]
         plane = oh * ow
@@ -108,6 +108,10 @@ class Conv2d:
         cout = self.out_channels
         plane = dy.shape[2] * dy.shape[3]
         dyd = dy.data
+        # each position's (ic, ky, kx) inputs; dw[oc] adds g * patch over the
+        # positions with non-zero g, so each element gets its terms in
+        # (s, oy, ox) order from 0.0
+        patches = list(zip(*cols))
         dwd = []
         dbd = []
         for oc in range(cout):
@@ -118,11 +122,7 @@ class Conv2d:
             nonzero = [v != 0.0 for v in g]
             g = list(compress(g, nonzero))
             dbd.append(ordered_sum(g))
-            for col in cols:
-                acc = 0.0
-                for gv, xv in zip(g, compress(col, nonzero)):
-                    acc += gv * xv
-                dwd.append(acc)
+            dwd += _accumulate([0.0] * len(cols), "scaled", g, list(compress(patches, nonzero)))
         grads = {
             "w": Tensor._wrap(self.w.shape, dwd),
             "b": Tensor._wrap((cout,), dbd),
@@ -740,9 +740,4 @@ def _broadcast_row(vec, m):
 
 
 def _col_sum(x):
-    m, d = x.shape
-    out = [0.0] * d
-    xd = x.data
-    for i in range(m):
-        out = [s + v for s, v in zip(out, xd[i * d:(i + 1) * d])]
-    return Tensor._wrap((d,), out)
+    return Tensor._wrap((x.shape[1],), _norm._line_sums(x.data, x.shape, 0))

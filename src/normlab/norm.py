@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from operator import mul, sub
 
-from .tensor import Tensor, ones, ordered_sum, zeros
+from .tensor import Tensor, _accumulate, ones, ordered_sum, zeros
 
 # below this, a feature-branch denominator is treated as exactly zero
 SIGMA_F_GUARD = 1e-12
@@ -184,20 +184,15 @@ def _line_sums(values, shape, axis, weights=None):
     is added.
     """
     m, d = shape
-    sums = [0.0] * (d if axis == 0 else m)
-    for i in range(m):
-        row = values[i * d:(i + 1) * d]
-        if weights is not None:
-            w = weights[i * d:(i + 1) * d]
-            if axis == 0:
-                sums = [s + v * u for s, v, u in zip(sums, row, w)]
-            else:
-                sums[i] = ordered_sum(map(mul, row, w))
-        elif axis == 0:
-            sums = [s + v for s, v in zip(sums, row)]
-        else:
-            sums[i] = ordered_sum(row)
-    return sums
+    if axis == 1:
+        if weights is None:
+            return [ordered_sum(values[i * d:(i + 1) * d]) for i in range(m)]
+        return [ordered_sum(map(mul, values[i * d:(i + 1) * d], weights[i * d:(i + 1) * d]))
+                for i in range(m)]
+    rows = [values[i * d:(i + 1) * d] for i in range(m)]
+    if weights is None:
+        return _accumulate([0.0] * d, "rows", rows)
+    return _accumulate([0.0] * d, "products", rows, [weights[i * d:(i + 1) * d] for i in range(m)])
 
 
 def _broadcast(per_line, shape, axis):

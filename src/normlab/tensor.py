@@ -196,13 +196,16 @@ def matmul(a, b):
     # The row form scales rows of B by entries of A, the column form columns
     # of A by entries of B, both skipping zero entries. The form with fewer
     # multiply-adds left runs (on a tie, the one whose comprehensions run
-    # along the longer output axis), or one dot product per output when
-    # there are fewer outputs than that form has comprehensions. all() is
-    # the cheaper scan, and operands without zeros are common.
+    # along the longer output axis). all() is the cheaper scan, and operands
+    # without zeros are common. One ordered dot product per output replaces
+    # it only when that form's comprehensions would be shorter than 4
+    # elements and there are fewer outputs than terms: a reduce step costs
+    # more than an element of a comprehension of up to 8 terms, but such
+    # short comprehensions cost more per element still.
     row_terms = m * k - (0 if all(ad) else ad.count(0.0))
     col_terms = n * k - (0 if all(bd) else bd.count(0.0))
     use_rows = row_terms * n < col_terms * m or (row_terms * n == col_terms * m and n >= m)
-    if m * n < (row_terms if use_rows else col_terms):
+    if (n if use_rows else m) < 4 and m * n < (row_terms if use_rows else col_terms):
         bcols = [bd[j::n] for j in range(n)]
         out = []
         for i in range(m):
@@ -224,31 +227,133 @@ def matmul(a, b):
     return Tensor._wrap((m, n), out)
 
 
-def _accumulate(acc, coeffs, rows):
-    """acc + c0*r0 + c1*r1 + ... elementwise, the terms added in that order."""
-    for c, row in zip(coeffs, rows):
-        acc = [v + c * r for v, r in zip(acc, row)]
+# Each pass adds the terms t, t+1, ... of one kind in one comprehension.
+# Python adds left to right, v + c0*x0 + c1*x1 = (v + c0*x0) + c1*x1, so
+# every element gets its terms in the order of one comprehension per term.
+# Per multiply-add at length 32, a pass of 8 terms costs about 60% of a pass
+# of one. Passes of 16 were 5-10% faster again, but written out they double
+# this code, and compiled at run time they cost more than they saved.
+
+def _scaled8(acc, t, c, r):
+    c0, c1, c2, c3, c4, c5, c6, c7 = c[t:t + 8]
+    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
+    return [v + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + c4 * x4 + c5 * x5 + c6 * x6 + c7 * x7
+            for v, x0, x1, x2, x3, x4, x5, x6, x7 in zip(acc, r0, r1, r2, r3, r4, r5, r6, r7)]
+
+
+def _scaled4(acc, t, c, r):
+    c0, c1, c2, c3 = c[t:t + 4]
+    r0, r1, r2, r3 = r[t:t + 4]
+    return [v + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
+            for v, x0, x1, x2, x3 in zip(acc, r0, r1, r2, r3)]
+
+
+def _scaled2(acc, t, c, r):
+    c0, c1 = c[t], c[t + 1]
+    return [v + c0 * x0 + c1 * x1 for v, x0, x1 in zip(acc, r[t], r[t + 1])]
+
+
+def _scaled1(acc, t, c, r):
+    c0 = c[t]
+    return [v + c0 * x0 for v, x0 in zip(acc, r[t])]
+
+
+def _rows8(acc, t, r):
+    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
+    return [v + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7
+            for v, x0, x1, x2, x3, x4, x5, x6, x7 in zip(acc, r0, r1, r2, r3, r4, r5, r6, r7)]
+
+
+def _rows4(acc, t, r):
+    r0, r1, r2, r3 = r[t:t + 4]
+    return [v + x0 + x1 + x2 + x3 for v, x0, x1, x2, x3 in zip(acc, r0, r1, r2, r3)]
+
+
+def _rows2(acc, t, r):
+    return [v + x0 + x1 for v, x0, x1 in zip(acc, r[t], r[t + 1])]
+
+
+def _rows1(acc, t, r):
+    return [v + x0 for v, x0 in zip(acc, r[t])]
+
+
+def _products8(acc, t, r, w):
+    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
+    w0, w1, w2, w3, w4, w5, w6, w7 = w[t:t + 8]
+    return [v + x0 * u0 + x1 * u1 + x2 * u2 + x3 * u3 + x4 * u4 + x5 * u5 + x6 * u6 + x7 * u7
+            for v, x0, u0, x1, u1, x2, u2, x3, u3, x4, u4, x5, u5, x6, u6, x7, u7
+            in zip(acc, r0, w0, r1, w1, r2, w2, r3, w3, r4, w4, r5, w5, r6, w6, r7, w7)]
+
+
+def _products4(acc, t, r, w):
+    r0, r1, r2, r3 = r[t:t + 4]
+    w0, w1, w2, w3 = w[t:t + 4]
+    return [v + x0 * u0 + x1 * u1 + x2 * u2 + x3 * u3
+            for v, x0, u0, x1, u1, x2, u2, x3, u3 in zip(acc, r0, w0, r1, w1, r2, w2, r3, w3)]
+
+
+def _products2(acc, t, r, w):
+    return [v + x0 * u0 + x1 * u1
+            for v, x0, u0, x1, u1 in zip(acc, r[t], w[t], r[t + 1], w[t + 1])]
+
+
+def _products1(acc, t, r, w):
+    return [v + x0 * u0 for v, x0, u0 in zip(acc, r[t], w[t])]
+
+
+def _largest_fitting(p8, p4, p2, p1):
+    """Indexed by the count r = 1..8 of terms left: (size, pass) of the largest pass that fits."""
+    return [None, (1, p1), (2, p2), (2, p2), (4, p4), (4, p4), (4, p4), (4, p4), (8, p8)]
+
+
+_PASSES = {
+    "scaled": _largest_fitting(_scaled8, _scaled4, _scaled2, _scaled1),
+    "rows": _largest_fitting(_rows8, _rows4, _rows2, _rows1),
+    "products": _largest_fitting(_products8, _products4, _products2, _products1),
+}
+
+
+def _accumulate(acc, kind, *terms):
+    """acc plus terms 0, 1, ... elementwise, each element's terms added in that order.
+
+    kind "scaled" takes (coeffs, rows) and adds coeffs[t] * rows[t], "rows"
+    takes (rows,) and adds rows[t], and "products" takes (rows, weights) and
+    adds rows[t] * weights[t], each product formed as it is added. The terms
+    go 8 to a comprehension, the rest to at most one pass each of 4, 2 and 1.
+    """
+    passes = _PASSES[kind]
+    n = len(terms[0])
+    t = 0
+    while t < n:
+        size, add = passes[min(n - t, 8)]
+        acc = add(acc, t, *terms)
+        t += size
     return acc
 
 
 def _accumulate_nonzero(acc, coeffs, rows, finite):
-    """_accumulate from an all-+0.0 acc, skipping zero coefficients of finite rows.
+    """Scaled _accumulate from an all-+0.0 acc, skipping zero coefficients of finite rows.
 
     Exact: c*r is +-0.0 for c = +-0.0 and finite r, and adding +-0.0 leaves
     an accumulator that started at +0.0 unchanged, since under
     round-to-nearest it never becomes -0.0. A row holding inf or nan is
     never skipped (0*inf is nan). finite[t] caches whether rows[t] is
-    finite, None until a zero coefficient first meets it.
+    finite, None until a zero coefficient first meets it. The surviving
+    terms keep their order, so grouping them keeps each element's order.
     """
-    for t, c in enumerate(coeffs):
-        if c == 0.0:
-            ok = finite[t]
-            if ok is None:
-                ok = finite[t] = all(map(math.isfinite, rows[t]))
-            if ok:
-                continue
-        acc = [v + c * r for v, r in zip(acc, rows[t])]
-    return acc
+    if not all(coeffs):
+        kept = []
+        for t, c in enumerate(coeffs):
+            if c == 0.0:
+                ok = finite[t]
+                if ok is None:
+                    ok = finite[t] = all(map(math.isfinite, rows[t]))
+                if ok:
+                    continue
+            kept.append(t)
+        coeffs = [coeffs[t] for t in kept]
+        rows = [rows[t] for t in kept]
+    return _accumulate(acc, "scaled", coeffs, rows)
 
 
 def transpose2d(x):

@@ -6,6 +6,7 @@ package. Used to pin expected values in the tests.
 """
 
 import math
+from operator import mul
 
 GUARD = 1e-12
 
@@ -306,4 +307,43 @@ def transpose2d_loops(xd, m, n):
         base = i * n
         for j in range(n):
             out[j * m + i] = xd[base + j]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Line sums of norm._line_sums and nn._col_sum, one row per comprehension as
+# they were before the multi-term passes, kept as bitwise references.
+# ---------------------------------------------------------------------------
+
+def _ordered_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def line_sums_loops(values, shape, axis, weights=None):
+    """Sum of each line of a flat (m, d) list along `axis`, optionally of values * weights."""
+    m, d = shape
+    sums = [0.0] * (d if axis == 0 else m)
+    for i in range(m):
+        row = values[i * d:(i + 1) * d]
+        if weights is not None:
+            w = weights[i * d:(i + 1) * d]
+            if axis == 0:
+                sums = [s + v * u for s, v, u in zip(sums, row, w)]
+            else:
+                sums[i] = _ordered_sum(map(mul, row, w))
+        elif axis == 0:
+            sums = [s + v for s, v in zip(sums, row)]
+        else:
+            sums[i] = _ordered_sum(row)
+    return sums
+
+
+def col_sum_loops(xd, m, d):
+    """Column sums of a flat (m, d) list, rows added in order from 0.0."""
+    out = [0.0] * d
+    for i in range(m):
+        out = [s + v for s, v in zip(out, xd[i * d:(i + 1) * d])]
     return out

@@ -12,7 +12,7 @@ import oracles
 from conftest import hexes
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.data import DataFormatError, Dataset
-from normlab import tensor
+from normlab import nn, norm, tensor
 from normlab.nn import (
     Adam,
     AvgPool2x2,
@@ -166,6 +166,114 @@ def test_matmul_variant_choice_keeps_the_bits(case, monkeypatch):
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
     expected = {"rows": [n] * m, "columns": [m] * n, "dot": []}[form]
     assert lengths == expected
+
+
+# shapes whose form moved when grouped comprehensions made the dot form
+# worth it only for comprehensions shorter than 4 elements
+REGROUPED_CASES = [
+    (1, 72, 32, 0, 0, (), (), "rows"),      # the first dense forward at batch 1
+    (25, 32, 2, 0, 0, (), (), "columns"),   # the last dense forward at batch 25
+    (25, 72, 2, 0, 0, (), (), "columns"),
+    (6, 32, 6, 0, 0, (), (), "rows"),
+    (8, 32, 2, 0, 0, (), (), "columns"),
+    (3, 32, 8, 0, 0, (), (), "rows"),       # m < 4, but the rows run along n = 8
+    (8, 32, 3, 0, 0, (), (), "columns"),    # n < 4, but the columns run along m = 8
+    (3, 32, 3, 0, 0, (), (), "dot"),
+    (2, 32, 2, 0, 4, ((5, -INF),), (), "dot"),
+]
+
+
+@pytest.mark.parametrize("case", REGROUPED_CASES, ids=lambda c: "x".join(map(str, c[:3])) + "-" + c[-1])
+def test_matmul_regrouped_variant_choice_keeps_the_bits(case, monkeypatch):
+    test_matmul_variant_choice_keeps_the_bits(case, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# grouped accumulation against one term at a time, bit for bit
+# ---------------------------------------------------------------------------
+
+MIXED = st.one_of(SPECIALS, VALUES)
+
+
+@st.composite
+def accumulations(draw):
+    """(kind, acc, terms): 0 to 19 terms, so every pass size and remainder runs."""
+    kind = draw(st.sampled_from(["scaled", "rows", "products"]))
+    length, count = draw(st.integers(1, 4)), draw(st.integers(0, 19))
+    acc = draw(st.lists(st.one_of(st.just(-0.0), MIXED), min_size=length, max_size=length))
+    rows = [draw(st.lists(MIXED, min_size=length, max_size=length)) for _ in range(count)]
+    if kind == "scaled":
+        terms = (draw(st.lists(MIXED, min_size=count, max_size=count)), rows)
+    elif kind == "rows":
+        terms = (rows,)
+    else:
+        terms = (rows, [draw(st.lists(MIXED, min_size=length, max_size=length)) for _ in range(count)])
+    return kind, acc, terms
+
+
+def _one_term_at_a_time(kind, acc, terms):
+    out = []
+    for i, v in enumerate(acc):
+        for t in range(len(terms[0])):
+            if kind == "scaled":
+                v += terms[0][t] * terms[1][t][i]
+            elif kind == "rows":
+                v += terms[0][t][i]
+            else:
+                v += terms[0][t][i] * terms[1][t][i]
+        out.append(v)
+    return out
+
+
+def _drawn(rng, size):
+    """Normal draws: sums of them regrouped or reordered differ in some
+    bits, unlike sums of the small integers that hypothesis favours."""
+    return [rng.normal() for _ in range(size)]
+
+
+def _drawn_accumulation(kind, seed):
+    """31 terms of length 32: passes of 8, 8, 8, 4, 2 and 1."""
+    rng = Rng(seed)
+    rows = [_drawn(rng, 32) for _ in range(31)]
+    terms = {"scaled": (_drawn(rng, 31), rows), "rows": (rows,),
+             "products": (rows, [_drawn(rng, 32) for _ in range(31)])}[kind]
+    return kind, _drawn(rng, 32), terms
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(accumulations())
+@example(_drawn_accumulation("scaled", 1))
+@example(_drawn_accumulation("rows", 2))
+@example(_drawn_accumulation("products", 3))
+@example(("rows", [-0.0], ([[-0.0]] * 19,)))
+@example(("scaled", [-0.0, 1.0], ([0.0] * 17, [[INF, -0.0]] * 17)))
+@example(("products", [1e308], ([[1e308]] * 11, [[1.0]] * 11)))
+def test_accumulate_matches_one_term_at_a_time_bit_for_bit(case):
+    kind, acc, terms = case
+    assert hexes(tensor._accumulate(acc, kind, *terms)) == hexes(_one_term_at_a_time(kind, acc, terms))
+
+
+@st.composite
+def line_sum_cases(draw):
+    """(values, weights, shape): m up to 19 rows, so every pass size runs along axis 0."""
+    m, d = draw(st.integers(1, 19)), draw(st.integers(1, 4))
+    values = draw(st.lists(MIXED, min_size=m * d, max_size=m * d))
+    weights = draw(st.lists(MIXED, min_size=m * d, max_size=m * d))
+    return values, weights, (m, d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line_sum_cases())
+@example((_drawn(Rng(4), 31 * 64), _drawn(Rng(5), 31 * 64), (31, 64)))
+def test_line_sums_match_row_loops_bit_for_bit(case):
+    values, weights, shape = case
+    for axis in (0, 1):
+        for w in (None, weights):
+            got = norm._line_sums(values, shape, axis, w)
+            assert hexes(got) == hexes(oracles.line_sums_loops(values, shape, axis, w))
+    got = nn._col_sum(Tensor(shape, values))
+    assert got.shape == (shape[1],)
+    assert hexes(got.data) == hexes(oracles.col_sum_loops(values, *shape))
 
 
 @st.composite
