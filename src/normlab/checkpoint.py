@@ -4,56 +4,38 @@ Layout: the 4-byte magic "BLN1", a little-endian uint32 manifest length,
 the manifest JSON (utf-8, sorted keys), then every buffer listed in the
 manifest as consecutive little-endian float64 values. All network floats,
 including running-statistics scalars, live in the payload so round trips
-are bitwise exact.
+are bitwise exact. The buffer list is nn.buffer_layout of the layer
+descriptors; the loader derives it from them and, before building any
+layer, rejects a manifest that lists other buffers or a non-integer size.
 """
 
 import json
+import math
 import struct
 
 from .data import DataFormatError
-from .nn import Network, Normalizer, descriptor_param_shapes, layer_from_descriptor
-from .tensor import Tensor
+from .nn import Network, buffer_layout, layer_from_descriptor
 
 MAGIC = b"BLN1"
 VERSION = 1
 
 
-def _buffer_entries(net):
-    """(name, shape, data) for every float buffer, in a fixed order."""
-    entries = []
-    for i, layer in enumerate(net.layers):
-        for name in sorted(layer.params()):
-            p = layer.params()[name]
-            entries.append((f"{i}.{name}", list(p.shape), p.data))
-        if isinstance(layer, Normalizer):
-            r = layer.running
-            entries.append((f"{i}.running.e_mu_b", list(r.e_mu_b.shape), r.e_mu_b.data))
-            entries.append((f"{i}.running.e_sigma_b", list(r.e_sigma_b.shape), r.e_sigma_b.data))
-            entries.append((f"{i}.running.e_mu_f", [1], [r.e_mu_f]))
-            entries.append((f"{i}.running.e_sigma_f", [1], [r.e_sigma_f]))
-    return entries
-
-
 def save_checkpoint(path, net, meta=None):
     """Write the network (parameters, running stats, layer layout) to disk."""
+    descriptors = [layer.describe() for layer in net.layers]
     manifest = {
         "version": VERSION,
-        "layers": [layer.describe() for layer in net.layers],
-        "running": [
-            {"layer": i, "count": layer.running.count, "batch_m": layer.running.batch_m}
-            for i, layer in enumerate(net.layers)
-            if isinstance(layer, Normalizer)
-        ],
+        "layers": descriptors,
+        "running": net.running_counters(),
         "meta": meta or {},
+        "buffers": [{"name": n, "shape": s} for n, s in buffer_layout(descriptors)],
     }
-    entries = _buffer_entries(net)
-    manifest["buffers"] = [{"name": n, "shape": s} for n, s, _ in entries]
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, _, data in entries:
+        for data in net.buffers().values():
             fh.write(struct.pack(f"<{len(data)}d", *data))
 
 
@@ -63,48 +45,6 @@ def _malformed(path, what):
 
 def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _numel(shape):
-    count = 1
-    for s in shape:
-        count *= s
-    return count
-
-
-def _check_declared_sizes(manifest, payload_bytes, path):
-    """Every declared parameter is a listed buffer; the buffers fill the payload.
-
-    Runs before any layer is built, so a manifest that declares more floats
-    than its file holds is rejected without drawing a weight.
-    """
-    descriptors = manifest.get("layers")
-    if not isinstance(descriptors, list):
-        raise _malformed(path, "manifest has no 'layers' list")
-    buffers = manifest.get("buffers")
-    if not isinstance(buffers, list):
-        raise _malformed(path, "manifest has no 'buffers' list")
-    listed = {}
-    for entry in buffers:
-        if (not isinstance(entry, dict) or set(entry) != {"name", "shape"}
-                or not isinstance(entry["name"], str) or not isinstance(entry["shape"], list)
-                or not all(_is_count(s) for s in entry["shape"])):
-            raise _malformed(path, f"buffer entry {entry!r} is not a name and a list of sizes")
-        listed[entry["name"]] = entry["shape"]
-    for i, desc in enumerate(descriptors):
-        try:
-            shapes = descriptor_param_shapes(desc)
-        except (TypeError, ValueError) as exc:
-            raise _malformed(path, f"layer {i}: {exc}") from None
-        for name, shape in shapes.items():
-            if listed.get(f"{i}.{name}") != shape:
-                raise _malformed(path, f"layer {i} parameter {name!r} of shape {shape} "
-                                       "is not a listed buffer")
-    declared = 8 * sum(_numel(entry["shape"]) for entry in buffers)
-    if declared > payload_bytes:
-        raise _malformed(path, "payload truncated")
-    if declared < payload_bytes:
-        raise _malformed(path, "has trailing bytes")
 
 
 def _rebuild_network(descriptors, path):
@@ -122,26 +62,6 @@ def _rebuild_network(descriptors, path):
         return Network(layers)
     except ValueError as exc:
         raise _malformed(path, str(exc)) from None
-
-
-def _check_layout(manifest, net, path):
-    """The buffer list and running counters must be exactly what the layers save."""
-    buffers = manifest.get("buffers")
-    expected = [{"name": n, "shape": s} for n, s, _ in _buffer_entries(net)]
-    if len(buffers) != len(expected):
-        raise _malformed(path, f"manifest 'buffers' must list the {len(expected)} layer buffers")
-    for got, want in zip(buffers, expected):
-        if got != want:
-            raise _malformed(path, f"buffer entry {got!r} does not match {want!r}")
-    running = manifest.get("running")
-    normalizers = [i for i, layer in enumerate(net.layers) if isinstance(layer, Normalizer)]
-    if not isinstance(running, list) or len(running) != len(normalizers):
-        raise _malformed(path, f"manifest 'running' must list the {len(normalizers)} normalizers")
-    for entry, i in zip(running, normalizers):
-        if (not isinstance(entry, dict) or set(entry) != {"layer", "count", "batch_m"}
-                or entry["layer"] != i or not _is_count(entry["count"])
-                or not _is_count(entry["batch_m"])):
-            raise _malformed(path, f"running entry {entry!r} does not describe layer {i}")
 
 
 def load_checkpoint(path):
@@ -165,35 +85,42 @@ def load_checkpoint(path):
     if manifest.get("version") != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
 
-    _check_declared_sizes(manifest, len(raw) - 8 - length, path)
-    net = _rebuild_network(manifest["layers"], path)
-    _check_layout(manifest, net, path)
-    layers = net.layers
+    descriptors = manifest.get("layers")
+    if not isinstance(descriptors, list):
+        raise _malformed(path, "manifest has no 'layers' list")
+    try:
+        layout = buffer_layout(descriptors)
+    except ValueError as exc:
+        raise _malformed(path, str(exc)) from None
+    for name, shape in layout:
+        if not all(_is_count(size) for size in shape):
+            raise _malformed(path, f"buffer {name} has shape {shape}, not a list of sizes")
+    # compared as JSON text, so that 32.0 or true never stands in for 32 or 1
+    expected = [{"name": n, "shape": s} for n, s in layout]
+    if json.dumps(manifest.get("buffers"), sort_keys=True) != json.dumps(expected, sort_keys=True):
+        raise _malformed(path, f"manifest 'buffers' is not the {len(layout)} buffers of its layers")
+    sizes = [math.prod(shape) for _, shape in layout]
+    payload = raw[8 + length:]
+    if 8 * sum(sizes) > len(payload):
+        raise _malformed(path, "payload truncated")
+    if 8 * sum(sizes) < len(payload):
+        raise _malformed(path, "has trailing bytes")
 
-    offset = 8 + length
-    buffers = {}
-    for entry in manifest["buffers"]:
-        shape = tuple(entry["shape"])
-        count = _numel(shape)
-        end = offset + 8 * count
-        values = list(struct.unpack(f"<{count}d", raw[offset:end]))
-        buffers[entry["name"]] = (shape, values)
-        offset = end
+    net = _rebuild_network(descriptors, path)
+    running = manifest.get("running")
+    counters = net.running_counters()
+    if not isinstance(running, list) or len(running) != len(counters):
+        raise _malformed(path, f"manifest 'running' must list the {len(counters)} normalizers")
+    for entry, want in zip(running, counters):
+        if (not isinstance(entry, dict) or set(entry) != set(want)
+                or entry["layer"] != want["layer"] or not all(map(_is_count, entry.values()))):
+            raise _malformed(path, f"running entry {entry!r} does not describe layer {want['layer']}")
 
-    for i, layer in enumerate(layers):
-        for name in layer.params():
-            shape, values = buffers[f"{i}.{name}"]
-            layer.set_param(name, Tensor._wrap(shape, values))
-        if isinstance(layer, Normalizer):
-            r = layer.running
-            shape, values = buffers[f"{i}.running.e_mu_b"]
-            r.e_mu_b = Tensor._wrap(shape, values)
-            shape, values = buffers[f"{i}.running.e_sigma_b"]
-            r.e_sigma_b = Tensor._wrap(shape, values)
-            r.e_mu_f = buffers[f"{i}.running.e_mu_f"][1][0]
-            r.e_sigma_f = buffers[f"{i}.running.e_sigma_f"][1][0]
-    for entry in manifest["running"]:
-        layer = layers[entry["layer"]]
-        layer.running.count = entry["count"]
-        layer.running.batch_m = entry["batch_m"]
+    values = struct.unpack(f"<{sum(sizes)}d", payload)
+    buffers, offset = {}, 0
+    for (name, _), size in zip(layout, sizes):
+        buffers[name] = list(values[offset:offset + size])
+        offset += size
+    net.set_buffers(buffers)
+    net.set_running_counters(running)
     return net, manifest

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
@@ -56,19 +56,7 @@ class ExperimentConfig:
     paths: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "task": self.task,
-            "normalizer": self.normalizer,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "momentum": self.momentum,
-            "train_fraction": self.train_fraction,
-            "learning_rate": self.learning_rate,
-            "flags": dict(self.flags),
-            "paths": dict(self.paths),
-        }
+        return asdict(self)
 
 
 def _positive_int(raw, key, minimum=1):

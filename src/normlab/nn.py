@@ -5,13 +5,18 @@ Layers follow one protocol: forward returns (output, cache), backward takes
 dict). Network.backward passes need_dx=False to the first layer, whose input
 gradient nothing reads; Dense, Conv2d and RnnCell then skip it and return
 None in its place. Parameters live on the layer and are replaced
-functionally by the optimizer; nothing shares mutable buffers. The static
-param_shapes, called with the describe() keys, gives a layer's parameter
-shapes without building it, so a checkpoint can be checked before any
-weight is drawn.
+functionally by the optimizer; nothing shares mutable buffers.
+
+buffer_layout derives a network's saved float buffers, [(name, shape)],
+from the layer descriptors alone: per layer, its parameters in name order
+(the static param_shapes, called with the describe() keys), then a
+normalizer's running e_mu_b, e_sigma_b, e_mu_f and e_sigma_f. It is the
+one place that knows that order; a checkpoint is checked against it before
+any weight is drawn, and Network.buffers/set_buffers/checksum follow it.
 """
 
 import math
+from array import array
 from itertools import compress
 
 from .tensor import Rng, Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
@@ -19,10 +24,38 @@ from . import norm as _norm
 from .norm import init_params, init_running
 
 
-class Dense:
+class Layer:
+    """Parameter and descriptor plumbing of the layer classes.
+
+    PARAMS names the parameter attributes; KEYS names the describe() keys
+    after "kind", each a constructor parameter stored under its own name.
+    """
+
+    PARAMS = ()
+    KEYS = ()
+
+    @staticmethod
+    def param_shapes():
+        return {}
+
+    def params(self):
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+    def set_param(self, name, value):
+        if name not in self.PARAMS:
+            raise KeyError(name)
+        setattr(self, name, value)
+
+    def describe(self):
+        return {"kind": self.kind, **{key: getattr(self, key) for key in self.KEYS}}
+
+
+class Dense(Layer):
     """Affine map y = x W + b."""
 
     kind = "dense"
+    PARAMS = ("w", "b")
+    KEYS = ("in_dim", "out_dim")
 
     def __init__(self, in_dim, out_dim, rng=None):
         self.in_dim = in_dim
@@ -49,20 +82,13 @@ class Dense:
         dx = matmul(dy, transpose2d(self.w)) if need_dx else None
         return dx, {"w": dw, "b": db}
 
-    def params(self):
-        return {"w": self.w, "b": self.b}
 
-    def set_param(self, name, value):
-        setattr(self, name, value)
-
-    def describe(self):
-        return {"kind": self.kind, "in_dim": self.in_dim, "out_dim": self.out_dim}
-
-
-class Conv2d:
+class Conv2d(Layer):
     """2D convolution, stride 1, valid padding."""
 
     kind = "conv2d"
+    PARAMS = ("w", "b")
+    KEYS = ("in_channels", "out_channels", "kernel")
 
     def __init__(self, in_channels, out_channels, kernel, rng=None):
         self.in_channels = in_channels
@@ -164,20 +190,6 @@ class Conv2d:
             dxd += acc[s::m]
         return Tensor._wrap(x_shape, dxd)
 
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def set_param(self, name, value):
-        setattr(self, name, value)
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": self.kernel,
-        }
-
 
 def _im2col(x, k):
     """One column per (ic, ky, kx), each x[s, ic, oy + ky, ox + kx] over (s, oy, ox)."""
@@ -198,14 +210,10 @@ def _im2col(x, k):
     return cols
 
 
-class AvgPool2x2:
+class AvgPool2x2(Layer):
     """2x2 average pooling with stride 2; spatial dims must be even."""
 
     kind = "avgpool2x2"
-
-    @staticmethod
-    def param_shapes():
-        return {}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         m, c, h, w = x.shape
@@ -237,24 +245,11 @@ class AvgPool2x2:
             dxd += row
         return Tensor._wrap((m, c, h, w), dxd), {}
 
-    def params(self):
-        return {}
 
-    def set_param(self, name, value):
-        raise KeyError(name)
-
-    def describe(self):
-        return {"kind": self.kind}
-
-
-class Flatten:
+class Flatten(Layer):
     """Collapse all non-batch axes into one feature axis."""
 
     kind = "flatten"
-
-    @staticmethod
-    def param_shapes():
-        return {}
 
     def forward(self, x, train=True, flags=None, update_stats=True):
         m = x.shape[0]
@@ -263,20 +258,12 @@ class Flatten:
     def backward(self, cache, dy, need_dx=True):
         return reshape(dy, cache), {}
 
-    def params(self):
-        return {}
 
-    def set_param(self, name, value):
-        raise KeyError(name)
-
-    def describe(self):
-        return {"kind": self.kind}
-
-
-class Activation:
+class Activation(Layer):
     """Elementwise nonlinearity: relu or tanh."""
 
     kind = "activation"
+    KEYS = ("name",)
     NAMES = ("relu", "tanh")
 
     def __init__(self, name):
@@ -304,20 +291,13 @@ class Activation:
         dx = [g * (1.0 - t * t) for t, g in zip(y.data, dy.data)]
         return Tensor._wrap(y.shape, dx), {}
 
-    def params(self):
-        return {}
 
-    def set_param(self, name, value):
-        raise KeyError(name)
-
-    def describe(self):
-        return {"kind": self.kind, "name": self.name}
-
-
-class RnnCell:
+class RnnCell(Layer):
     """Tanh recurrence over (batch, time, features); emits the last hidden state."""
 
     kind = "rnn-cell"
+    PARAMS = ("w_xh", "w_hh", "b")
+    KEYS = ("in_dim", "hidden")
 
     def __init__(self, in_dim, hidden, rng=None):
         self.in_dim = in_dim
@@ -380,24 +360,19 @@ class RnnCell:
         dx = Tensor._wrap((m, steps, v), dxd) if need_dx else None
         return dx, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
 
-    def params(self):
-        return {"w_xh": self.w_xh, "w_hh": self.w_hh, "b": self.b}
 
-    def set_param(self, name, value):
-        setattr(self, name, value)
-
-    def describe(self):
-        return {"kind": self.kind, "in_dim": self.in_dim, "hidden": self.hidden}
-
-
-class Normalizer:
+class Normalizer(Layer):
     """Normalization layer wrapping one of the three schemes.
 
     Inputs of rank > 2 are flattened to (batch, features) for the transform
     and restored afterwards; the feature count is the flattened size.
+    The parameters gamma and beta live in norm_params, as do the epsilon
+    and momentum of describe().
     """
 
     kind = "normalizer"
+    PARAMS = ("gamma", "beta")
+    KEYS = ("scheme", "d")
     SCHEMES = _norm.SCHEMES
 
     def __init__(self, scheme, d, epsilon=1e-4, momentum=0.9):
@@ -439,35 +414,20 @@ class Normalizer:
         return dx, {"gamma": dgamma, "beta": dbeta}
 
     def params(self):
-        return {"gamma": self.norm_params.gamma, "beta": self.norm_params.beta}
+        return {name: getattr(self.norm_params, name) for name in self.PARAMS}
 
     def set_param(self, name, value):
-        if name == "gamma":
-            self.norm_params.gamma = value
-        elif name == "beta":
-            self.norm_params.beta = value
-        else:
+        if name not in self.PARAMS:
             raise KeyError(name)
+        setattr(self.norm_params, name, value)
 
     def describe(self):
-        return {
-            "kind": self.kind,
-            "scheme": self.scheme,
-            "d": self.d,
-            "epsilon": self.norm_params.epsilon,
-            "momentum": self.norm_params.momentum,
-        }
+        p = self.norm_params
+        return {**super().describe(), "epsilon": p.epsilon, "momentum": p.momentum}
 
 
-_LAYER_TYPES = {
-    "dense": Dense,
-    "conv2d": Conv2d,
-    "avgpool2x2": AvgPool2x2,
-    "flatten": Flatten,
-    "activation": Activation,
-    "rnn-cell": RnnCell,
-    "normalizer": Normalizer,
-}
+_LAYER_TYPES = {cls.kind: cls for cls in (Dense, Conv2d, AvgPool2x2, Flatten, Activation,
+                                          RnnCell, Normalizer)}
 
 
 def _descriptor_args(desc):
@@ -493,14 +453,27 @@ def layer_from_descriptor(desc):
     return cls(**kwargs)
 
 
-def descriptor_param_shapes(desc):
-    """{parameter name: shape} of the layer a describe() dict declares.
+def buffer_layout(descriptors):
+    """[(name, shape)] of every float buffer a network of these layers saves.
 
-    Nothing is built or drawn, so a declared size can be checked before any
-    memory goes to it.
+    Per layer i: "i.<param>" in name order, then a normalizer's
+    "i.running.<field>" buffers. Nothing is built or drawn, so a declared
+    size can be checked before any memory goes to it. A bad descriptor
+    raises ValueError naming its layer.
     """
-    cls, kwargs = _descriptor_args(desc)
-    return cls.param_shapes(**kwargs)
+    layout = []
+    for i, desc in enumerate(descriptors):
+        try:
+            cls, kwargs = _descriptor_args(desc)
+            shapes = cls.param_shapes(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
+        layout += [(f"{i}.{name}", shapes[name]) for name in sorted(shapes)]
+        if cls is Normalizer:
+            d = shapes["gamma"]
+            layout += [(f"{i}.running.e_mu_b", d), (f"{i}.running.e_sigma_b", d),
+                       (f"{i}.running.e_mu_f", [1]), (f"{i}.running.e_sigma_f", [1])]
+    return layout
 
 
 class Network:
@@ -552,20 +525,52 @@ class Network:
     def normalizers(self):
         return [layer for layer in self.layers if isinstance(layer, Normalizer)]
 
+    def buffer_layout(self):
+        return buffer_layout([layer.describe() for layer in self.layers])
+
+    def buffers(self):
+        """{name: float list} of every buffer, in buffer_layout order."""
+        out = {}
+        for name, _ in self.buffer_layout():
+            i, field = name.split(".", 1)
+            layer = self.layers[int(i)]
+            value = (getattr(layer.running, field.removeprefix("running."))
+                     if field.startswith("running.") else layer.params()[field])
+            out[name] = value.data if isinstance(value, Tensor) else [value]
+        return out
+
+    def set_buffers(self, values):
+        """Replace every buffer by values[name], shaped as buffer_layout says."""
+        for name, shape in self.buffer_layout():
+            i, field = name.split(".", 1)
+            layer, data = self.layers[int(i)], values[name]
+            if field.startswith("running."):
+                field = field.removeprefix("running.")
+                scalar = not isinstance(getattr(layer.running, field), Tensor)
+                setattr(layer.running, field, data[0] if scalar else Tensor._wrap(shape, data))
+            else:
+                layer.set_param(field, Tensor._wrap(shape, data))
+
+    def running_counters(self):
+        """{"layer", "count", "batch_m"} of each normalizer, in layer order."""
+        return [
+            {"layer": i, "count": layer.running.count, "batch_m": layer.running.batch_m}
+            for i, layer in enumerate(self.layers)
+            if isinstance(layer, Normalizer)
+        ]
+
+    def set_running_counters(self, entries):
+        for entry in entries:
+            running = self.layers[entry["layer"]].running
+            running.count, running.batch_m = entry["count"], entry["batch_m"]
+
     def checksum(self):
-        """Order-sensitive hash of every parameter and running-stat buffer."""
-        acc = []
-        for i, layer in enumerate(self.layers):
-            for name, p in sorted(layer.params().items()):
-                acc.append((f"{i}.{name}", tuple(p.data)))
-            if isinstance(layer, Normalizer):
-                r = layer.running
-                acc.append((
-                    f"{i}.running",
-                    (tuple(r.e_mu_b.data), tuple(r.e_sigma_b.data),
-                     r.e_mu_f, r.e_sigma_f, r.count, r.batch_m),
-                ))
-        return hash(tuple(acc))
+        """Order-sensitive hash of each normalizer's counters and every buffer's
+        float64 bytes, which tell 0.0 from -0.0 and give equal nan bits one hash."""
+        return hash((
+            tuple((name, array("d", data).tobytes()) for name, data in self.buffers().items()),
+            tuple(tuple(sorted(entry.items())) for entry in self.running_counters()),
+        ))
 
 
 def forward_layers(layers, x, train=True, flags=None, update_stats=True):

@@ -88,9 +88,7 @@ class Tensor:
             raise ValueError(f"rank {len(shape)} exceeds supported maximum {MAX_RANK}")
         if any(s < 1 for s in shape):
             raise ValueError(f"dimension sizes must be >= 1, got {shape}")
-        n = 1
-        for s in shape:
-            n *= s
+        n = math.prod(shape)
         data = [float(v) for v in data]
         if n != len(data):
             raise ValueError(f"shape {shape} needs {n} elements, got {len(data)}")
@@ -162,10 +160,7 @@ class Tensor:
 
 
 def _numel(shape):
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n
+    return math.prod(int(s) for s in shape)
 
 
 def zeros(shape):

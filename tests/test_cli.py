@@ -180,7 +180,12 @@ class TestMalformedManifest:
         lambda m: _set_shape(m, [-1]),
         lambda m: m["layers"][0].update(stride=2),
         lambda m: m["layers"][0].update(rng=5),
-    ], ids=["no-layers", "unknown-kind", "negative-shape", "extra-key", "rng-key"])
+        # each loads as a float or bool size equal to the saved one: 32.0 == 32, True == 1
+        lambda m: m["layers"][-1].update(in_dim=32.0),
+        lambda m: m["layers"][-2].update(d=32.0),
+        lambda m: m["layers"][0].update(in_channels=True),
+    ], ids=["no-layers", "unknown-kind", "negative-shape", "extra-key", "rng-key",
+            "float-dense-dim", "float-normalizer-d", "bool-dim"])
     def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, edit):
         ck = str(tmp_path / "net.ckpt")
         save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))

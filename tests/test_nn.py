@@ -309,6 +309,25 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError):
             Network([Normalizer("bln", 4)])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Dense(3, 4),
+        lambda: Conv2d(1, 2, 3),
+        lambda: AvgPool2x2(),
+        lambda: Flatten(),
+        lambda: Activation("tanh"),
+        lambda: RnnCell(3, 4),
+        lambda: Normalizer("bln", 4),
+    ], ids=["dense", "conv2d", "avgpool2x2", "flatten", "activation", "rnn-cell", "normalizer"])
+    def test_set_param_of_an_unknown_name_raises_key_error(self, make):
+        layer = make()
+        before = {name: p.data for name, p in layer.params().items()}
+        with pytest.raises(KeyError):
+            layer.set_param("bogus", Tensor([1], [0.0]))
+        with pytest.raises(KeyError):
+            Network([Activation("relu"), layer]).set_param("1.bogus", Tensor([1], [0.0]))
+        assert not hasattr(layer, "bogus")
+        assert {name: p.data for name, p in layer.params().items()} == before
+
 
 @pytest.mark.parametrize("scheme", ["bn", "ln", "bln"])
 class TestWholeNetworkGradients:

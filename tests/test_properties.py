@@ -1,5 +1,6 @@
 """Property tests over randomly drawn inputs (hypothesis)."""
 
+import math
 import os
 import tempfile
 
@@ -425,6 +426,41 @@ def test_checkpoint_round_trip_is_exact(arch, scheme, tmp_path_factory):
             assert a.read() == b.read()
 
     round_trip()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("arch", ["dense", "cnn", "rnn"])
+def test_layout_and_checksum_cover_the_whole_state(arch, scheme):
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(trained_networks(arch, scheme))
+    def cover(net):
+        layout = nn.buffer_layout([layer.describe() for layer in net.layers])
+        buffers = net.buffers()
+        assert [name for name, _ in layout] == list(buffers)
+        assert [math.prod(shape) for _, shape in layout] == [len(v) for v in buffers.values()]
+        normalizers = [i for i, layer in enumerate(net.layers) if isinstance(layer, nn.Normalizer)]
+        running = {f"{i}.running.{field}" for i in normalizers
+                   for field in ("e_mu_b", "e_sigma_b", "e_mu_f", "e_sigma_f")}
+        assert set(buffers) == set(net.params()) | running
+
+        before = net.checksum()
+        for name, values in buffers.items():
+            for at, value in enumerate(values):
+                assert value + 1.0 != value
+                for nudged in (value + 1.0, -value):  # -value flips the sign bit, even of 0.0
+                    net.set_buffers({**buffers, name: values[:at] + [nudged] + values[at + 1:]})
+                    assert net.buffers()[name][at].hex() == nudged.hex()
+                    assert net.checksum() != before, (name, at, nudged)
+                net.set_buffers(buffers)
+        for layer in net.normalizers():
+            for counter in ("count", "batch_m"):
+                value = getattr(layer.running, counter)
+                setattr(layer.running, counter, value + 1)
+                assert net.checksum() != before, counter
+                setattr(layer.running, counter, value)
+        assert net.checksum() == before
+
+    cover()
 
 
 @pytest.fixture(scope="module")
