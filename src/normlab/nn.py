@@ -12,16 +12,17 @@ from the layer descriptors alone: per layer, its parameters in name order
 (the static param_shapes, called with the describe() keys), then a
 normalizer's running e_mu_b, e_sigma_b, e_mu_f and e_sigma_f. It is the
 one place that knows that order; a checkpoint is checked against it before
-any weight is drawn, and Network.buffers/set_buffers/checksum follow it.
+any layer is built, and Network.buffers/set_buffers/checksum follow it.
 """
 
 import math
 from array import array
+from functools import reduce
 from itertools import compress
 
-from .tensor import Rng, Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
+from .tensor import Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
 from . import norm as _norm
-from .norm import init_params, init_running
+from .norm import NormParams, init_params, init_running
 
 
 class Layer:
@@ -50,6 +51,11 @@ class Layer:
         return {"kind": self.kind, **{key: getattr(self, key) for key in self.KEYS}}
 
 
+def _init_weight(shape, fan_in, rng):
+    """Normal draws from rng scaled by 1/sqrt(fan_in); zeros when rng is None."""
+    return zeros(shape) if rng is None else randn(shape, rng) * (1.0 / math.sqrt(fan_in))
+
+
 class Dense(Layer):
     """Affine map y = x W + b."""
 
@@ -60,11 +66,8 @@ class Dense(Layer):
     def __init__(self, in_dim, out_dim, rng=None):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        if rng is None:
-            rng = Rng(0)
-        scale = 1.0 / math.sqrt(in_dim)
         shapes = self.param_shapes(in_dim, out_dim)
-        self.w = randn(shapes["w"], rng) * scale
+        self.w = _init_weight(shapes["w"], in_dim, rng)
         self.b = zeros(shapes["b"])
 
     @staticmethod
@@ -94,11 +97,8 @@ class Conv2d(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        if rng is None:
-            rng = Rng(0)
-        scale = 1.0 / math.sqrt(in_channels * kernel * kernel)
         shapes = self.param_shapes(in_channels, out_channels, kernel)
-        self.w = randn(shapes["w"], rng) * scale
+        self.w = _init_weight(shapes["w"], in_channels * kernel * kernel, rng)
         self.b = zeros(shapes["b"])
 
     @staticmethod
@@ -156,38 +156,25 @@ class Conv2d(Layer):
         return (self._input_grad(x.shape, dy) if need_dx else None), grads
 
     def _input_grad(self, x_shape, dy):
-        """dx with each element's terms in (oc, ky desc, kx desc) order, zero g skipped.
-
-        That is the (oc, oy, ox) order of a scatter over the outputs. The
-        work runs on an (ic, y, x, s) layout, where one (oc, ky, kx, oy)
-        step touches ow*m contiguous entries.
-        """
+        """dx as an ordered scatter: each non-zero g, in (s, oc, oy, ox) order,
+        adds g * w over its (ic, ky, kx) window, each element starting at 0.0."""
         m, cin, h, w = x_shape
         k = self.kernel
         _, cout, oh, ow = dy.shape
-        run = ow * m
-        plane = oh * ow
         dyd, wd = dy.data, self.w.data
-        acc = [0.0] * (cin * h * w * m)
-        for oc in range(cout):
-            # dy[:, oc] as (oy, ox, s)
-            g = [0.0] * (plane * m)
-            for s in range(m):
-                g[s::m] = dyd[(s * cout + oc) * plane:(s * cout + oc + 1) * plane]
-            grows = [g[oy * run:(oy + 1) * run] for oy in range(oh)]
-            for ky in range(k - 1, -1, -1):
-                for kx in range(k - 1, -1, -1):
-                    for ic in range(cin):
-                        wv = wd[((oc * cin + ic) * k + ky) * k + kx]
-                        for oy, grow in enumerate(grows):
-                            lo = ((ic * h + oy + ky) * w + kx) * m
-                            acc[lo:lo + run] = [
-                                d if gv == 0.0 else d + gv * wv
-                                for d, gv in zip(acc[lo:lo + run], grow)
-                            ]
-        dxd = []
-        for s in range(m):
-            dxd += acc[s::m]
+        dxd = [0.0] * (m * cin * h * w)
+        # dy is row-major (s, oc, oy, ox), so its flat order is the scatter order
+        for pos, g in enumerate(dyd):
+            if g == 0.0:
+                continue
+            rest, ox = divmod(pos, ow)
+            rest, oy = divmod(rest, oh)
+            s, oc = divmod(rest, cout)
+            for ic in range(cin):
+                for ky in range(k):
+                    lo = ((s * cin + ic) * h + oy + ky) * w + ox
+                    wo = ((oc * cin + ic) * k + ky) * k
+                    dxd[lo:lo + k] = [d + g * wv for d, wv in zip(dxd[lo:lo + k], wd[wo:wo + k])]
         return Tensor._wrap(x_shape, dxd)
 
 
@@ -302,11 +289,9 @@ class RnnCell(Layer):
     def __init__(self, in_dim, hidden, rng=None):
         self.in_dim = in_dim
         self.hidden = hidden
-        if rng is None:
-            rng = Rng(0)
         shapes = self.param_shapes(in_dim, hidden)
-        self.w_xh = randn(shapes["w_xh"], rng) * (1.0 / math.sqrt(in_dim))
-        self.w_hh = randn(shapes["w_hh"], rng) * (1.0 / math.sqrt(hidden))
+        self.w_xh = _init_weight(shapes["w_xh"], in_dim, rng)
+        self.w_hh = _init_weight(shapes["w_hh"], hidden, rng)
         self.b = zeros(shapes["b"])
 
     @staticmethod
@@ -366,13 +351,14 @@ class Normalizer(Layer):
 
     Inputs of rank > 2 are flattened to (batch, features) for the transform
     and restored afterwards; the feature count is the flattened size.
-    The parameters gamma and beta live in norm_params, as do the epsilon
-    and momentum of describe().
+    gamma, beta, epsilon and momentum are plain attributes, validated here
+    and again by the NormParams that each forward builds from them; the
+    population statistics live in running.
     """
 
     kind = "normalizer"
     PARAMS = ("gamma", "beta")
-    KEYS = ("scheme", "d")
+    KEYS = ("scheme", "d", "epsilon", "momentum")
     SCHEMES = _norm.SCHEMES
 
     def __init__(self, scheme, d, epsilon=1e-4, momentum=0.9):
@@ -380,7 +366,8 @@ class Normalizer(Layer):
             raise ValueError(f"unknown normalization scheme {scheme!r}")
         self.scheme = scheme
         self.d = d
-        self.norm_params = init_params(d, epsilon, momentum)
+        p = init_params(d, epsilon, momentum)
+        self.gamma, self.beta, self.epsilon, self.momentum = p.gamma, p.beta, p.epsilon, p.momentum
         self.running = init_running(d)
 
     @staticmethod
@@ -392,13 +379,13 @@ class Normalizer(Layer):
         flat = x if x.rank == 2 else reshape(x, (orig[0], x.size // orig[0]))
         if flat.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {flat.shape[1]}")
+        params = NormParams(self.gamma, self.beta, self.epsilon, self.momentum)
         if train:
-            y, cache, new_running = _norm.forward_train(
-                self.scheme, flat, self.norm_params, self.running)
+            y, cache, new_running = _norm.forward_train(self.scheme, flat, params, self.running)
             if update_stats:
                 self.running = new_running
         else:
-            y = _norm.forward_infer(self.scheme, flat, self.norm_params, self.running, flags)
+            y = _norm.forward_infer(self.scheme, flat, params, self.running, flags)
             cache = None
         out = y if x.rank == 2 else reshape(y, orig)
         return out, (cache, orig)
@@ -412,18 +399,6 @@ class Normalizer(Layer):
         if dy.rank != 2:
             dx = reshape(dx, orig)
         return dx, {"gamma": dgamma, "beta": dbeta}
-
-    def params(self):
-        return {name: getattr(self.norm_params, name) for name in self.PARAMS}
-
-    def set_param(self, name, value):
-        if name not in self.PARAMS:
-            raise KeyError(name)
-        setattr(self.norm_params, name, value)
-
-    def describe(self):
-        p = self.norm_params
-        return {**super().describe(), "epsilon": p.epsilon, "momentum": p.momentum}
 
 
 _LAYER_TYPES = {cls.kind: cls for cls in (Dense, Conv2d, AvgPool2x2, Flatten, Activation,
@@ -448,7 +423,7 @@ def _descriptor_args(desc):
 
 
 def layer_from_descriptor(desc):
-    """Rebuild a layer from its describe() dict (parameters left at init)."""
+    """Rebuild a layer from its describe() dict; weights start at zero, nothing is drawn."""
     cls, kwargs = _descriptor_args(desc)
     return cls(**kwargs)
 
@@ -532,24 +507,18 @@ class Network:
         """{name: float list} of every buffer, in buffer_layout order."""
         out = {}
         for name, _ in self.buffer_layout():
-            i, field = name.split(".", 1)
-            layer = self.layers[int(i)]
-            value = (getattr(layer.running, field.removeprefix("running."))
-                     if field.startswith("running.") else layer.params()[field])
+            i, *path = name.split(".")
+            value = reduce(getattr, path, self.layers[int(i)])
             out[name] = value.data if isinstance(value, Tensor) else [value]
         return out
 
     def set_buffers(self, values):
         """Replace every buffer by values[name], shaped as buffer_layout says."""
         for name, shape in self.buffer_layout():
-            i, field = name.split(".", 1)
-            layer, data = self.layers[int(i)], values[name]
-            if field.startswith("running."):
-                field = field.removeprefix("running.")
-                scalar = not isinstance(getattr(layer.running, field), Tensor)
-                setattr(layer.running, field, data[0] if scalar else Tensor._wrap(shape, data))
-            else:
-                layer.set_param(field, Tensor._wrap(shape, data))
+            i, *path, attr = name.split(".")
+            owner, data = reduce(getattr, path, self.layers[int(i)]), values[name]
+            scalar = not isinstance(getattr(owner, attr), Tensor)
+            setattr(owner, attr, data[0] if scalar else Tensor._wrap(shape, data))
 
     def running_counters(self):
         """{"layer", "count", "batch_m"} of each normalizer, in layer order."""

@@ -81,7 +81,7 @@ class Tensor:
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data):
-        shape = tuple(int(s) for s in shape)
+        shape = _sizes(shape)
         if len(shape) == 0:
             raise ValueError("tensor shape must have at least one dimension")
         if len(shape) > MAX_RANK:
@@ -159,8 +159,16 @@ class Tensor:
         return div(self, other)
 
 
+def _sizes(shape):
+    """shape as a tuple; a size that is not an int (2.5, 2.0, True) raises ValueError."""
+    shape = tuple(shape)
+    if any(type(s) is not int for s in shape):
+        raise ValueError(f"dimension sizes must be integers, got {shape}")
+    return shape
+
+
 def _numel(shape):
-    return math.prod(int(s) for s in shape)
+    return math.prod(_sizes(shape))
 
 
 def zeros(shape):
@@ -406,7 +414,7 @@ def div(a, b):
 
 def reshape(x, shape):
     """Same buffer under a new shape with identical element count."""
-    shape = tuple(int(s) for s in shape)
+    shape = _sizes(shape)
     if len(shape) == 0 or len(shape) > MAX_RANK or any(s < 1 for s in shape):
         raise ValueError(f"invalid target shape {shape}")
     if _numel(shape) != x.size:

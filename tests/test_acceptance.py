@@ -255,7 +255,7 @@ def test_criterion_5_gradient_suite():
 
 def test_criterion_6_batch_of_one_degeneracy():
     timer = Timer(120.0)
-    results = {}
+    results, test_loss, nets = {}, {}, {}
     for norm in ("bn", "bln"):
         config = validate_experiment({
             "task": "cnn-synthetic",
@@ -264,11 +264,16 @@ def test_criterion_6_batch_of_one_degeneracy():
             "epochs": 5,
             "seed": 7,
         })
-        records, _ = run_training(config)
-        final = [r for r in records if r.split == "train"][-1]
-        results[norm] = final.accuracy
+        records, nets[norm] = run_training(config)
+        results[norm] = [r for r in records if r.split == "train"][-1].accuracy
+        test_loss[norm] = [r for r in records if r.split == "test"][-1].loss
     assert abs(results["bn"] - 0.5) <= 0.05, f"bn stuck-training accuracy {results['bn']}"
     assert results["bln"] > 0.8, f"bln training accuracy {results['bln']}"
+    # the cause: a batch of one has zero variance, so bn's population
+    # variance is exactly 0 and its inference divides by sqrt(epsilon) alone
+    for layer in nets["bn"].normalizers():
+        assert layer.running.e_sigma_b.data == [0.0] * layer.d
+    assert test_loss["bn"] > test_loss["bln"], f"test losses {test_loss}"
     report(6, "batch-of-one degeneracy", timer.check())
 
 

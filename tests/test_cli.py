@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from normlab import cli, nn
+from normlab import checkpoint, cli, nn, tensor
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
 from normlab.config import validate_experiment
@@ -140,6 +140,18 @@ class TestCheckpointRoundTrip:
         _, _, test_ds = prepare_task(config)
         assert network_evaluate(net, test_ds) == network_evaluate(loaded, test_ds)
 
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        # every loaded float comes from the payload, so building draws nothing
+        _, net = run_training(validate_experiment(base_config()))
+        path = str(tmp_path / "net.ckpt")
+        save_checkpoint(path, net)
+        calls = []
+        original = tensor.Rng.normal
+        monkeypatch.setattr(tensor.Rng, "normal", lambda self: calls.append(1) or original(self))
+        loaded, _ = load_checkpoint(path)
+        assert calls == []
+        assert loaded.checksum() == net.checksum()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"XXXX" + struct.pack("<I", 2) + b"{}")
@@ -213,15 +225,19 @@ class TestMalformedManifest:
                     entry["shape"] = [1000]
 
         _rewrite_manifest(ck, grow_last_dense)
-        draws = []
+        draws, built = [], []
         original = nn.randn
         monkeypatch.setattr(nn, "randn", lambda *a: draws.append(a) or original(*a))
+        build = checkpoint.layer_from_descriptor
+        monkeypatch.setattr(checkpoint, "layer_from_descriptor",
+                            lambda desc: built.append(desc) or build(desc))
         code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
                      "--out", str(tmp_path / "grid.csv")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
         assert draws == []
+        assert built == []
 
 
 class TestCompareCommand:

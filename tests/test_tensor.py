@@ -1,5 +1,6 @@
 import pytest
 
+from normlab.nn import Dense
 from normlab.tensor import (
     Rng,
     Tensor,
@@ -34,6 +35,18 @@ class TestConstruction:
     def test_rank_above_four_rejected(self):
         with pytest.raises(ValueError):
             Tensor([1, 1, 1, 1, 1], [1.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: zeros([2.5]),
+        lambda: Tensor([2.0, 1], [1.0, 2.0]),
+        lambda: reshape(zeros([4]), [2.0, 2]),
+        lambda: Dense(32.5, 2),
+        lambda: Tensor([True], [1.0]),
+    ], ids=["zeros-2.5", "tensor-2.0", "reshape-2.0", "dense-32.5", "tensor-true"])
+    def test_size_that_is_not_an_int_rejected(self, make):
+        # int() would truncate 2.5 to 2 and read True as 1
+        with pytest.raises(ValueError):
+            make()
 
     def test_row_major_layout(self):
         t = Tensor([2, 3], [1, 2, 3, 4, 5, 6])
