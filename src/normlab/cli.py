@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
-    ExperimentConfig,
     UsageError,
     build_network_for_config,
+    check_keys,
+    check_seed,
     load_config_file,
+    positive_int,
     prepare_task,
     seed_plan,
     validate_experiment,
@@ -106,27 +108,24 @@ def run_training(config, splits=None):
     return records, net
 
 
-def _config_comment_lines(effective):
-    text = json.dumps(effective, sort_keys=True, indent=2)
-    return [f"# {line}" for line in text.splitlines()]
+def _write_csv(path, effective_config, header, rows):
+    """The effective config as '# ' comment lines, then the header and rows."""
+    text = json.dumps(effective_config, sort_keys=True, indent=2)
+    lines = [f"# {line}" for line in text.splitlines()] + [header, *rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(path, effective_config, records):
-    lines = _config_comment_lines(effective_config)
-    lines.append(METRICS_HEADER)
-    lines.extend(r.to_csv_row() for r in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, effective_config, METRICS_HEADER, (r.to_csv_row() for r in records))
 
 
 def write_grid_csv(path, effective_config, results):
-    lines = _config_comment_lines(effective_config)
-    lines.append(GRID_HEADER)
+    rows = []
     for r in results:
         e_b, std_b, e_f, std_f = r.flags.as_tuple()
-        lines.append(f"{r.rank},{e_b},{std_b},{e_f},{std_f},{r.loss!r},{r.accuracy!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append(f"{r.rank},{e_b},{std_b},{e_f},{std_f},{r.loss!r},{r.accuracy!r}")
+    _write_csv(path, effective_config, GRID_HEADER, rows)
 
 
 def _apply_seed_override(raw):
@@ -142,15 +141,20 @@ def _apply_seed_override(raw):
     return out
 
 
-def _check_output_path(path, force):
-    if path and os.path.exists(path) and not force:
+def _check_output(path, force=True):
+    """Refuse, before any work, an output in a missing directory or, unless forced, an existing file."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"output directory {directory} does not exist")
+    if not force and os.path.exists(path):
         raise UsageError(f"refusing to overwrite existing file {path} (use --force)")
 
 
 def cmd_train(args):
     raw = _apply_seed_override(load_config_file(args.config))
     config = validate_experiment(raw)
-    _check_output_path(args.checkpoint, args.force)
+    _check_output(args.out)
+    _check_output(args.checkpoint, args.force)
     records, net = run_training(config)
     write_metrics_csv(args.out, config.to_dict(), records)
     save_checkpoint(args.checkpoint, net, meta=config.to_dict())
@@ -161,6 +165,7 @@ def cmd_train(args):
 def cmd_compare(args):
     raw = _apply_seed_override(load_config_file(args.config))
     configs = validate_experiment(raw, multi=True)
+    _check_output(args.out)
     # the runs differ only in normalizer and batch size, which the splits
     # do not depend on
     splits = prepare_task(configs[0])
@@ -177,6 +182,7 @@ def cmd_compare(args):
 def cmd_gridsearch(args):
     raw = _apply_seed_override(load_config_file(args.config))
     config = validate_experiment(raw)
+    _check_output(args.out)
     net, _ = load_checkpoint(args.checkpoint)
     bln_layers = [n for n in net.normalizers() if n.scheme == "bln"]
     if not bln_layers:
@@ -204,24 +210,12 @@ _GRADCHECK_LAYERS = SCHEMES + ("network",)
 
 
 def _validate_gradcheck(raw):
-    if not isinstance(raw, dict):
-        raise UsageError("config must be a JSON object")
-    for key in raw:
-        if key not in _GRADCHECK_KEYS:
-            raise UsageError(f"unknown config key: '{key}'")
-    for key in ("layer", "m", "d", "seed"):
-        if key not in raw:
-            raise UsageError(f"missing config key: '{key}'")
+    check_keys(raw, _GRADCHECK_KEYS, ("layer", "m", "d", "seed"))
     layer = raw["layer"]
     if layer not in _GRADCHECK_LAYERS:
         raise UsageError(f"config key 'layer' must be one of {list(_GRADCHECK_LAYERS)}, got {layer!r}")
-    m, d = raw["m"], raw["d"]
-    for key, value in (("m", m), ("d", d)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise UsageError(f"config key '{key}' must be an integer >= 1, got {value!r}")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise UsageError(f"config key 'seed' must be an integer, got {seed!r}")
+    m, d = positive_int(raw["m"], "m"), positive_int(raw["d"], "d")
+    seed = check_seed(raw["seed"])
     corrupt = raw.get("corrupt", False)
     if not isinstance(corrupt, bool):
         raise UsageError(f"config key 'corrupt' must be a boolean, got {corrupt!r}")

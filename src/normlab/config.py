@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
@@ -29,20 +29,11 @@ RNN_HIDDEN = 32
 TEST_FRACTION = 1.0 / 3.0
 VALIDATION_FRACTION = 0.1  # held out of the training pool for config search
 
-_DEFAULTS = {
-    "epsilon": 1e-4,
-    "momentum": 0.9,
-    "train_fraction": 0.2,
-    "learning_rate": 1e-3,
-    "flags": {k: False for k in FLAG_KEYS},
-    "paths": {},
-}
-_REQUIRED = ("task", "normalizer", "batch_size", "epochs", "seed")
-_ALL_KEYS = set(_REQUIRED) | set(_DEFAULTS)
-
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings. The fields are the config keys; those without a default are required."""
+
     task: str
     normalizer: str
     batch_size: int
@@ -59,10 +50,34 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _positive_int(raw, key, minimum=1):
+def check_keys(raw, allowed, required):
+    """Reject a non-object config, an unknown key, then a missing one."""
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    for key in raw:
+        if key not in allowed:
+            raise UsageError(f"unknown config key: '{key}'")
+    for key in required:
+        if key not in raw:
+            raise UsageError(f"missing config key: '{key}'")
+
+
+def positive_int(raw, key, minimum=1):
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < minimum:
         raise UsageError(f"config key '{key}' must be an integer >= {minimum}, got {raw!r}")
     return raw
+
+
+def check_seed(seed):
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise UsageError(f"config key 'seed' must be an integer, got {seed!r}")
+    return seed
+
+
+def _positive_number(raw, key):
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
+        raise UsageError(f"config key '{key}' must be a positive number, got {raw!r}")
+    return float(raw)
 
 
 def _check_momentum(raw):
@@ -110,14 +125,9 @@ def validate_experiment(raw, multi=False):
     the 'normalizer' and 'batch_size' keys may hold lists; one config per
     (normalizer, batch size) pair is returned, normalizer-major.
     """
-    if not isinstance(raw, dict):
-        raise UsageError("config must be a JSON object")
-    for key in raw:
-        if key not in _ALL_KEYS:
-            raise UsageError(f"unknown config key: '{key}'")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise UsageError(f"missing config key: '{key}'")
+    schema = fields(ExperimentConfig)
+    check_keys(raw, {f.name for f in schema},
+               [f.name for f in schema if f.default is MISSING and f.default_factory is MISSING])
 
     task = raw["task"]
     if task not in TASKS:
@@ -143,27 +153,21 @@ def validate_experiment(raw, multi=False):
     for name in normalizers:
         if name not in NORMALIZERS:
             raise UsageError(f"config key 'normalizer' must be one of {list(NORMALIZERS)}, got {name!r}")
-    batch_sizes = [_positive_int(b, "batch_size") for b in batch_sizes]
+    batch_sizes = [positive_int(b, "batch_size") for b in batch_sizes]
 
-    epochs = _positive_int(raw["epochs"], "epochs")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise UsageError(f"config key 'seed' must be an integer, got {seed!r}")
-
-    epsilon = raw.get("epsilon", _DEFAULTS["epsilon"])
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or epsilon <= 0:
-        raise UsageError(f"config key 'epsilon' must be a positive number, got {epsilon!r}")
-    momentum = _check_momentum(raw.get("momentum", _DEFAULTS["momentum"]))
-    train_fraction = raw.get("train_fraction", _DEFAULTS["train_fraction"])
+    epochs = positive_int(raw["epochs"], "epochs")
+    seed = check_seed(raw["seed"])
+    epsilon = _positive_number(raw.get("epsilon", ExperimentConfig.epsilon), "epsilon")
+    momentum = _check_momentum(raw.get("momentum", ExperimentConfig.momentum))
+    train_fraction = raw.get("train_fraction", ExperimentConfig.train_fraction)
     if (
         not isinstance(train_fraction, (int, float))
         or isinstance(train_fraction, bool)
         or not 0.0 < train_fraction <= 1.0
     ):
         raise UsageError(f"config key 'train_fraction' must be in (0, 1], got {train_fraction!r}")
-    learning_rate = raw.get("learning_rate", _DEFAULTS["learning_rate"])
-    if not isinstance(learning_rate, (int, float)) or isinstance(learning_rate, bool) or learning_rate <= 0:
-        raise UsageError(f"config key 'learning_rate' must be a positive number, got {learning_rate!r}")
+    learning_rate = _positive_number(raw.get("learning_rate", ExperimentConfig.learning_rate),
+                                     "learning_rate")
     flags = _check_flags(raw.get("flags", {}))
     paths = _check_paths(raw.get("paths", {}), task)
 
@@ -174,10 +178,10 @@ def validate_experiment(raw, multi=False):
             batch_size=bs,
             epochs=epochs,
             seed=seed,
-            epsilon=float(epsilon),
+            epsilon=epsilon,
             momentum=momentum,
             train_fraction=float(train_fraction),
-            learning_rate=float(learning_rate),
+            learning_rate=learning_rate,
             flags=flags,
             paths=paths,
         )

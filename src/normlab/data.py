@@ -72,8 +72,11 @@ def gen_parity_sequences(n, length, vocab, seed):
 
 def load_cifar10_binary(path):
     """Read the CIFAR-10 binary record format; pixels scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read CIFAR-10 binary {path}: {exc}") from exc
     if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
         raise DataFormatError(f"malformed CIFAR-10 binary: {path} ({len(raw)} bytes)")
     n = len(raw) // CIFAR_RECORD

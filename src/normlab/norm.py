@@ -44,8 +44,8 @@ class NormParams:
     momentum: object = 0.9
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if isinstance(self.epsilon, bool) or self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
         if self.gamma.shape != self.beta.shape or self.gamma.rank != 1:
             raise ValueError("gamma and beta must be equal-length vectors")
         _check_momentum(self.momentum)
@@ -54,7 +54,7 @@ class NormParams:
 def _check_momentum(momentum):
     if momentum == "cumulative":
         return
-    if isinstance(momentum, (int, float)) and 0.0 < momentum <= 1.0:
+    if isinstance(momentum, (int, float)) and not isinstance(momentum, bool) and 0.0 < momentum <= 1.0:
         return
     raise ValueError(f"momentum must be in (0, 1] or 'cumulative', got {momentum!r}")
 
@@ -132,6 +132,10 @@ class InferenceFlags:
         if not 0 <= i < 16:
             raise ValueError(f"flag index must be in [0, 16), got {i}")
         return cls(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1))
+
+
+# the training forward of bln takes every statistic from the batch
+_ALL_FALSE = InferenceFlags()
 
 
 @dataclass
@@ -228,13 +232,6 @@ def _std(centered, shape, axis, epsilon=0.0):
     return [math.sqrt(v + epsilon) for v in _variance(centered, shape, axis)]
 
 
-def _stats(x, axis, epsilon=0.0):
-    """(mean, std, centered values) of each line of x along `axis`."""
-    mu = _mean(x, axis)
-    centered = _center(x, axis, mu)
-    return mu, _std(centered, x.shape, axis, epsilon), centered
-
-
 def _normalize(centered, shape, axis, inv_std):
     """Centered values times each line's inverse std."""
     return list(map(mul, centered, _broadcast(inv_std, shape, axis)))
@@ -268,20 +265,6 @@ def _param_grads(dx, dy, h):
     dgamma = _line_sums(dy.data, dy.shape, 0, h)
     dbeta = _line_sums(dy.data, dy.shape, 0)
     return Tensor._wrap(dy.shape, dx), _vec(dgamma), _vec(dbeta)
-
-
-def batch_stats(x, epsilon):
-    """Per-feature batch mean and std with epsilon inside the square root."""
-    _require_rank2(x)
-    mu, sigma, _ = _stats(x, 0, epsilon)
-    return BatchStats(_vec(mu), _vec(sigma))
-
-
-def feature_stats(x):
-    """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
-    _require_rank2(x)
-    mu, sigma, _ = _stats(x, 1)
-    return FeatureStats(_vec(mu), _vec(sigma))
 
 
 def _blend_scalar(old, new, momentum, count):
@@ -423,17 +406,37 @@ def bln_weights(m, epsilon):
     return w_batch, w_feat
 
 
-def _bln_normalize(shape, params, centered_b, std_b, centered_f, std_f):
-    """Normalize on both axes with the given statistics, blend, scale/shift.
+def _bln(x, params, running, flags):
+    """The bln forward with each statistic from the batch or the population.
 
-    The feature branch has no epsilon, so a zero std is guarded: the row's
-    inverse std becomes 0.0 and its normalized values are zero.
+    Each flag selects the population estimate (True) or the current batch
+    (False) for one of the four statistics. A batch std is computed around
+    whatever the matching mean selection produced. The m/(m-1) correction
+    on population stds uses the current batch size. The feature branch has
+    no epsilon, so a zero std is guarded: the row's inverse std becomes 0.0
+    and its normalized values are zero. Returns the output, the cache and
+    the selected batch and feature statistics.
     """
-    m, d = shape
+    m, d = _check_input(x, params)
+    if flags.any() and running.count == 0:
+        raise UninitializedStatsError("uninitialized population statistics")
+    factor = _bessel(m)
+    mu_b = running.e_mu_b.data if flags.e_b else _mean(x, 0)
+    centered_b = _center(x, 0, mu_b)
+    if flags.std_b:
+        std_b = [factor * s for s in running.e_sigma_b.data]
+    else:
+        std_b = _std(centered_b, x.shape, 0, params.epsilon)
+    mu_f = [running.e_mu_f] * m if flags.e_f else _mean(x, 1)
+    centered_f = _center(x, 1, mu_f)
+    if flags.std_f:
+        std_f = [factor * running.e_sigma_f] * m
+    else:
+        std_f = _std(centered_f, x.shape, 1)
     inv_std_b = [1.0 / s for s in std_b]
     inv_std_f = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std_f]
-    x_hat = _normalize(centered_b, shape, 0, inv_std_b)
-    x_hh = _normalize(centered_f, shape, 1, inv_std_f)
+    x_hat = _normalize(centered_b, x.shape, 0, inv_std_b)
+    x_hh = _normalize(centered_f, x.shape, 1, inv_std_f)
     w_batch, w_feat = bln_weights(m, params.epsilon)
     inv_root_d = 1.0 / math.sqrt(d)
     wb = w_batch * inv_root_d
@@ -445,7 +448,20 @@ def _bln_normalize(shape, params, centered_b, std_b, centered_f, std_f):
         x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
         w_batch=w_batch, w_feat=w_feat,
     )
-    return Tensor._wrap((m, d), y), cache
+    bstats = BatchStats(_vec(mu_b), _vec(std_b))
+    return Tensor._wrap((m, d), y), cache, bstats, FeatureStats(_vec(mu_f), _vec(std_f))
+
+
+def batch_stats(x, epsilon):
+    """Per-feature batch mean and std with epsilon inside the square root."""
+    _, d = _require_rank2(x)
+    return _bln(x, init_params(d, epsilon), init_running(d), _ALL_FALSE)[2]
+
+
+def feature_stats(x):
+    """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
+    _, d = _require_rank2(x)
+    return _bln(x, init_params(d), init_running(d), _ALL_FALSE)[3]
 
 
 def bln_forward_train(x, params, running):
@@ -455,39 +471,17 @@ def bln_forward_train(x, params, running):
     the two with the inverse-batch-size weights, divides by sqrt(d), and
     applies scale/shift. Running statistics absorb the batch.
     """
-    _check_input(x, params)
-    mu_b, sigma_b, centered_b = _stats(x, 0, params.epsilon)
-    mu_f, sigma_f, centered_f = _stats(x, 1)
-    y, cache = _bln_normalize(x.shape, params, centered_b, sigma_b, centered_f, sigma_f)
-    bstats = BatchStats(_vec(mu_b), _vec(sigma_b))
-    fstats = FeatureStats(_vec(mu_f), _vec(sigma_f))
+    y, cache, bstats, fstats = _bln(x, params, running, _ALL_FALSE)
     return y, cache, update_running(running, bstats, fstats, params.momentum)
 
 
 def bln_forward_infer(x, params, running, flags):
     """Batch-layer normalization inference under a statistics configuration.
 
-    Each flag selects the population estimate (True) or the current batch
-    (False) for one of the four statistics. A False std is computed around
-    whatever the matching mean selection produced. The m/(m-1) correction
-    on population stds uses the current batch size; all-False reproduces
-    the training forward bit for bit.
+    The training forward under the given flags; all-False reproduces it bit
+    for bit and needs no population statistics.
     """
-    m, _ = _check_input(x, params)
-    if flags.any() and running.count == 0:
-        raise UninitializedStatsError("uninitialized population statistics")
-    factor = _bessel(m)
-    centered_b = _center(x, 0, running.e_mu_b.data if flags.e_b else _mean(x, 0))
-    if flags.std_b:
-        std_b = [factor * s for s in running.e_sigma_b.data]
-    else:
-        std_b = _std(centered_b, x.shape, 0, params.epsilon)
-    centered_f = _center(x, 1, [running.e_mu_f] * m if flags.e_f else _mean(x, 1))
-    if flags.std_f:
-        std_f = [factor * running.e_sigma_f] * m
-    else:
-        std_f = _std(centered_f, x.shape, 1)
-    return _bln_normalize(x.shape, params, centered_b, std_b, centered_f, std_f)[0]
+    return _bln(x, params, running, flags)[0]
 
 
 def bln_backward(cache, dy):
@@ -546,7 +540,7 @@ def forward_infer(scheme, x, params, running, flags=None):
     if scheme == "ln":
         return ln_forward(x, params)[0]
     if scheme == "bln":
-        return bln_forward_infer(x, params, running, flags or InferenceFlags.all_false())
+        return bln_forward_infer(x, params, running, flags or _ALL_FALSE)
     raise ValueError(f"unknown normalization scheme {scheme!r}")
 
 

@@ -125,6 +125,26 @@ class TestTrainCommand:
                      "--checkpoint", str(tmp_path / "x.ckpt")])
         assert code == 2
 
+    def test_missing_cifar_file_is_data_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such.bin")
+        config = write_config(tmp_path, task="cnn-cifar10",
+                              paths={"train": missing, "test": missing})
+        code = main(["train", "--config", config, "--out", str(tmp_path / "x.csv"),
+                     "--checkpoint", str(tmp_path / "x.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read CIFAR-10 binary") and err.count("\n") == 1
+
+    def test_missing_checkpoint_directory_fails_before_training(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "m.csv"
+        code = main(["train", "--config", config, "--out", str(out),
+                     "--checkpoint", str(tmp_path / "no-such-dir" / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: output directory") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCheckpointRoundTrip:
     def test_bitwise_round_trip_and_equal_metrics(self, tmp_path):
@@ -196,8 +216,11 @@ class TestMalformedManifest:
         lambda m: m["layers"][-1].update(in_dim=32.0),
         lambda m: m["layers"][-2].update(d=32.0),
         lambda m: m["layers"][0].update(in_channels=True),
+        # a bool hyperparameter would run as 1.0
+        lambda m: m["layers"][-2].update(epsilon=True),
+        lambda m: m["layers"][-2].update(momentum=True),
     ], ids=["no-layers", "unknown-kind", "negative-shape", "extra-key", "rng-key",
-            "float-dense-dim", "float-normalizer-d", "bool-dim"])
+            "float-dense-dim", "float-normalizer-d", "bool-dim", "bool-epsilon", "bool-momentum"])
     def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, edit):
         ck = str(tmp_path / "net.ckpt")
         save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
@@ -335,6 +358,19 @@ class TestGridsearchCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "no BLN layers to configure" in capsys.readouterr().err
+
+    def test_missing_out_directory_fails_before_loading(self, tmp_path, capsys, monkeypatch):
+        config, ck = self.run_train(tmp_path)
+        capsys.readouterr()
+        loads = []
+        original = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda p: loads.append(p) or original(p))
+        code = main(["gridsearch", "--config", config, "--checkpoint", ck,
+                     "--out", str(tmp_path / "no-such-dir" / "grid.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: output directory") and err.count("\n") == 1
+        assert loads == []
 
 
 class TestCommittedConfigs:
