@@ -142,7 +142,10 @@ def _apply_seed_override(raw):
 
 
 def _check_output(path, force=True):
-    """Refuse, before any work, an output in a missing directory or, unless forced, an existing file."""
+    """Refuse, before any work, an output that is a directory, one in a missing
+    directory or, unless forced, an existing file."""
+    if os.path.isdir(path):
+        raise UsageError(f"output path {path} is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise UsageError(f"output directory {directory} does not exist")
@@ -282,12 +285,12 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False, step=GRADCHEC
     x = randn([m, d], rng)
     labels = [rng.randint(3) for _ in range(m)]
 
-    _, _, caches, dlogits = net.loss(x, labels, train=True, update_stats=False)
+    _, _, caches, dlogits = net.loss(x, labels)
     grads = net.backward(caches, dlogits)
 
     def loss(key, shape, values):
         net.set_param(key, Tensor._wrap(shape, values))
-        return net.loss(x, labels, train=True, update_stats=False)[0]
+        return net.loss(x, labels)[0]
 
     errors = {}
     for key, p in net.params().items():

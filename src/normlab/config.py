@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
@@ -75,8 +76,9 @@ def check_seed(seed):
 
 
 def _positive_number(raw, key):
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
-        raise UsageError(f"config key '{key}' must be a positive number, got {raw!r}")
+    # the upper bound turns away nan, inf and an int too large for a float
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not 0 < raw <= sys.float_info.max:
+        raise UsageError(f"config key '{key}' must be a finite positive number, got {raw!r}")
     return float(raw)
 
 

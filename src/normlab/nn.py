@@ -1,11 +1,12 @@
 """Layers, losses, Adam, and the small training harness.
 
-Layers follow one protocol: forward returns (output, cache), backward takes
-(cache, upstream gradient) and returns (input gradient, parameter gradient
-dict). Network.backward passes need_dx=False to the first layer, whose input
-gradient nothing reads; Dense, Conv2d and RnnCell then skip it and return
-None in its place. Parameters live on the layer and are replaced
-functionally by the optimizer; nothing shares mutable buffers.
+Layers follow one protocol: forward returns (output, cache), and a training
+forward absorbs its batch into a normalizer's population statistics;
+backward takes (cache, upstream gradient) and returns (input gradient,
+parameter gradient dict). Conv2d and RnnCell are input layers: they return
+None for the input gradient, which nothing would read. Parameters live on
+the layer and are replaced functionally by the optimizer; nothing shares
+mutable buffers.
 
 buffer_layout derives a network's saved float buffers, [(name, shape)],
 from the layer descriptors alone: per layer, its parameters in name order
@@ -74,16 +75,15 @@ class Dense(Layer):
     def param_shapes(in_dim, out_dim):
         return {"w": [in_dim, out_dim], "b": [out_dim]}
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         y = matmul(x, self.w) + _broadcast_row(self.b, x.shape[0])
         return y, x
 
-    def backward(self, cache, dy, need_dx=True):
+    def backward(self, cache, dy):
         x = cache
         dw = matmul(transpose2d(x), dy)
         db = _col_sum(dy)
-        dx = matmul(dy, transpose2d(self.w)) if need_dx else None
-        return dx, {"w": dw, "b": db}
+        return matmul(dy, transpose2d(self.w)), {"w": dw, "b": db}
 
 
 class Conv2d(Layer):
@@ -105,7 +105,7 @@ class Conv2d(Layer):
     def param_shapes(in_channels, out_channels, kernel):
         return {"w": [out_channels, in_channels, kernel, kernel], "b": [out_channels]}
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         m, cin, h, w = x.shape
         if cin != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {cin}")
@@ -126,11 +126,11 @@ class Conv2d(Layer):
         for s in range(m):
             for acc in planes:
                 out += acc[s * plane:(s + 1) * plane]
-        return Tensor._wrap((m, self.out_channels, oh, ow), out), (x, cols)
+        return Tensor._wrap((m, self.out_channels, oh, ow), out), cols
 
-    def backward(self, cache, dy, need_dx=True):
-        x, cols = cache
-        m = x.shape[0]
+    def backward(self, cache, dy):
+        cols = cache
+        m = dy.shape[0]
         cout = self.out_channels
         plane = dy.shape[2] * dy.shape[3]
         dyd = dy.data
@@ -153,29 +153,7 @@ class Conv2d(Layer):
             "w": Tensor._wrap(self.w.shape, dwd),
             "b": Tensor._wrap((cout,), dbd),
         }
-        return (self._input_grad(x.shape, dy) if need_dx else None), grads
-
-    def _input_grad(self, x_shape, dy):
-        """dx as an ordered scatter: each non-zero g, in (s, oc, oy, ox) order,
-        adds g * w over its (ic, ky, kx) window, each element starting at 0.0."""
-        m, cin, h, w = x_shape
-        k = self.kernel
-        _, cout, oh, ow = dy.shape
-        dyd, wd = dy.data, self.w.data
-        dxd = [0.0] * (m * cin * h * w)
-        # dy is row-major (s, oc, oy, ox), so its flat order is the scatter order
-        for pos, g in enumerate(dyd):
-            if g == 0.0:
-                continue
-            rest, ox = divmod(pos, ow)
-            rest, oy = divmod(rest, oh)
-            s, oc = divmod(rest, cout)
-            for ic in range(cin):
-                for ky in range(k):
-                    lo = ((s * cin + ic) * h + oy + ky) * w + ox
-                    wo = ((oc * cin + ic) * k + ky) * k
-                    dxd[lo:lo + k] = [d + g * wv for d, wv in zip(dxd[lo:lo + k], wd[wo:wo + k])]
-        return Tensor._wrap(x_shape, dxd)
+        return None, grads
 
 
 def _im2col(x, k):
@@ -202,7 +180,7 @@ class AvgPool2x2(Layer):
 
     kind = "avgpool2x2"
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         m, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
@@ -218,7 +196,7 @@ class AvgPool2x2(Layer):
         ]
         return Tensor._wrap((m, c, h // 2, w // 2), out), x.shape
 
-    def backward(self, cache, dy, need_dx=True):
+    def backward(self, cache, dy):
         m, c, h, w = cache
         g = [0.25 * v for v in dy.data]
         # each output row spread over the w columns of its two input rows
@@ -238,11 +216,11 @@ class Flatten(Layer):
 
     kind = "flatten"
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         m = x.shape[0]
         return reshape(x, (m, x.size // m)), x.shape
 
-    def backward(self, cache, dy, need_dx=True):
+    def backward(self, cache, dy):
         return reshape(dy, cache), {}
 
 
@@ -262,14 +240,14 @@ class Activation(Layer):
     def param_shapes(name):
         return {}
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         if self.name == "relu":
             y = Tensor._wrap(x.shape, [v if v > 0.0 else 0.0 for v in x.data])
             return y, x
         y = Tensor._wrap(x.shape, [math.tanh(v) for v in x.data])
         return y, y
 
-    def backward(self, cache, dy, need_dx=True):
+    def backward(self, cache, dy):
         if self.name == "relu":
             x = cache
             dx = [g if v > 0.0 else 0.0 for v, g in zip(x.data, dy.data)]
@@ -298,7 +276,7 @@ class RnnCell(Layer):
     def param_shapes(in_dim, hidden):
         return {"w_xh": [in_dim, hidden], "w_hh": [hidden, hidden], "b": [hidden]}
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         m, steps, v = x.shape
         if v != self.in_dim:
             raise ValueError(f"expected {self.in_dim} input features, got {v}")
@@ -312,38 +290,28 @@ class RnnCell(Layer):
             pre = matmul(xt, self.w_xh) + matmul(h, self.w_hh) + bias
             h = Tensor._wrap(pre.shape, [math.tanh(u) for u in pre.data])
             hs.append(h)
-        return h, (x.shape, xs, hs)
+        return h, (xs, hs)
 
-    def backward(self, cache, dy, need_dx=True):
-        (m, steps, v), xs, hs = cache
+    def backward(self, cache, dy):
+        xs, hs = cache
         hidden = self.hidden
-        dw_xh = zeros([v, hidden])
+        dw_xh = zeros([self.in_dim, hidden])
         dw_hh = zeros([hidden, hidden])
         db = zeros([hidden])
-        dxd = [0.0] * (m * steps * v) if need_dx else None
         dh = dy
-        w_xh_t = transpose2d(self.w_xh) if need_dx else None
         w_hh_t = transpose2d(self.w_hh)
-        for t in range(steps - 1, -1, -1):
+        for t in range(len(xs) - 1, -1, -1):
             ht = hs[t + 1]
             da = Tensor._wrap(
-                (m, hidden),
+                ht.shape,
                 [g * (1.0 - u * u) for u, g in zip(ht.data, dh.data)],
             )
             dw_xh = dw_xh + matmul(transpose2d(xs[t]), da)
             dw_hh = dw_hh + matmul(transpose2d(hs[t]), da)
             db = db + _col_sum(da)
-            if need_dx:
-                dxt = matmul(da, w_xh_t)
-                for s in range(m):
-                    base = (s * steps + t) * v
-                    row = s * v
-                    for j in range(v):
-                        dxd[base + j] = dxt.data[row + j]
             if t:  # at t = 0 it would be the gradient of the zero initial state
                 dh = matmul(da, w_hh_t)
-        dx = Tensor._wrap((m, steps, v), dxd) if need_dx else None
-        return dx, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
+        return None, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
 
 
 class Normalizer(Layer):
@@ -374,23 +342,21 @@ class Normalizer(Layer):
     def param_shapes(scheme, d, epsilon=1e-4, momentum=0.9):
         return {"gamma": [d], "beta": [d]}
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
+    def forward(self, x, train=True, flags=None):
         orig = x.shape
         flat = x if x.rank == 2 else reshape(x, (orig[0], x.size // orig[0]))
         if flat.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {flat.shape[1]}")
         params = NormParams(self.gamma, self.beta, self.epsilon, self.momentum)
         if train:
-            y, cache, new_running = _norm.forward_train(self.scheme, flat, params, self.running)
-            if update_stats:
-                self.running = new_running
+            y, cache, self.running = _norm.forward_train(self.scheme, flat, params, self.running)
         else:
             y = _norm.forward_infer(self.scheme, flat, params, self.running, flags)
             cache = None
         out = y if x.rank == 2 else reshape(y, orig)
         return out, (cache, orig)
 
-    def backward(self, cache, dy, need_dx=True):
+    def backward(self, cache, dy):
         norm_cache, orig = cache
         if norm_cache is None:
             raise ValueError("no backward pass through an inference-mode forward")
@@ -464,20 +430,21 @@ class Network:
                     )
         self.layers = list(layers)
 
-    def forward(self, x, train=True, flags=None, update_stats=True):
-        return forward_layers(self.layers, x, train, flags, update_stats)
+    def forward(self, x, train=True, flags=None):
+        return forward_layers(self.layers, x, train, flags)
 
     def backward(self, caches, dout):
         grads = {}
         grad = dout
         for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(caches[i], grad, need_dx=i > 0)
+            grad, layer_grads = self.layers[i].backward(caches[i], grad)
             for name, g in layer_grads.items():
                 grads[f"{i}.{name}"] = g
         return grads
 
-    def loss(self, x, labels, train=True, flags=None, update_stats=True):
-        logits, caches = self.forward(x, train=train, flags=flags, update_stats=update_stats)
+    def loss(self, x, labels):
+        """Training-mode forward and cross-entropy: (loss, accuracy, caches, dlogits)."""
+        logits, caches = self.forward(x)
         value, dlogits = cross_entropy(logits, labels)
         acc = accuracy(logits, labels)
         return value, acc, caches, dlogits
@@ -542,12 +509,12 @@ class Network:
         ))
 
 
-def forward_layers(layers, x, train=True, flags=None, update_stats=True):
+def forward_layers(layers, x, train=True, flags=None):
     """Run `x` through `layers` in order; returns (output, per-layer caches)."""
     caches = []
     out = x
     for layer in layers:
-        out, cache = layer.forward(out, train=train, flags=flags, update_stats=update_stats)
+        out, cache = layer.forward(out, train=train, flags=flags)
         caches.append(cache)
     return out, caches
 
@@ -649,7 +616,7 @@ def network_train_epoch(net, dataset, batch_size, optimizer, rng):
         idx = order[start:start + batch_size]
         xb = take(dataset.inputs, idx)
         yb = [dataset.labels[i] for i in idx]
-        value, acc, caches, dlogits = net.loss(xb, yb, train=True)
+        value, acc, caches, dlogits = net.loss(xb, yb)
         grads = net.backward(caches, dlogits)
         net.apply_params(optimizer.step(net.params(), grads))
         records.append((value, acc, len(idx)))

@@ -17,6 +17,7 @@ everywhere below:
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import mul, sub
 
@@ -44,8 +45,8 @@ class NormParams:
     momentum: object = 0.9
 
     def __post_init__(self):
-        if isinstance(self.epsilon, bool) or self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        if isinstance(self.epsilon, bool) or not 0.0 < self.epsilon <= sys.float_info.max:
+            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
         if self.gamma.shape != self.beta.shape or self.gamma.rank != 1:
             raise ValueError("gamma and beta must be equal-length vectors")
         _check_momentum(self.momentum)

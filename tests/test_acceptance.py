@@ -233,7 +233,7 @@ def test_criterion_5_gradient_suite():
             net = build_dense_net(6, 5, 3, scheme, rng)
             x = randn([m, 6], rng)
             labels = [rng.randint(3) for _ in range(m)]
-            _, _, caches, dlogits = net.loss(x, labels, train=True, update_stats=False)
+            _, _, caches, dlogits = net.loss(x, labels)
             grads = net.backward(caches, dlogits)
             for key, param in net.params().items():
                 numeric = []
@@ -241,11 +241,11 @@ def test_criterion_5_gradient_suite():
                     plus = list(param.data)
                     plus[i] += FD_STEP
                     net.set_param(key, Tensor(param.shape, plus))
-                    up, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
+                    up, _, _, _ = net.loss(x, labels)
                     minus = list(param.data)
                     minus[i] -= FD_STEP
                     net.set_param(key, Tensor(param.shape, minus))
-                    down, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
+                    down, _, _, _ = net.loss(x, labels)
                     numeric.append((up - down) / (2 * FD_STEP))
                     net.set_param(key, param)
                 err = oracles.max_rel_error(grads[key].data, numeric)

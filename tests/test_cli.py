@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import pytest
@@ -145,6 +146,32 @@ class TestTrainCommand:
         assert err.startswith("error: output directory") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["epsilon", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_hyperparameter_is_usage_error(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        out, ck = tmp_path / "m.csv", tmp_path / "m.ckpt"
+        code = main(["train", "--config", config, "--out", str(out), "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1
+        assert not out.exists() and not ck.exists()
+
+    @pytest.mark.parametrize("flags", [["--out", "taken"], ["--checkpoint", "taken", "--force"]],
+                             ids=["out", "forced-checkpoint"])
+    def test_directory_output_fails_before_training(self, tmp_path, capsys, monkeypatch, flags):
+        (tmp_path / "taken").mkdir()
+        paths = {"--out": str(tmp_path / "m.csv"), "--checkpoint": str(tmp_path / "m.ckpt")}
+        paths[flags[0]] = str(tmp_path / "taken")
+        runs = []
+        monkeypatch.setattr(cli, "run_training", lambda *a: runs.append(a))
+        code = main(["train", "--config", write_config(tmp_path), "--out", paths["--out"],
+                     "--checkpoint", paths["--checkpoint"], *flags[2:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: output path") and err.count("\n") == 1
+        assert runs == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
 
 class TestCheckpointRoundTrip:
     def test_bitwise_round_trip_and_equal_metrics(self, tmp_path):
@@ -219,8 +246,11 @@ class TestMalformedManifest:
         # a bool hyperparameter would run as 1.0
         lambda m: m["layers"][-2].update(epsilon=True),
         lambda m: m["layers"][-2].update(momentum=True),
+        lambda m: m["layers"][-2].update(epsilon=math.nan),
+        lambda m: m["layers"][-2].update(epsilon=math.inf),
     ], ids=["no-layers", "unknown-kind", "negative-shape", "extra-key", "rng-key",
-            "float-dense-dim", "float-normalizer-d", "bool-dim", "bool-epsilon", "bool-momentum"])
+            "float-dense-dim", "float-normalizer-d", "bool-dim", "bool-epsilon", "bool-momentum",
+            "nan-epsilon", "inf-epsilon"])
     def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, edit):
         ck = str(tmp_path / "net.ckpt")
         save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
@@ -371,6 +401,20 @@ class TestGridsearchCommand:
         assert code == 1
         assert err.startswith("error: output directory") and err.count("\n") == 1
         assert loads == []
+
+    def test_directory_out_fails_before_loading(self, tmp_path, capsys, monkeypatch):
+        config, ck = self.run_train(tmp_path)
+        capsys.readouterr()
+        (tmp_path / "taken").mkdir()
+        loads = []
+        original = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda p: loads.append(p) or original(p))
+        code = main(["gridsearch", "--config", config, "--checkpoint", ck,
+                     "--out", str(tmp_path / "taken")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: output path") and err.count("\n") == 1
+        assert loads == [] and list((tmp_path / "taken").iterdir()) == []
 
 
 class TestCommittedConfigs:

@@ -113,13 +113,7 @@ class TestConv2d:
         y, cache = conv.forward(x)
         dy = randn(list(y.shape), rng)
         dx, grads = conv.backward(cache, dy)
-
-        def loss_x(vals):
-            out, _ = conv.forward(Tensor(x.shape, vals))
-            return sum(u * v for u, v in zip(out.data, dy.data))
-
-        numeric = [oracles.central_difference(loss_x, x.data, i, STEP) for i in range(x.size)]
-        assert oracles.max_rel_error(dx.data, numeric) < TOLERANCE
+        assert dx is None
 
         w0 = conv.w
 
@@ -180,13 +174,7 @@ class TestRnnCell:
         y, cache = cell.forward(x)
         dy = randn([2, 3], rng)
         dx, grads = cell.backward(cache, dy)
-
-        def loss_x(vals):
-            out, _ = cell.forward(Tensor(x.shape, vals))
-            return sum(u * v for u, v in zip(out.data, dy.data))
-
-        numeric = [oracles.central_difference(loss_x, x.data, i, STEP) for i in range(x.size)]
-        assert oracles.max_rel_error(dx.data, numeric) < TOLERANCE
+        assert dx is None
 
         for name in ("w_xh", "w_hh", "b"):
             p0 = getattr(cell, name)
@@ -201,59 +189,6 @@ class TestRnnCell:
                 oracles.central_difference(loss_p, p0.data, i, STEP) for i in range(p0.size)
             ]
             assert oracles.max_rel_error(grads[name].data, numeric_p) < TOLERANCE
-
-
-class TestNeedDx:
-    """backward(..., need_dx=False) drops only the input gradient."""
-
-    @pytest.mark.parametrize("make_layer, shape", [
-        (lambda rng: Conv2d(2, 3, 2, rng), [3, 2, 4, 5]),
-        (lambda rng: Dense(5, 4, rng), [3, 5]),
-        (lambda rng: RnnCell(3, 4, rng), [3, 5, 3]),
-    ], ids=["conv2d", "dense", "rnn-cell"])
-    def test_parameter_gradients_unchanged_and_dx_none(self, make_layer, shape):
-        rng = Rng(12)
-        layer = make_layer(rng)
-        y, cache = layer.forward(randn(shape, rng))
-        dy = randn(list(y.shape), rng)
-        dy.data[::3] = [0.0] * len(dy.data[::3])
-        dx, full = layer.backward(cache, dy)
-        assert dx is not None and dx.shape == tuple(shape)
-        skipped, grads = layer.backward(cache, dy, need_dx=False)
-        assert skipped is None
-        assert sorted(grads) == sorted(full)
-        for name in full:
-            assert hexes(grads[name].data) == hexes(full[name].data), name
-
-    @pytest.mark.parametrize("build", [
-        lambda rng: build_dense_net(4, 5, 3, "bln", rng),
-        lambda rng: build_cnn(1, 6, 6, 2, "bn", rng),
-        lambda rng: build_rnn(3, 4, 2, "ln", rng),
-    ], ids=["dense", "cnn", "rnn"])
-    def test_network_skips_the_first_layer_only(self, build):
-        rng = Rng(13)
-        net = build(rng)
-        shape = {Dense: [4, 4], Conv2d: [4, 1, 6, 6], RnnCell: [4, 2, 3]}[type(net.layers[0])]
-        _, _, caches, dlogits = net.loss(randn(shape, rng), [0, 1, 1, 0], train=True)
-        seen = []
-        for i, layer in enumerate(net.layers):
-            def spy(cache, dy, need_dx=True, _i=i, _backward=layer.backward):
-                seen.append((_i, need_dx))
-                return _backward(cache, dy, need_dx=need_dx)
-            layer.backward = spy
-        grads = net.backward(caches, dlogits)
-        last = len(net.layers) - 1
-        assert seen == [(i, i > 0) for i in range(last, -1, -1)]
-        for i, layer in enumerate(net.layers):
-            del layer.backward
-        full = {}
-        grad = dlogits
-        for i in range(last, -1, -1):
-            grad, layer_grads = net.layers[i].backward(caches[i], grad)
-            full.update({f"{i}.{name}": g for name, g in layer_grads.items()})
-        assert sorted(grads) == sorted(full)
-        for key in full:
-            assert hexes(grads[key].data) == hexes(full[key].data), key
 
 
 class TestAdam:
@@ -336,7 +271,7 @@ class TestWholeNetworkGradients:
         net = build_dense_net(6, 5, 3, scheme, rng)
         x = randn([4, 6], rng)
         labels = [rng.randint(3) for _ in range(4)]
-        _, _, caches, dlogits = net.loss(x, labels, train=True, update_stats=False)
+        _, _, caches, dlogits = net.loss(x, labels)
         grads = net.backward(caches, dlogits)
         for key, p in net.params().items():
             numeric = []
@@ -344,11 +279,11 @@ class TestWholeNetworkGradients:
                 plus = list(p.data)
                 plus[i] += STEP
                 net.set_param(key, Tensor(p.shape, plus))
-                up, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
+                up, _, _, _ = net.loss(x, labels)
                 minus = list(p.data)
                 minus[i] -= STEP
                 net.set_param(key, Tensor(p.shape, minus))
-                down, _, _, _ = net.loss(x, labels, train=True, update_stats=False)
+                down, _, _, _ = net.loss(x, labels)
                 numeric.append((up - down) / (2 * STEP))
                 net.set_param(key, p)
             assert oracles.max_rel_error(grads[key].data, numeric) < TOLERANCE, key
@@ -378,15 +313,21 @@ class TestTrainingLoop:
         # loss sits near the uniform-distribution value
         ds = gen_blobs(20, 2, 4, 5.0, seed=9)
         net = build_dense_net(4, 32, 2, "bln", Rng(78))
-        loss, _, _, _ = net.loss(ds.inputs, ds.labels, train=True, update_stats=False)
+        loss, _, _, _ = net.loss(ds.inputs, ds.labels)
         assert abs(loss - math.log(2)) < 0.1
 
-    def test_update_stats_flag_freezes_running_statistics(self):
+    @pytest.mark.parametrize("scheme", ["bn", "ln", "bln"])
+    def test_repeated_loss_gives_the_same_bits_while_statistics_absorb(self, scheme):
+        # a training forward reads only its batch, never the population
+        # statistics it updates, so gradcheck may call loss again and again
         ds = gen_blobs(10, 2, 4, 5.0, seed=3)
-        net = build_dense_net(4, 6, 2, "bln", Rng(1))
+        net = build_dense_net(4, 6, 2, scheme, Rng(1))
         norm = net.normalizers()[0]
-        before = norm.running.count
-        net.loss(ds.inputs, ds.labels, train=True, update_stats=False)
-        assert norm.running.count == before
-        net.loss(ds.inputs, ds.labels, train=True)
-        assert norm.running.count == before + 1
+        seen = []
+        for calls in range(1, 4):
+            value, acc, caches, dlogits = net.loss(ds.inputs, ds.labels)
+            grads = net.backward(caches, dlogits)
+            # ln keeps no running statistics
+            assert norm.running.count == (0 if scheme == "ln" else calls)
+            seen.append((hexes([value, acc]), {key: hexes(g.data) for key, g in grads.items()}))
+        assert seen[1] == seen[0] and seen[2] == seen[0]

