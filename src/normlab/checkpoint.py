@@ -78,7 +78,7 @@ def load_checkpoint(path):
         raise DataFormatError(f"malformed checkpoint: {path} manifest truncated")
     try:
         manifest = json.loads(raw[8:8 + length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"malformed checkpoint: {path} manifest unreadable") from exc
     if not isinstance(manifest, dict):
         raise _malformed(path, "manifest is not a JSON object")

@@ -156,6 +156,8 @@ def _check_output(path, force=True):
 def cmd_train(args):
     raw = _apply_seed_override(load_config_file(args.config))
     config = validate_experiment(raw)
+    if os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
+        raise UsageError(f"--out and --checkpoint name the same file {args.out}")
     _check_output(args.out)
     _check_output(args.checkpoint, args.force)
     records, net = run_training(config)

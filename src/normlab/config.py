@@ -201,6 +201,10 @@ def load_config_file(path):
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"config file {path} nests too deeply to read") from None
 
 
 def seed_plan(seed):

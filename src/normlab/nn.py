@@ -342,12 +342,18 @@ class Normalizer(Layer):
     def param_shapes(scheme, d, epsilon=1e-4, momentum=0.9):
         return {"gamma": [d], "beta": [d]}
 
-    def forward(self, x, train=True, flags=None):
-        orig = x.shape
-        flat = x if x.rank == 2 else reshape(x, (orig[0], x.size // orig[0]))
+    def _flat(self, x):
+        flat = x if x.rank == 2 else reshape(x, (x.shape[0], x.size // x.shape[0]))
         if flat.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {flat.shape[1]}")
-        params = NormParams(self.gamma, self.beta, self.epsilon, self.momentum)
+        return flat
+
+    def _params(self):
+        return NormParams(self.gamma, self.beta, self.epsilon, self.momentum)
+
+    def forward(self, x, train=True, flags=None):
+        orig = x.shape
+        flat, params = self._flat(x), self._params()
         if train:
             y, cache, self.running = _norm.forward_train(self.scheme, flat, params, self.running)
         else:
@@ -355,6 +361,19 @@ class Normalizer(Layer):
             cache = None
         out = y if x.rank == 2 else reshape(y, orig)
         return out, (cache, orig)
+
+    def forward_configs(self, x, flag_list):
+        """Iterator over the inference outputs of a bln layer, one per flags in flag_list.
+
+        Each output equals forward(x, train=False, flags=flags)[0]; x is
+        normalized once for all of them (norm.bln_forward_infer_configs),
+        and every error is raised by this call.
+        """
+        if self.scheme != "bln":
+            raise ValueError(f"only a bln normalizer reads inference flags, not {self.scheme!r}")
+        outputs = _norm.bln_forward_infer_configs(self._flat(x), self._params(), self.running,
+                                                  flag_list)
+        return outputs if x.rank == 2 else (reshape(y, x.shape) for y in outputs)
 
     def backward(self, cache, dy):
         norm_cache, orig = cache

@@ -135,7 +135,7 @@ class InferenceFlags:
         return cls(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1))
 
 
-# the training forward of bln takes every statistic from the batch
+# the default configuration: every bln statistic from the batch
 _ALL_FALSE = InferenceFlags()
 
 
@@ -407,62 +407,44 @@ def bln_weights(m, epsilon):
     return w_batch, w_feat
 
 
-def _bln(x, params, running, flags):
-    """The bln forward with each statistic from the batch or the population.
-
-    Each flag selects the population estimate (True) or the current batch
-    (False) for one of the four statistics. A batch std is computed around
-    whatever the matching mean selection produced. The m/(m-1) correction
-    on population stds uses the current batch size. The feature branch has
-    no epsilon, so a zero std is guarded: the row's inverse std becomes 0.0
-    and its normalized values are zero. Returns the output, the cache and
-    the selected batch and feature statistics.
-    """
-    m, d = _check_input(x, params)
-    if flags.any() and running.count == 0:
-        raise UninitializedStatsError("uninitialized population statistics")
-    factor = _bessel(m)
-    mu_b = running.e_mu_b.data if flags.e_b else _mean(x, 0)
-    centered_b = _center(x, 0, mu_b)
-    if flags.std_b:
-        std_b = [factor * s for s in running.e_sigma_b.data]
-    else:
-        std_b = _std(centered_b, x.shape, 0, params.epsilon)
-    mu_f = [running.e_mu_f] * m if flags.e_f else _mean(x, 1)
-    centered_f = _center(x, 1, mu_f)
-    if flags.std_f:
-        std_f = [factor * running.e_sigma_f] * m
-    else:
-        std_f = _std(centered_f, x.shape, 1)
-    inv_std_b = [1.0 / s for s in std_b]
-    inv_std_f = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std_f]
-    x_hat = _normalize(centered_b, x.shape, 0, inv_std_b)
-    x_hh = _normalize(centered_f, x.shape, 1, inv_std_f)
-    w_batch, w_feat = bln_weights(m, params.epsilon)
+def _root_d_weights(w_batch, w_feat, d):
+    """The blend weights with the 1/sqrt(d) scale folded in."""
     inv_root_d = 1.0 / math.sqrt(d)
-    wb = w_batch * inv_root_d
-    wf = w_feat * inv_root_d
-    x_comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
-    y = _scale_shift(x_comb, params.gamma.data, params.beta.data)
-    cache = NormCache(
-        "bln", m, d, params.gamma, x_hat, inv_std_b,
-        x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
-        w_batch=w_batch, w_feat=w_feat,
-    )
-    bstats = BatchStats(_vec(mu_b), _vec(std_b))
-    return Tensor._wrap((m, d), y), cache, bstats, FeatureStats(_vec(mu_f), _vec(std_f))
+    return w_batch * inv_root_d, w_feat * inv_root_d
+
+
+def _branch(x, axis, epsilon, mean=None, std=None):
+    """One bln branch along `axis`: (mean, std, inverse std, normalized values).
+
+    A mean or std left as None comes from the batch; a batch std is taken
+    around whichever mean was given or computed. The feature branch (axis
+    1) takes no epsilon, so its zero stds are guarded: the row's inverse
+    std becomes 0.0 and its normalized values are zero.
+    """
+    if mean is None:
+        mean = _mean(x, axis)
+    centered = _center(x, axis, mean)
+    if std is None:
+        std = _std(centered, x.shape, axis, epsilon if axis == 0 else 0.0)
+    if axis == 0:
+        inv_std = [1.0 / s for s in std]
+    else:
+        inv_std = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std]
+    return mean, std, inv_std, _normalize(centered, x.shape, axis, inv_std)
 
 
 def batch_stats(x, epsilon):
     """Per-feature batch mean and std with epsilon inside the square root."""
-    _, d = _require_rank2(x)
-    return _bln(x, init_params(d, epsilon), init_running(d), _ALL_FALSE)[2]
+    _require_rank2(x)
+    mu_b, sigma_b, _, _ = _branch(x, 0, epsilon)
+    return BatchStats(_vec(mu_b), _vec(sigma_b))
 
 
 def feature_stats(x):
     """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
-    _, d = _require_rank2(x)
-    return _bln(x, init_params(d), init_running(d), _ALL_FALSE)[3]
+    _require_rank2(x)
+    mu_f, sigma_f, _, _ = _branch(x, 1, 0.0)
+    return FeatureStats(_vec(mu_f), _vec(sigma_f))
 
 
 def bln_forward_train(x, params, running):
@@ -472,8 +454,21 @@ def bln_forward_train(x, params, running):
     the two with the inverse-batch-size weights, divides by sqrt(d), and
     applies scale/shift. Running statistics absorb the batch.
     """
-    y, cache, bstats, fstats = _bln(x, params, running, _ALL_FALSE)
-    return y, cache, update_running(running, bstats, fstats, params.momentum)
+    m, d = _check_input(x, params)
+    mu_b, std_b, inv_std_b, x_hat = _branch(x, 0, params.epsilon)
+    mu_f, std_f, inv_std_f, x_hh = _branch(x, 1, params.epsilon)
+    w_batch, w_feat = bln_weights(m, params.epsilon)
+    wb, wf = _root_d_weights(w_batch, w_feat, d)
+    x_comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
+    y = _scale_shift(x_comb, params.gamma.data, params.beta.data)
+    cache = NormCache(
+        "bln", m, d, params.gamma, x_hat, inv_std_b,
+        x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
+        w_batch=w_batch, w_feat=w_feat,
+    )
+    new_running = update_running(running, BatchStats(_vec(mu_b), _vec(std_b)),
+                                 FeatureStats(_vec(mu_f), _vec(std_f)), params.momentum)
+    return Tensor._wrap((m, d), y), cache, new_running
 
 
 def bln_forward_infer(x, params, running, flags):
@@ -482,7 +477,54 @@ def bln_forward_infer(x, params, running, flags):
     The training forward under the given flags; all-False reproduces it bit
     for bit and needs no population statistics.
     """
-    return _bln(x, params, running, flags)[0]
+    return next(bln_forward_infer_configs(x, params, running, [flags]))
+
+
+def bln_forward_infer_configs(x, params, running, flag_list):
+    """Iterator over the bln inference outputs of x, one per flags in flag_list.
+
+    Each flag selects the population estimate (True) or the current batch
+    (False) for one of the four statistics; the m/(m-1) correction on
+    population stds uses the current batch size. Each side has only four
+    normalized forms, one per (mean, std) selection. A form is built when a
+    configuration first needs it and dropped after the last one that does,
+    so per configuration only the blend and the scale/shift run. In
+    enumerate_configs order the batch side changes every fourth
+    configuration: one batch form and four feature forms are held at once.
+
+    Shape errors, then UninitializedStatsError, are raised by this call,
+    before any output is produced.
+    """
+    _check_input(x, params)
+    flag_list = list(flag_list)
+    if running.count == 0 and any(flags.any() for flags in flag_list):
+        raise UninitializedStatsError("uninitialized population statistics")
+    return _infer_outputs(x, params, running, flag_list)
+
+
+def _infer_outputs(x, params, running, flag_list):
+    m, d = x.shape
+    factor = _bessel(m)
+    population = (
+        (running.e_mu_b.data, [factor * s for s in running.e_sigma_b.data]),
+        ([running.e_mu_f] * m, [factor * running.e_sigma_f] * m),
+    )
+    wb, wf = _root_d_weights(*bln_weights(m, params.epsilon), d)
+    gamma, beta = params.gamma.data * m, params.beta.data * m
+    sides = [((0, f.e_b, f.std_b), (1, f.e_f, f.std_f)) for f in flag_list]
+    last_use = {side: i for i, pair in enumerate(sides) for side in pair}
+    forms = {}
+    for i, pair in enumerate(sides):
+        for side in pair:
+            if side not in forms:
+                axis, pop_mean, pop_std = side
+                mean, std = population[axis]
+                forms[side] = _branch(x, axis, params.epsilon, mean if pop_mean else None,
+                                      std if pop_std else None)[3]
+        x_hat, x_hh = (forms[side] if last_use[side] > i else forms.pop(side) for side in pair)
+        y = [s * (wb * a + wf * b) + t for a, b, s, t in zip(x_hat, x_hh, gamma, beta)]
+        del x_hat, x_hh     # a form popped above is freed while the caller holds y
+        yield Tensor._wrap((m, d), y)
 
 
 def bln_backward(cache, dy):
@@ -493,9 +535,7 @@ def bln_backward(cache, dy):
     branch; guarded rows contribute nothing through the feature branch.
     """
     _check_cache(cache, "bln", dy)
-    inv_root_d = 1.0 / math.sqrt(cache.d)
-    wb = cache.w_batch * inv_root_d
-    wf = cache.w_feat * inv_root_d
+    wb, wf = _root_d_weights(cache.w_batch, cache.w_feat, cache.d)
     dc = _times_gamma(dy, cache.gamma)
     dx_b = _normalize_backward([v * wb for v in dc], cache.x_hat, dy.shape, 0, cache.inv_std)
     dx_f = _normalize_backward([v * wf for v in dc], cache.x_hh, dy.shape, 1, cache.inv_std_f)

@@ -1,6 +1,7 @@
 """Exhaustive search over the 16 inference-statistics configurations."""
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .nn import Normalizer, forward_layers, score
 from .norm import InferenceFlags
@@ -48,16 +49,23 @@ def flag_prefix_length(net):
 def evaluate_all(net, dataset):
     """Evaluate a frozen network under every configuration; returns ranked results.
 
-    The flag-independent prefix runs once; the remaining layers run once per
-    configuration and are scored like `network_evaluate`, with the same bits.
-    Inference passes are read-only, so the network is left bit-identical.
+    The layers in front of the first bln normalizer run once. That
+    normalizer runs once for all 16 configurations (Normalizer.forward_configs),
+    and the layers after it run once per configuration. Each configuration
+    is scored like `network_evaluate`, with the same bits. Inference passes
+    are read-only, so the network is left bit-identical.
     """
     split = flag_prefix_length(net)
-    prefix, rest = net.layers[:split], net.layers[split:]
-    hidden, _ = forward_layers(prefix, dataset.inputs, train=False)
+    hidden, _ = forward_layers(net.layers[:split], dataset.inputs, train=False)
+    configs = enumerate_configs()
+    if split < len(net.layers):
+        outputs = net.layers[split].forward_configs(hidden, configs)
+        split += 1
+    else:
+        outputs = repeat(hidden)
     results = []
-    for flags in enumerate_configs():
-        logits, _ = forward_layers(rest, hidden, train=False, flags=flags)
+    for flags, normalized in zip(configs, outputs):
+        logits, _ = forward_layers(net.layers[split:], normalized, train=False, flags=flags)
         results.append(ConfigResult(flags, *score(logits, dataset.labels)))
     return rank_results(results)
 

@@ -173,6 +173,34 @@ class TestTrainCommand:
         assert runs == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
 
+    @pytest.mark.parametrize("extra", [[], ["--force"]], ids=["plain", "forced"])
+    def test_same_out_and_checkpoint_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           extra):
+        runs = []
+        monkeypatch.setattr(cli, "run_training", lambda *a: runs.append(a))
+        code = main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "x"),
+                     "--checkpoint", str(tmp_path / "." / "x"), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --out and --checkpoint name the same file")
+        assert err.count("\n") == 1
+        assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("body, message", [
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        (b"[" * 100_000, "nests too deeply to read"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, body, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(body)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.csv"),
+                     "--checkpoint", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: config file {config} {message}") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 class TestCheckpointRoundTrip:
     def test_bitwise_round_trip_and_equal_metrics(self, tmp_path):
         config = validate_experiment(base_config())
@@ -260,6 +288,16 @@ class TestMalformedManifest:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
+
+    def test_deeply_nested_manifest_exits_2_with_one_line(self, tmp_path, capsys):
+        ck = tmp_path / "net.ckpt"
+        manifest = b"[" * 100_000
+        ck.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(manifest)) + manifest)
+        code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", str(ck),
+                     "--out", str(tmp_path / "grid.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: malformed checkpoint: {ck} manifest unreadable\n"
 
     def test_oversized_layer_rejected_before_any_weight_is_drawn(self, tmp_path, capsys,
                                                                  monkeypatch):

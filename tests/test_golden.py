@@ -80,3 +80,19 @@ def test_train_checkpoints_match_golden_digests(tmp_path, task, normalizer):
     assert main(["train", "--config", config, "--out", str(tmp_path / "metrics.csv"),
                  "--checkpoint", ckpt]) == 0
     assert _digest(ckpt) == CHECKPOINT_GOLDEN[task, normalizer]
+
+
+# sha256 of the grid CSV of a bln RNN: its first bln normalizer takes the
+# RnnCell's rank-2 output directly, with no reshape
+RNN_GRID_GOLDEN = "364091b88d83dde59dc4330370cbc845408bdc85f80aad53e3ce62e06da84941"
+
+
+def test_rnn_bln_grid_matches_golden_digest(tmp_path):
+    config = _write(tmp_path, "config.json", {
+        "task": "rnn-synthetic", "normalizer": "bln", "batch_size": 25, "epochs": 1, "seed": 7,
+    })
+    ckpt, grid = str(tmp_path / "net.ckpt"), str(tmp_path / "grid.csv")
+    assert main(["train", "--config", config, "--out", str(tmp_path / "metrics.csv"),
+                 "--checkpoint", ckpt]) == 0
+    assert main(["gridsearch", "--config", config, "--checkpoint", ckpt, "--out", grid]) == 0
+    assert _digest(grid) == RNN_GRID_GOLDEN

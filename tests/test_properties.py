@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import tempfile
 
 import pytest
@@ -25,7 +26,9 @@ from normlab.nn import (
 )
 from normlab.norm import (
     InferenceFlags,
+    UninitializedStatsError,
     bln_forward_infer,
+    bln_forward_infer_configs,
     bln_forward_train,
     init_params,
     init_running,
@@ -64,6 +67,40 @@ def test_bln_all_false_inference_equals_training_forward_bit_for_bit(batch):
     trained, _, _ = bln_forward_train(x, params, init_running(d))
     inferred = bln_forward_infer(x, params, init_running(d), InferenceFlags.all_false())
     assert [v.hex() for v in inferred.data] == [v.hex() for v in trained.data]
+
+
+
+def packed(values):
+    """The float64 bytes of every value: -0.0 and each nan compare by their bits."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bln_batches(), st.integers(0, 2),
+       st.lists(st.integers(0, 15).map(InferenceFlags.from_index), max_size=20))
+@example((Tensor((1, 2), [3.0, 3.0]), [1.0, -1.0], [0.0, -0.0]), 1,
+         [InferenceFlags.from_index(i) for i in (15, 0, 15, 5, 10, 0)])
+def test_bln_infer_configs_equal_separate_calls_bit_for_bit(batch, absorbed, flag_list):
+    x, gamma, beta = batch
+    d = x.shape[1]
+    params = init_params(d)
+    params.gamma = Tensor((d,), gamma)
+    params.beta = Tensor((d,), beta)
+    running = init_running(d)
+    for _ in range(absorbed):
+        running = bln_forward_train(x, params, running)[2]
+    # errors come from the call itself, before any output: the shape first
+    with pytest.raises(ValueError, match="parameter length"):
+        bln_forward_infer_configs(x, init_params(d + 1), init_running(d), flag_list)
+    if absorbed == 0 and any(flags.any() for flags in flag_list):
+        with pytest.raises(UninitializedStatsError):
+            bln_forward_infer_configs(x, params, running, flag_list)
+        return
+    outputs = bln_forward_infer_configs(x, params, running, flag_list)
+    got = [(y.shape, packed(y.data)) for y in outputs]
+    want = [(x.shape, packed(bln_forward_infer(x, params, running, flags).data))
+            for flags in flag_list]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

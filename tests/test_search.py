@@ -27,9 +27,9 @@ from normlab.search import (
 from normlab.tensor import Rng
 
 
-def trained_net(seed=55):
+def trained_net(seed=55, normalizer="bln"):
     ds = gen_blobs(12, 2, 4, 5.0, seed=seed)
-    net = build_dense_net(4, 6, 2, "bln", Rng(seed))
+    net = build_dense_net(4, 6, 2, normalizer, Rng(seed))
     opt = Adam()
     for epoch in range(3):
         network_train_epoch(net, ds, 4, opt, Rng(seed + epoch))
@@ -58,14 +58,16 @@ def trained_bn_then_bln(seed=55):
     return net, ds
 
 
-def count_forwards(net):
-    """Per-layer forward call counters, installed on the layer instances."""
+def count_calls(net, method):
+    """Per-layer call counters of `method`, installed on the layer instances that have it."""
     calls = [0] * len(net.layers)
     for i, layer in enumerate(net.layers):
-        def counted(*args, _i=i, _forward=layer.forward, **kwargs):
+        if not hasattr(layer, method):
+            continue
+        def counted(*args, _i=i, _method=getattr(layer, method), **kwargs):
             calls[_i] += 1
-            return _forward(*args, **kwargs)
-        layer.forward = counted
+            return _method(*args, **kwargs)
+        setattr(layer, method, counted)
     return calls
 
 
@@ -197,8 +199,9 @@ class TestEvaluateAll:
 
 
 class TestSharedPrefix:
-    @pytest.mark.parametrize("make", [trained_net, trained_cnn, trained_bn_then_bln],
-                             ids=["dense", "cnn-synthetic", "bn-then-bln"])
+    @pytest.mark.parametrize("make", [trained_net, trained_cnn, trained_bn_then_bln,
+                                      lambda: trained_net(normalizer="bn")],
+                             ids=["dense", "cnn-synthetic", "bn-then-bln", "no-bln"])
     def test_matches_sixteen_network_evaluate_calls_bit_for_bit(self, make):
         net, ds = make()
         want = bits_by_flags((f, network_evaluate(net, ds, flags=f)) for f in enumerate_configs())
@@ -212,8 +215,12 @@ class TestSharedPrefix:
         net, ds = make()
         assert flag_prefix_length(net) == prefix
         before = net.checksum()
-        calls = count_forwards(net)
+        forwards = count_calls(net, "forward")
+        multi = count_calls(net, "forward_configs")
         evaluate_all(net, ds)
-        assert calls == [1] * prefix + [16] * (len(net.layers) - prefix)
+        # the first bln normalizer serves all 16 configurations in one call
+        rest = len(net.layers) - prefix - 1
+        assert forwards == [1] * prefix + [0] + [16] * rest
+        assert multi == [0] * prefix + [1] + [0] * rest
         assert net.checksum() == before
 
