@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
+    FLAG_KEYS,
     UsageError,
     build_network_for_config,
     check_keys,
@@ -37,7 +38,7 @@ from .search import evaluate_all, select_best
 from .tensor import Rng, Tensor, ordered_sum, randn
 
 METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accuracy"
-GRID_HEADER = "rank,e_b,std_b,e_f,std_f,loss,accuracy"
+GRID_HEADER = ",".join(("rank", *FLAG_KEYS, "loss", "accuracy"))
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_STEP = 1e-5
 
@@ -121,10 +122,8 @@ def write_metrics_csv(path, effective_config, records):
 
 
 def write_grid_csv(path, effective_config, results):
-    rows = []
-    for r in results:
-        e_b, std_b, e_f, std_f = r.flags.as_tuple()
-        rows.append(f"{r.rank},{e_b},{std_b},{e_f},{std_f},{r.loss!r},{r.accuracy!r}")
+    rows = (",".join(map(str, (r.rank, *r.flags.as_tuple(), repr(r.loss), repr(r.accuracy))))
+            for r in results)
     _write_csv(path, effective_config, GRID_HEADER, rows)
 
 
@@ -196,12 +195,16 @@ def cmd_gridsearch(args):
         raise DataFormatError("checkpoint has unpopulated running statistics")
     _, validation, test = prepare_task(config)
     dataset = test if args.search_on_test else validation
-    results = evaluate_all(net, dataset)
+    try:
+        results = evaluate_all(net, dataset)
+    except ValueError as exc:
+        # the checkpoint's layers cannot take this task's inputs
+        raise DataFormatError(f"checkpoint {args.checkpoint} does not fit task {config.task!r}: "
+                              f"{exc}") from None
     write_grid_csv(args.out, config.to_dict(), results)
     best = select_best(results)
-    print(f"wrote {args.out}; best configuration "
-          f"(e_b={best.flags.e_b}, std_b={best.flags.std_b}, "
-          f"e_f={best.flags.e_f}, std_f={best.flags.std_f}) "
+    chosen = ", ".join(f"{k}={v}" for k, v in zip(FLAG_KEYS, best.flags.as_tuple()))
+    print(f"wrote {args.out}; best configuration ({chosen}) "
           f"loss={best.loss!r} accuracy={best.accuracy!r}")
     return 0
 

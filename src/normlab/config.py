@@ -7,6 +7,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
+from .norm import SCHEMES, InferenceFlags
 from .tensor import Rng, reshape
 
 
@@ -14,9 +15,9 @@ class UsageError(Exception):
     """The command line or a config file was used incorrectly."""
 
 
-NORMALIZERS = ("none", "bn", "ln", "bln")
+NORMALIZERS = ("none",) + SCHEMES
 TASKS = ("cnn-synthetic", "rnn-synthetic", "cnn-cifar10")
-FLAG_KEYS = ("e_b", "std_b", "e_f", "std_f")
+FLAG_KEYS = tuple(f.name for f in fields(InferenceFlags))
 
 # fixed task geometry; runs are parameterized only through ExperimentConfig
 BLOBS_PER_CLASS = 120
@@ -149,13 +150,17 @@ def validate_experiment(raw, multi=False):
             batch_sizes = [batch_sizes]
         if len(normalizers) < 2:
             raise UsageError("compare needs at least two normalizers in 'normalizer'")
-        if len(set(normalizers)) != len(normalizers):
-            raise UsageError("config key 'normalizer' lists a duplicate entry")
+        if not batch_sizes:
+            raise UsageError("config key 'batch_size' lists no entry")
 
     for name in normalizers:
         if name not in NORMALIZERS:
             raise UsageError(f"config key 'normalizer' must be one of {list(NORMALIZERS)}, got {name!r}")
     batch_sizes = [positive_int(b, "batch_size") for b in batch_sizes]
+    # checked after the entries, so that each is a hashable name or integer
+    for key, values in (("normalizer", normalizers), ("batch_size", batch_sizes)):
+        if len(set(values)) != len(values):
+            raise UsageError(f"config key '{key}' lists a duplicate entry")
 
     epochs = positive_int(raw["epochs"], "epochs")
     seed = check_seed(raw["seed"])

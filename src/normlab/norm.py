@@ -4,16 +4,16 @@ All forwards take a (batch m, features d) tensor. Training forwards return
 the output, a cache for the matching backward pass, and a functionally
 updated copy of the running statistics; nothing is mutated in place.
 
-One standardize kernel serves all three schemes: moments, normalize and
-backward along axis 0 (the batch) or axis 1 (the features). bn uses axis
-0, ln axis 1, and bln both, blended.
+One standardize kernel, _branch, serves all three schemes: it centres,
+scales and normalizes along axis 0 (the batch) or axis 1 (the features).
+bn uses axis 0, ln axis 1, and bln both, blended. One backward body,
+_backward, differentiates all three forwards.
 
-Conventions that differ between the two statistic families and matter
-everywhere below:
-  * batch std includes epsilon inside the square root, so it is bounded
-    away from zero;
-  * feature std carries no epsilon, so constant rows hit 0/0 and are
-    guarded (the normalized row is set to zero, see SIGMA_F_GUARD).
+The guard rule: bn, ln and bln's batch side put epsilon inside the square
+root, so their stds are bounded away from zero and nothing is guarded.
+bln's feature side carries no epsilon, so a constant row hits 0/0; only
+this epsilon-free branch is guarded (its normalized row is set to zero,
+see SIGMA_F_GUARD).
 """
 
 import math
@@ -124,19 +124,11 @@ class InferenceFlags:
         return self.e_b or self.std_b or self.e_f or self.std_f
 
     @classmethod
-    def all_false(cls):
-        return cls(False, False, False, False)
-
-    @classmethod
     def from_index(cls, i):
         """Quadruple for index 0..15, counting binary with std_f least significant."""
         if not 0 <= i < 16:
             raise ValueError(f"flag index must be in [0, 16), got {i}")
         return cls(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1))
-
-
-# the default configuration: every bln statistic from the batch
-_ALL_FALSE = InferenceFlags()
 
 
 @dataclass
@@ -228,11 +220,6 @@ def _variance(centered, shape, axis):
     return [s * inv_n for s in _line_sums(centered, shape, axis, centered)]
 
 
-def _std(centered, shape, axis, epsilon=0.0):
-    """sqrt(variance + epsilon) of each line; the feature axis takes no epsilon."""
-    return [math.sqrt(v + epsilon) for v in _variance(centered, shape, axis)]
-
-
 def _normalize(centered, shape, axis, inv_std):
     """Centered values times each line's inverse std."""
     return list(map(mul, centered, _broadcast(inv_std, shape, axis)))
@@ -251,6 +238,29 @@ def _normalize_backward(dh, h, shape, axis, inv_std):
             for a, b, inv, mdh, sdh in zip(dh, h, *per_line)]
 
 
+def _branch(x, axis, epsilon, mean=None, std=None):
+    """Standardize each line along `axis`: (mean, variance, std, inverse std, normalized values).
+
+    A mean or std left as None comes from the batch; a batch std is
+    sqrt(variance + epsilon) around whichever mean was given or computed.
+    The variance is None when the std was given. Only a branch without
+    epsilon (bln's feature side) can meet a zero std, so only it is guarded:
+    the line's inverse std becomes 0.0 and its normalized values are zero.
+    """
+    if mean is None:
+        mean = _mean(x, axis)
+    centered = _center(x, axis, mean)
+    var = None
+    if std is None:
+        var = _variance(centered, x.shape, axis)
+        std = [math.sqrt(v + epsilon) for v in var]
+    if epsilon:
+        inv_std = [1.0 / s for s in std]
+    else:
+        inv_std = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std]
+    return mean, var, std, inv_std, _normalize(centered, x.shape, axis, inv_std)
+
+
 def _scale_shift(h, scale, shift):
     """scale * h + shift, per feature, over a flat (m, d) buffer."""
     m = len(h) // len(scale)
@@ -266,6 +276,34 @@ def _param_grads(dx, dy, h):
     dgamma = _line_sums(dy.data, dy.shape, 0, h)
     dbeta = _line_sums(dy.data, dy.shape, 0)
     return Tensor._wrap(dy.shape, dx), _vec(dgamma), _vec(dbeta)
+
+
+def _standardize(kind, axis, x, params):
+    """The bn (axis 0) and ln (axis 1) forward: (output, cache, mean, variance)."""
+    m, d = _check_input(x, params)
+    mu, var, _, inv_std, x_hat = _branch(x, axis, params.epsilon)
+    y = _scale_shift(x_hat, params.gamma.data, params.beta.data)
+    return Tensor._wrap((m, d), y), NormCache(kind, m, d, params.gamma, x_hat, inv_std), mu, var
+
+
+def _backward(kind, cache, dy):
+    """Gradients (dx, dgamma, dbeta) of the bn, ln or bln training forward.
+
+    bln's blend weights and 1/sqrt(d) are constants with respect to the
+    input, so its dx is the sum of its two branches' gradients; guarded
+    rows contribute nothing through the feature branch.
+    """
+    _check_cache(cache, kind, dy)
+    dc = _times_gamma(dy, cache.gamma)
+    if kind != "bln":
+        dx = _normalize_backward(dc, cache.x_hat, dy.shape, 0 if kind == "bn" else 1, cache.inv_std)
+        return _param_grads(dx, dy, cache.x_hat)
+    wb, wf = _root_d_weights(cache.w_batch, cache.w_feat, cache.d)
+    dx_b = _normalize_backward([v * wb for v in dc], cache.x_hat, dy.shape, 0, cache.inv_std)
+    dx_f = _normalize_backward([v * wf for v in dc], cache.x_hh, dy.shape, 1, cache.inv_std_f)
+    live = _broadcast([inv != 0.0 for inv in cache.inv_std_f], dy.shape, 1)
+    dx = [b + f if keep else b for b, f, keep in zip(dx_b, dx_f, live)]
+    return _param_grads(dx, dy, cache.x_comb)
 
 
 def _blend_scalar(old, new, momentum, count):
@@ -311,29 +349,6 @@ def _bessel(m):
     return m / (m - 1.0) if m > 1 else 1.0
 
 
-def _standardize(kind, axis, x, params):
-    """The bn (axis 0) and ln (axis 1) forward: (output, cache, mean, variance).
-
-    Epsilon goes inside the square root, so no line needs a zero guard.
-    """
-    m, d = _check_input(x, params)
-    mu = _mean(x, axis)
-    centered = _center(x, axis, mu)
-    var = _variance(centered, x.shape, axis)
-    inv_std = [1.0 / math.sqrt(v + params.epsilon) for v in var]
-    x_hat = _normalize(centered, x.shape, axis, inv_std)
-    y = _scale_shift(x_hat, params.gamma.data, params.beta.data)
-    return Tensor._wrap((m, d), y), NormCache(kind, m, d, params.gamma, x_hat, inv_std), mu, var
-
-
-def _standardize_backward(kind, axis, cache, dy):
-    """Gradients of _standardize: (dx, dgamma, dbeta)."""
-    _check_cache(cache, kind, dy)
-    dx = _normalize_backward(_times_gamma(dy, cache.gamma), cache.x_hat, dy.shape, axis,
-                             cache.inv_std)
-    return _param_grads(dx, dy, cache.x_hat)
-
-
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------
@@ -371,7 +386,7 @@ def bn_forward_infer(x, params, running):
 
 def bn_backward(cache, dy):
     """Gradients of the batch-normalization training forward."""
-    return _standardize_backward("bn", 0, cache, dy)
+    return _backward("bn", cache, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +401,7 @@ def ln_forward(x, params):
 
 def ln_backward(cache, dy):
     """Gradients of the layer-normalization forward."""
-    return _standardize_backward("ln", 1, cache, dy)
+    return _backward("ln", cache, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -413,37 +428,17 @@ def _root_d_weights(w_batch, w_feat, d):
     return w_batch * inv_root_d, w_feat * inv_root_d
 
 
-def _branch(x, axis, epsilon, mean=None, std=None):
-    """One bln branch along `axis`: (mean, std, inverse std, normalized values).
-
-    A mean or std left as None comes from the batch; a batch std is taken
-    around whichever mean was given or computed. The feature branch (axis
-    1) takes no epsilon, so its zero stds are guarded: the row's inverse
-    std becomes 0.0 and its normalized values are zero.
-    """
-    if mean is None:
-        mean = _mean(x, axis)
-    centered = _center(x, axis, mean)
-    if std is None:
-        std = _std(centered, x.shape, axis, epsilon if axis == 0 else 0.0)
-    if axis == 0:
-        inv_std = [1.0 / s for s in std]
-    else:
-        inv_std = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std]
-    return mean, std, inv_std, _normalize(centered, x.shape, axis, inv_std)
-
-
 def batch_stats(x, epsilon):
     """Per-feature batch mean and std with epsilon inside the square root."""
     _require_rank2(x)
-    mu_b, sigma_b, _, _ = _branch(x, 0, epsilon)
+    mu_b, _, sigma_b, _, _ = _branch(x, 0, epsilon)
     return BatchStats(_vec(mu_b), _vec(sigma_b))
 
 
 def feature_stats(x):
     """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
     _require_rank2(x)
-    mu_f, sigma_f, _, _ = _branch(x, 1, 0.0)
+    mu_f, _, sigma_f, _, _ = _branch(x, 1, 0.0)
     return FeatureStats(_vec(mu_f), _vec(sigma_f))
 
 
@@ -455,8 +450,8 @@ def bln_forward_train(x, params, running):
     applies scale/shift. Running statistics absorb the batch.
     """
     m, d = _check_input(x, params)
-    mu_b, std_b, inv_std_b, x_hat = _branch(x, 0, params.epsilon)
-    mu_f, std_f, inv_std_f, x_hh = _branch(x, 1, params.epsilon)
+    mu_b, _, std_b, inv_std_b, x_hat = _branch(x, 0, params.epsilon)
+    mu_f, _, std_f, inv_std_f, x_hh = _branch(x, 1, 0.0)
     w_batch, w_feat = bln_weights(m, params.epsilon)
     wb, wf = _root_d_weights(w_batch, w_feat, d)
     x_comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
@@ -519,8 +514,8 @@ def _infer_outputs(x, params, running, flag_list):
             if side not in forms:
                 axis, pop_mean, pop_std = side
                 mean, std = population[axis]
-                forms[side] = _branch(x, axis, params.epsilon, mean if pop_mean else None,
-                                      std if pop_std else None)[3]
+                forms[side] = _branch(x, axis, params.epsilon if axis == 0 else 0.0,
+                                      mean if pop_mean else None, std if pop_std else None)[4]
         x_hat, x_hh = (forms[side] if last_use[side] > i else forms.pop(side) for side in pair)
         y = [s * (wb * a + wf * b) + t for a, b, s, t in zip(x_hat, x_hh, gamma, beta)]
         del x_hat, x_hh     # a form popped above is freed while the caller holds y
@@ -528,20 +523,8 @@ def _infer_outputs(x, params, running, flag_list):
 
 
 def bln_backward(cache, dy):
-    """Gradients of the batch-layer-normalization training forward.
-
-    The blend weights and 1/sqrt(d) are constants with respect to the
-    input, so the gradient splits into the batch branch and the feature
-    branch; guarded rows contribute nothing through the feature branch.
-    """
-    _check_cache(cache, "bln", dy)
-    wb, wf = _root_d_weights(cache.w_batch, cache.w_feat, cache.d)
-    dc = _times_gamma(dy, cache.gamma)
-    dx_b = _normalize_backward([v * wb for v in dc], cache.x_hat, dy.shape, 0, cache.inv_std)
-    dx_f = _normalize_backward([v * wf for v in dc], cache.x_hh, dy.shape, 1, cache.inv_std_f)
-    live = _broadcast([inv != 0.0 for inv in cache.inv_std_f], dy.shape, 1)
-    dx = [b + f if keep else b for b, f, keep in zip(dx_b, dx_f, live)]
-    return _param_grads(dx, dy, cache.x_comb)
+    """Gradients of the batch-layer-normalization training forward."""
+    return _backward("bln", cache, dy)
 
 
 def _check_cache(cache, kind, dy):
@@ -581,7 +564,7 @@ def forward_infer(scheme, x, params, running, flags=None):
     if scheme == "ln":
         return ln_forward(x, params)[0]
     if scheme == "bln":
-        return bln_forward_infer(x, params, running, flags or _ALL_FALSE)
+        return bln_forward_infer(x, params, running, flags or InferenceFlags())
     raise ValueError(f"unknown normalization scheme {scheme!r}")
 
 

@@ -160,7 +160,7 @@ def test_criterion_4_train_infer_consistency():
         p.gamma = randn([d], rng) * 0.2 + 1.0
         p.beta = randn([d], rng) * 0.2
         y_train, _, _ = bln_forward_train(x, p, init_running(d))
-        y_infer = bln_forward_infer(x, p, init_running(d), InferenceFlags.all_false())
+        y_infer = bln_forward_infer(x, p, init_running(d), InferenceFlags())
         assert_lists_close(y_infer.data, y_train.data, tol=1e-12)
     report(4, "train/infer consistency", timer.check())
 

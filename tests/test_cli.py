@@ -1,14 +1,16 @@
 import json
 import math
+import os
 import struct
+from dataclasses import replace
 
 import pytest
 
 from normlab import checkpoint, cli, nn, tensor
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
-from normlab.config import validate_experiment
-from normlab.nn import build_cnn, network_evaluate
+from normlab.config import load_config_file, validate_experiment
+from normlab.nn import Dense, build_cnn, build_rnn, network_evaluate
 from normlab.config import prepare_task
 from normlab.tensor import Rng
 
@@ -376,6 +378,23 @@ class TestCompareCommand:
         config = write_config(tmp_path, normalizer=["bn"])
         assert main(["compare", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"batch_size": []}, "error: config key 'batch_size' lists no entry\n"),
+        ({"normalizer": ["bn", ["ln"]]}, "error: config key 'normalizer' must be one of "
+                                         "['none', 'bn', 'ln', 'bln'], got ['ln']\n"),
+        ({"normalizer": ["bn", {"ln": 1}]}, "error: config key 'normalizer' must be one of "
+                                            "['none', 'bn', 'ln', 'bln'], got {'ln': 1}\n"),
+        ({"batch_size": [5, 5]}, "error: config key 'batch_size' lists a duplicate entry\n"),
+        ({"normalizer": ["bn", "ln", "bn"]}, "error: config key 'normalizer' lists a duplicate entry\n"),
+    ], ids=["empty-batch-sizes", "list-normalizer", "object-normalizer", "duplicate-batch-size",
+            "duplicate-normalizer"])
+    def test_bad_run_list_exits_1_with_one_line(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, **{"normalizer": ["bn", "ln"], **overrides})
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestGridsearchCommand:
     def run_train(self, tmp_path, normalizer="bln"):
@@ -455,8 +474,57 @@ class TestGridsearchCommand:
         assert loads == [] and list((tmp_path / "taken").iterdir()) == []
 
 
+def _populated(net):
+    """The network with every normalizer marked as having absorbed a batch of 25."""
+    for layer in net.normalizers():
+        layer.running = replace(layer.running, count=1, batch_m=25)
+    return net
+
+
+def _cnn_with_narrow_dense(rng):
+    """The synthetic-task CNN whose first dense layer takes 31 of the flatten's 32 features."""
+    net = build_cnn(1, 6, 6, 2, "bln", rng)
+    first_dense = next(i for i, layer in enumerate(net.layers) if isinstance(layer, Dense))
+    net.layers[first_dense] = Dense(31, 32, rng)
+    return net
+
+
+class TestCheckpointTaskMismatch:
+    @pytest.mark.parametrize("task,build", [
+        ("cnn-synthetic", lambda rng: build_rnn(3, 32, 2, "bln", rng)),
+        ("rnn-synthetic", lambda rng: build_cnn(1, 6, 6, 2, "bln", rng)),
+        ("cnn-synthetic", _cnn_with_narrow_dense),
+    ], ids=["rnn-checkpoint-cnn-task", "cnn-checkpoint-rnn-task", "dense-in-dim-31"])
+    def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, task, build):
+        ck = str(tmp_path / "net.ckpt")
+        save_checkpoint(ck, _populated(build(Rng(0))))
+        out = tmp_path / "grid.csv"
+        code = main(["gridsearch", "--config", write_config(tmp_path, task=task),
+                     "--checkpoint", ck, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: checkpoint {ck} does not fit task '{task}': ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCommittedConfigs:
     CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
+    # the validator of the command each committed config is written for
+    VALIDATORS = {
+        "cnn-bln-batch1.json": validate_experiment,
+        "cnn-bln-smoke.json": validate_experiment,
+        "cnn-bn-batch1.json": validate_experiment,
+        "compare-cnn.json": lambda raw: validate_experiment(raw, multi=True),
+        "gradcheck-bln.json": cli._validate_gradcheck,
+    }
+
+    def test_every_config_has_a_validator(self):
+        assert sorted(os.listdir(self.CONFIG_DIR)) == sorted(self.VALIDATORS)
+
+    @pytest.mark.parametrize("name", sorted(VALIDATORS))
+    def test_config_passes_its_validator(self, name):
+        self.VALIDATORS[name](load_config_file(f"{self.CONFIG_DIR}/{name}"))
 
     def test_smoke_config_loss_is_monotone_non_increasing(self, tmp_path):
         config = f"{self.CONFIG_DIR}/cnn-bln-smoke.json"

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import pytest
 
@@ -11,6 +13,7 @@ from normlab.norm import (
     UninitializedStatsError,
     batch_stats,
     bln_forward_infer,
+    bln_forward_infer_configs,
     bln_forward_train,
     bln_weights,
     bn_forward_infer,
@@ -260,7 +263,7 @@ class TestBlendedInfer:
                 x = randn([m, d], rng)
                 p = params_for(d, gamma=[1.1] * d, beta=[-0.2] * d)
                 y_train, _, _ = bln_forward_train(x, p, init_running(d))
-                y_infer = bln_forward_infer(x, p, init_running(d), InferenceFlags.all_false())
+                y_infer = bln_forward_infer(x, p, init_running(d), InferenceFlags())
                 assert_lists_close(y_infer.data, y_train.data, tol=1e-12)
 
     def test_all_true_on_permuted_rows_differs_by_bessel_factors(self):
@@ -289,7 +292,7 @@ class TestBlendedInfer:
             assert_lists_close(got, want)
 
         # relationship check: rescaling each branch by its factor recovers all-False
-        y_false = bln_forward_infer(x, p, running, InferenceFlags.all_false())
+        y_false = bln_forward_infer(x, p, running, InferenceFlags())
         factor = m / (m - 1.0)
         mu_b, sigma_b, _ = oracles.batch_moments(rows, EPS)
         mu_f, sigma_f = oracles.feature_moments(rows)
@@ -330,7 +333,7 @@ class TestBlendedInfer:
         x = Tensor([1, 5], [0.4, -1.0, 2.0, 0.0, 1.5])
         p = params_for(5)
         y_train, _, _ = bln_forward_train(x, p, init_running(5))
-        y = bln_forward_infer(x, p, init_running(5), InferenceFlags.all_false())
+        y = bln_forward_infer(x, p, init_running(5), InferenceFlags())
         assert_lists_close(y.data, y_train.data)
 
     def test_population_flag_requires_absorbed_batch(self):
@@ -395,3 +398,62 @@ class TestParamValidation:
     def test_flag_enumeration_has_16_values(self):
         flags = {InferenceFlags.from_index(i).as_tuple() for i in range(16)}
         assert len(flags) == 16
+
+
+# sha256 over the bits of every norm output: the bn, ln and bln training
+# forwards with their caches and running statistics, every backward, bn and
+# ln inference, and bln inference under all 16 flag configurations. The
+# tolerance tests above would not see a reordered sum; this digest does.
+NORM_BITS_GOLDEN = "9f48c2ec83ea3ede6244ec3abf54fc1e70d3c0ebb7b0a7d00b2b6786b91c8430"
+
+
+def _norm_bits_inputs():
+    """Random and part-constant (m, d) batches at the layer shapes in use."""
+    rng = Rng(20220919)
+    for m, d in [(25, 128), (1, 128), (3, 1), (80, 128)]:
+        x = randn([m, d], rng)
+        yield x
+        # even rows constant: zero feature std, the guarded case
+        data = list(x.data)
+        for i in range(0, m, 2):
+            data[i * d:(i + 1) * d] = [data[i * d]] * d
+        yield Tensor._wrap((m, d), data)
+
+
+def test_norm_outputs_match_golden_bits():
+    from normlab import norm
+
+    digest = hashlib.sha256()
+
+    def absorb(*values):
+        for v in values:
+            v = v.data if isinstance(v, Tensor) else v
+            v = list(v) if isinstance(v, list) else [v]
+            digest.update(struct.pack(f"<I{len(v)}d", len(v), *v))
+
+    def absorb_running(r):
+        absorb(r.e_mu_b, r.e_sigma_b, r.e_mu_f, r.e_sigma_f, r.count, r.batch_m)
+
+    rng = Rng(7)
+    for x in _norm_bits_inputs():
+        m, d = x.shape
+        p = params_for(d, gamma=randn([d], rng).data, beta=randn([d], rng).data)
+        dy = randn([m, d], rng)
+        stats = batch_stats(x, EPS), feature_stats(x)
+        absorb(stats[0].mu_b, stats[0].sigma_b, stats[1].mu_f, stats[1].sigma_f)
+        for scheme in norm.SCHEMES:
+            running = init_running(d)
+            for _ in range(2):
+                y, cache, running = norm.forward_train(scheme, x, p, running)
+                absorb(y, cache.x_hat)
+                if scheme == "bln":
+                    absorb(cache.x_hh, cache.x_comb)
+                absorb_running(running)
+                absorb(*norm.backward(cache, dy))
+            if scheme != "bln":
+                absorb(norm.forward_infer(scheme, x, p, running))
+                continue
+            absorb(norm.forward_infer("bln", x, p, running))
+            flag_list = [InferenceFlags.from_index(i) for i in range(16)]
+            absorb(*bln_forward_infer_configs(x, p, running, flag_list))
+    assert digest.hexdigest() == NORM_BITS_GOLDEN

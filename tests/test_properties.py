@@ -65,7 +65,7 @@ def test_bln_all_false_inference_equals_training_forward_bit_for_bit(batch):
     params.gamma = Tensor((d,), gamma)
     params.beta = Tensor((d,), beta)
     trained, _, _ = bln_forward_train(x, params, init_running(d))
-    inferred = bln_forward_infer(x, params, init_running(d), InferenceFlags.all_false())
+    inferred = bln_forward_infer(x, params, init_running(d), InferenceFlags())
     assert [v.hex() for v in inferred.data] == [v.hex() for v in trained.data]
 
 

@@ -142,7 +142,7 @@ class TestSelectBest:
 
     def test_requires_sixteen_results(self):
         with pytest.raises(ValueError):
-            select_best([ConfigResult(InferenceFlags.all_false(), 0.1, 0.9)])
+            select_best([ConfigResult(InferenceFlags(), 0.1, 0.9)])
 
     def test_rank_assignment_is_a_permutation(self):
         results = [ConfigResult(c, 1.0 + i * 0.01, 0.5) for i, c in enumerate(enumerate_configs())]
@@ -170,7 +170,7 @@ class TestEvaluateAll:
         net, ds = trained_net()
         results = evaluate_all(net, ds)
         row = next(r for r in results if r.flags.as_tuple() == (False, False, False, False))
-        loss, acc = network_evaluate(net, ds, flags=InferenceFlags.all_false())
+        loss, acc = network_evaluate(net, ds, flags=InferenceFlags())
         assert row.loss == loss and row.accuracy == acc
 
     def test_single_batch_population_matches_dual_branch_oracle(self):
