@@ -1,6 +1,7 @@
 """Command-line harness: train, compare, gridsearch, and gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure,
+4 a gridsearch worker process that died without sending its results.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .norm import (
     init_params,
     init_running,
 )
-from .search import evaluate_all, select_best
+from .search import WorkerLostError, evaluate_all, select_best
 from .tensor import Rng, Tensor, ordered_sum, randn
 
 METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accuracy"
@@ -378,6 +379,9 @@ def main(argv=None):
     except DivergedRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except WorkerLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint():

@@ -13,11 +13,10 @@ from the layer descriptors alone: per layer, its parameters in name order
 (the static param_shapes, called with the describe() keys), then a
 normalizer's running e_mu_b, e_sigma_b, e_mu_f and e_sigma_f. It is the
 one place that knows that order; a checkpoint is checked against it before
-any layer is built, and Network.buffers/set_buffers/checksum follow it.
+any layer is built, and Network.buffers/set_buffers follow it.
 """
 
 import math
-from array import array
 from functools import reduce
 from itertools import compress
 
@@ -106,6 +105,9 @@ class Conv2d(Layer):
         return {"w": [out_channels, in_channels, kernel, kernel], "b": [out_channels]}
 
     def forward(self, x, train=True, flags=None):
+        if x.rank != 4:
+            raise ValueError(f"Conv2d expects a rank-4 (batch, channels, height, width) input, "
+                             f"got shape {x.shape}")
         m, cin, h, w = x.shape
         if cin != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {cin}")
@@ -277,6 +279,9 @@ class RnnCell(Layer):
         return {"w_xh": [in_dim, hidden], "w_hh": [hidden, hidden], "b": [hidden]}
 
     def forward(self, x, train=True, flags=None):
+        if x.rank != 3:
+            raise ValueError(f"RnnCell expects a rank-3 (batch, time, features) input, "
+                             f"got shape {x.shape}")
         m, steps, v = x.shape
         if v != self.in_dim:
             raise ValueError(f"expected {self.in_dim} input features, got {v}")
@@ -518,14 +523,6 @@ class Network:
         for entry in entries:
             running = self.layers[entry["layer"]].running
             running.count, running.batch_m = entry["count"], entry["batch_m"]
-
-    def checksum(self):
-        """Order-sensitive hash of each normalizer's counters and every buffer's
-        float64 bytes, which tell 0.0 from -0.0 and give equal nan bits one hash."""
-        return hash((
-            tuple((name, array("d", data).tobytes()) for name, data in self.buffers().items()),
-            tuple(tuple(sorted(entry.items())) for entry in self.running_counters()),
-        ))
 
 
 def forward_layers(layers, x, train=True, flags=None):

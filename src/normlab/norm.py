@@ -428,20 +428,6 @@ def _root_d_weights(w_batch, w_feat, d):
     return w_batch * inv_root_d, w_feat * inv_root_d
 
 
-def batch_stats(x, epsilon):
-    """Per-feature batch mean and std with epsilon inside the square root."""
-    _require_rank2(x)
-    mu_b, _, sigma_b, _, _ = _branch(x, 0, epsilon)
-    return BatchStats(_vec(mu_b), _vec(sigma_b))
-
-
-def feature_stats(x):
-    """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
-    _require_rank2(x)
-    mu_f, _, sigma_f, _, _ = _branch(x, 1, 0.0)
-    return FeatureStats(_vec(mu_f), _vec(sigma_f))
-
-
 def bln_forward_train(x, params, running):
     """Batch-layer normalization training forward.
 

@@ -111,28 +111,6 @@ class Tensor:
     def rank(self):
         return len(self.shape)
 
-    def at(self, *index):
-        """Element lookup by multi-index (row-major)."""
-        if len(index) != len(self.shape):
-            raise ValueError(f"index {index} does not match rank {len(self.shape)}")
-        flat = 0
-        for i, (ix, dim) in enumerate(zip(index, self.shape)):
-            if not 0 <= ix < dim:
-                raise IndexError(f"index {ix} out of range for axis {i} (size {dim})")
-            flat = flat * dim + ix
-        return self.data[flat]
-
-    def tolist(self):
-        """Nested-list view of the buffer."""
-        def build(shape, offset):
-            if len(shape) == 1:
-                return self.data[offset:offset + shape[0]]
-            step = 1
-            for s in shape[1:]:
-                step *= s
-            return [build(shape[1:], offset + i * step) for i in range(shape[0])]
-        return build(self.shape, 0)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 

@@ -11,19 +11,17 @@ import time
 import pytest
 
 import oracles
-from conftest import assert_lists_close, rows_of
+from conftest import assert_lists_close, batch_stats, feature_stats, rows_of
 from normlab.cli import main, run_training
 from normlab.config import validate_experiment
 from normlab.norm import (
     InferenceFlags,
-    batch_stats,
     bln_backward,
     bln_forward_infer,
     bln_forward_train,
     bln_weights,
     bn_backward,
     bn_forward_train,
-    feature_stats,
     init_params,
     init_running,
     ln_backward,

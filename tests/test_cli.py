@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import checksum
 from normlab import checkpoint, cli, nn, tensor
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
@@ -227,7 +228,7 @@ class TestCheckpointRoundTrip:
         monkeypatch.setattr(tensor.Rng, "normal", lambda self: calls.append(1) or original(self))
         loaded, _ = load_checkpoint(path)
         assert calls == []
-        assert loaded.checksum() == net.checksum()
+        assert checksum(loaded) == checksum(net)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -490,12 +491,14 @@ def _cnn_with_narrow_dense(rng):
 
 
 class TestCheckpointTaskMismatch:
-    @pytest.mark.parametrize("task,build", [
-        ("cnn-synthetic", lambda rng: build_rnn(3, 32, 2, "bln", rng)),
-        ("rnn-synthetic", lambda rng: build_cnn(1, 6, 6, 2, "bln", rng)),
-        ("cnn-synthetic", _cnn_with_narrow_dense),
+    @pytest.mark.parametrize("task,build,names", [
+        ("cnn-synthetic", lambda rng: build_rnn(3, 32, 2, "bln", rng),
+         "RnnCell expects a rank-3 (batch, time, features) input, got shape (16, 1, 6, 6)"),
+        ("rnn-synthetic", lambda rng: build_cnn(1, 6, 6, 2, "bln", rng),
+         "Conv2d expects a rank-4 (batch, channels, height, width) input, got shape (20, 6, 3)"),
+        ("cnn-synthetic", _cnn_with_narrow_dense, "matmul shape mismatch: (16, 32) x (31, 32)"),
     ], ids=["rnn-checkpoint-cnn-task", "cnn-checkpoint-rnn-task", "dense-in-dim-31"])
-    def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, task, build):
+    def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, task, build, names):
         ck = str(tmp_path / "net.ckpt")
         save_checkpoint(ck, _populated(build(Rng(0))))
         out = tmp_path / "grid.csv"
@@ -503,8 +506,7 @@ class TestCheckpointTaskMismatch:
                      "--checkpoint", ck, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: checkpoint {ck} does not fit task '{task}': ")
-        assert err.count("\n") == 1
+        assert err == f"error: checkpoint {ck} does not fit task '{task}': {names}\n"
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from conftest import at, tolist
 from normlab.data import (
     DataFormatError,
     Dataset,
@@ -28,7 +29,7 @@ class TestBlobs:
         for c in range(2):
             rows = [i for i, label in enumerate(ds.labels) if label == c]
             for j in range(4):
-                mean = sum(ds.inputs.at(i, j) for i in rows) / len(rows)
+                mean = sum(at(ds.inputs, i, j) for i in rows) / len(rows)
                 assert abs(mean) < 0.25  # both classes draw from the origin
 
     def test_separated_blobs_are_linearly_classifiable(self):
@@ -52,7 +53,7 @@ class TestParitySequences:
         n, length, vocab = ds.inputs.shape
         for i in range(n):
             zeros_seen = sum(
-                1 for t in range(length) if ds.inputs.at(i, t, 0) == 1.0
+                1 for t in range(length) if at(ds.inputs, i, t, 0) == 1.0
             )
             assert ds.labels[i] == zeros_seen % 2
 
@@ -61,13 +62,13 @@ class TestParitySequences:
         n, length, vocab = ds.inputs.shape
         for i in range(n):
             for t in range(length):
-                row = [ds.inputs.at(i, t, v) for v in range(vocab)]
+                row = [at(ds.inputs, i, t, v) for v in range(vocab)]
                 assert sum(row) == 1.0 and set(row) <= {0.0, 1.0}
 
     def test_single_step_sequences(self):
         ds = gen_parity_sequences(20, 1, 2, seed=5)
         for i in range(20):
-            assert ds.labels[i] == int(ds.inputs.at(i, 0, 0) == 1.0)
+            assert ds.labels[i] == int(at(ds.inputs, i, 0, 0) == 1.0)
 
     def test_class_balance_near_half(self):
         ds = gen_parity_sequences(1000, 6, 3, seed=13)
@@ -98,11 +99,11 @@ class TestCifarLoader:
         assert ds.labels == [3, 9]
         assert ds.num_classes == 10
         # plane-major: element (0, 0, 0, 0) is the first red byte
-        assert ds.inputs.at(0, 0, 0, 0) == 0.0 / 255.0
-        assert ds.inputs.at(0, 0, 0, 1) == 1.0 / 255.0
+        assert at(ds.inputs, 0, 0, 0, 0) == 0.0 / 255.0
+        assert at(ds.inputs, 0, 0, 0, 1) == 1.0 / 255.0
         # channel 1 starts 1024 bytes in
-        assert ds.inputs.at(0, 1, 0, 0) == (first[1024] / 255.0)
-        assert ds.inputs.at(1, 0, 0, 0) == 1.0  # 255 scaled
+        assert at(ds.inputs, 0, 1, 0, 0) == (first[1024] / 255.0)
+        assert at(ds.inputs, 1, 0, 0, 0) == 1.0  # 255 scaled
         assert max(ds.inputs.data) <= 1.0 and min(ds.inputs.data) >= 0.0
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -129,7 +130,7 @@ class TestSubset:
         ds = gen_blobs(10, 2, 3, 1.0, seed=2)
         out = subset(ds, 1.0, seed=4)
         assert sorted(out.labels) == sorted(ds.labels)
-        assert sorted(map(tuple, out.inputs.tolist())) == sorted(map(tuple, ds.inputs.tolist()))
+        assert sorted(map(tuple, tolist(out.inputs))) == sorted(map(tuple, tolist(ds.inputs)))
 
     def test_class_counts_within_one_of_proportional(self):
         ds = gen_blobs(30, 3, 2, 1.0, seed=6)
@@ -159,8 +160,8 @@ class TestSplit:
         ds = gen_blobs(15, 2, 3, 1.0, seed=12)
         train, test = train_test_split(ds, 1.0 / 3.0, seed=5)
         assert len(train) + len(test) == len(ds)
-        combined = sorted(map(tuple, train.inputs.tolist() + test.inputs.tolist()))
-        assert combined == sorted(map(tuple, ds.inputs.tolist()))
+        combined = sorted(map(tuple, tolist(train.inputs) + tolist(test.inputs)))
+        assert combined == sorted(map(tuple, tolist(ds.inputs)))
 
     def test_test_fraction_size(self):
         ds = gen_blobs(30, 2, 3, 1.0, seed=12)

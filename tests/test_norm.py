@@ -5,20 +5,18 @@ import struct
 import pytest
 
 import oracles
-from conftest import assert_lists_close, rows_of
+from conftest import assert_lists_close, at, batch_stats, feature_stats, rows_of
 from normlab.norm import (
     InferenceFlags,
     NormParams,
     SIGMA_F_GUARD,
     UninitializedStatsError,
-    batch_stats,
     bln_forward_infer,
     bln_forward_infer_configs,
     bln_forward_train,
     bln_weights,
     bn_forward_infer,
     bn_forward_train,
-    feature_stats,
     init_params,
     init_running,
     ln_forward,
@@ -304,7 +302,7 @@ class TestBlendedInfer:
                     w_b * (rows[i][k] - mu_b[k]) / (factor * sigma_b[k])
                     + w_f * (rows[i][k] - mu_f[i]) / (factor * sigma_f[i])
                 ) / root_d
-                assert abs(y_true.at(i, k) - scaled) < 1e-12
+                assert abs(at(y_true, i, k) - scaled) < 1e-12
         assert any(abs(a - b) > 1e-6 for a, b in zip(y_true.data, y_false.data))
 
     def test_false_std_couples_to_population_mean(self):

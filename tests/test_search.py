@@ -1,8 +1,15 @@
+import json
+import os
+import signal
+import warnings
+from contextlib import contextmanager
+
 import pytest
 
 import oracles
-from conftest import assert_lists_close, rows_of
-from normlab.cli import run_training
+from conftest import assert_lists_close, checksum, rows_of
+from normlab import search
+from normlab.cli import main, run_training
 from normlab.config import prepare_task, validate_experiment
 from normlab.data import gen_blobs
 from normlab.nn import (
@@ -36,9 +43,12 @@ def trained_net(seed=55, normalizer="bln"):
     return net, ds
 
 
+CNN_CONFIG = {"task": "cnn-synthetic", "normalizer": "bln", "batch_size": 25,
+              "epochs": 1, "seed": 7, "train_fraction": 0.1}
+
+
 def trained_cnn():
-    config = validate_experiment({"task": "cnn-synthetic", "normalizer": "bln", "batch_size": 25,
-                                  "epochs": 1, "seed": 7, "train_fraction": 0.1})
+    config = validate_experiment(CNN_CONFIG)
     _, net = run_training(config)
     _, validation, _ = prepare_task(config)
     return net, validation
@@ -73,6 +83,38 @@ def count_calls(net, method):
 
 def bits_by_flags(pairs):
     return {flags: (repr(loss), repr(acc)) for flags, (loss, acc) in pairs}
+
+
+def set_workers(monkeypatch, n):
+    """Make evaluate_all see n usable CPUs, so it uses min(16, n) processes."""
+    monkeypatch.setattr(search, "usable_cpus", lambda: n)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a hang into a TimeoutError; forked children do not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SHARED_PREFIX_NETS = pytest.mark.parametrize(
+    "make", [trained_net, trained_cnn, trained_bn_then_bln, lambda: trained_net(normalizer="bn")],
+    ids=["dense", "cnn-synthetic", "bn-then-bln", "no-bln"])
+PREFIX_LENGTHS = pytest.mark.parametrize(
+    "make, prefix", [(trained_net, 2), (trained_cnn, 2), (trained_bn_then_bln, 5)],
+    ids=["dense", "cnn-synthetic", "bn-then-bln"])
 
 
 class TestEnumeration:
@@ -154,10 +196,10 @@ class TestSelectBest:
 class TestEvaluateAll:
     def test_sixteen_results_and_purity(self):
         net, ds = trained_net()
-        before = net.checksum()
+        before = checksum(net)
         results = evaluate_all(net, ds)
         assert len(results) == 16
-        assert net.checksum() == before
+        assert checksum(net) == before
 
     def test_repeat_evaluation_identical(self):
         net, ds = trained_net()
@@ -199,28 +241,117 @@ class TestEvaluateAll:
 
 
 class TestSharedPrefix:
-    @pytest.mark.parametrize("make", [trained_net, trained_cnn, trained_bn_then_bln,
-                                      lambda: trained_net(normalizer="bn")],
-                             ids=["dense", "cnn-synthetic", "bn-then-bln", "no-bln"])
+    @SHARED_PREFIX_NETS
     def test_matches_sixteen_network_evaluate_calls_bit_for_bit(self, make):
         net, ds = make()
         want = bits_by_flags((f, network_evaluate(net, ds, flags=f)) for f in enumerate_configs())
         got = bits_by_flags((r.flags, (r.loss, r.accuracy)) for r in evaluate_all(net, ds))
         assert got == want
 
-    @pytest.mark.parametrize("make, prefix", [(trained_net, 2), (trained_cnn, 2),
-                                              (trained_bn_then_bln, 5)],
-                             ids=["dense", "cnn-synthetic", "bn-then-bln"])
-    def test_prefix_runs_once_and_the_rest_sixteen_times(self, make, prefix):
+    @PREFIX_LENGTHS
+    def test_prefix_runs_once_and_the_rest_sixteen_times(self, monkeypatch, make, prefix):
+        # the counters count calls in this process, so keep every chunk here
+        set_workers(monkeypatch, 1)
+        self.assert_calls(make, prefix, per_config=16)
+
+    @PREFIX_LENGTHS
+    def test_with_two_workers_this_process_runs_the_prefix_and_eight_configs(
+            self, monkeypatch, make, prefix):
+        set_workers(monkeypatch, 2)
+        self.assert_calls(make, prefix, per_config=8)
+
+    @staticmethod
+    def assert_calls(make, prefix, per_config):
         net, ds = make()
         assert flag_prefix_length(net) == prefix
-        before = net.checksum()
+        before = checksum(net)
         forwards = count_calls(net, "forward")
         multi = count_calls(net, "forward_configs")
         evaluate_all(net, ds)
-        # the first bln normalizer serves all 16 configurations in one call
+        # the first bln normalizer serves all of a process's configurations in one call
         rest = len(net.layers) - prefix - 1
-        assert forwards == [1] * prefix + [0] + [16] * rest
+        assert forwards == [1] * prefix + [0] + [per_config] * rest
         assert multi == [0] * prefix + [1] + [0] * rest
-        assert net.checksum() == before
+        assert checksum(net) == before
 
+
+class TestWorkers:
+    @SHARED_PREFIX_NETS
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, make):
+        net, ds = make()
+        configs = enumerate_configs()
+        want = [(f, *map(repr, network_evaluate(net, ds, flags=f))) for f in configs]
+        ranked = []
+        for cpus in (1, 2, 3, 16):
+            set_workers(monkeypatch, cpus)
+            with deadline(120):
+                results = evaluate_all(net, ds)
+            by_flags = {r.flags: r for r in results}
+            assert [(f, repr(by_flags[f].loss), repr(by_flags[f].accuracy))
+                    for f in configs] == want, cpus
+            ranked.append([(r.flags, r.rank) for r in results])
+        assert all(order == ranked[0] for order in ranked)
+        assert_no_child_left()
+
+    def test_chunks_are_contiguous_and_balanced(self):
+        configs = enumerate_configs()
+        for n, sizes in [(1, [16]), (2, [8, 8]), (3, [6, 5, 5]), (16, [1] * 16)]:
+            chunks = search._chunks(configs, n)
+            assert [len(c) for c in chunks] == sizes
+            assert [f for c in chunks for f in c] == configs
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("in_child", [False, True], ids=["parent-chunk", "child-chunk"])
+    def test_tail_error_reaches_the_caller(self, monkeypatch, cpus, in_child):
+        set_workers(monkeypatch, cpus)
+        net, ds = trained_net()
+        last, parent = net.layers[-1], os.getpid()
+        forward = last.forward
+
+        def refusing(x, train=True, flags=None):
+            # configurations 8-15 are never in the first chunk
+            if flags.e_b == in_child:
+                raise ValueError(f"tail refuses {flags.as_tuple()} in process {os.getpid()}")
+            return forward(x, train=train, flags=flags)
+
+        last.forward = refusing
+        with deadline(120), pytest.raises(ValueError) as info:
+            evaluate_all(net, ds)
+        assert type(info.value) is ValueError
+        message = info.value.args[0]
+        first = enumerate_configs()[8 if in_child else 0].as_tuple()
+        assert message.startswith(f"tail refuses {first} in process ")
+        assert (int(message.rsplit(" ", 1)[1]) != parent) == in_child
+        assert_no_child_left()
+
+    def test_lost_worker_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CNN_CONFIG), encoding="utf-8")
+        ck, out = str(tmp_path / "net.ckpt"), tmp_path / "grid.csv"
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "m.csv"),
+                     "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        set_workers(monkeypatch, 2)
+        parent, score_chunk = os.getpid(), search._score_chunk
+        monkeypatch.setattr(search, "_score_chunk",
+                            lambda *args: score_chunk(*args) if os.getpid() == parent
+                            else os._exit(1))
+        with deadline(120):
+            code = main(["gridsearch", "--config", str(config), "--checkpoint", ck,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: search worker ")
+        assert err.endswith(" ended without sending its results\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_two_worker_search_raises_no_warning(self, monkeypatch):
+        # Python 3.12 and later warn when a process with other threads forks
+        set_workers(monkeypatch, 2)
+        net, ds = trained_net()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_all(net, ds)
+        assert_no_child_left()
