@@ -6,7 +6,8 @@ manifest as consecutive little-endian float64 values. All network floats,
 including running-statistics scalars, live in the payload so round trips
 are bitwise exact. The buffer list is nn.buffer_layout of the layer
 descriptors; the loader derives it from them and, before building any
-layer, rejects a manifest that lists other buffers or a non-integer size.
+layer, rejects a manifest that lists other buffers or a non-integer size,
+and a payload that holds a NaN or an infinity.
 """
 
 import json
@@ -105,6 +106,13 @@ def load_checkpoint(path):
         raise _malformed(path, "payload truncated")
     if 8 * sum(sizes) < len(payload):
         raise _malformed(path, "has trailing bytes")
+    values = struct.unpack(f"<{sum(sizes)}d", payload)
+    buffers, offset = {}, 0
+    for (name, _), size in zip(layout, sizes):
+        buffers[name] = list(values[offset:offset + size])
+        offset += size
+        if not all(map(math.isfinite, buffers[name])):
+            raise _malformed(path, f"buffer {name} holds a non-finite value")
 
     net = _rebuild_network(descriptors, path)
     running = manifest.get("running")
@@ -116,11 +124,6 @@ def load_checkpoint(path):
                 or entry["layer"] != want["layer"] or not all(map(_is_count, entry.values()))):
             raise _malformed(path, f"running entry {entry!r} does not describe layer {want['layer']}")
 
-    values = struct.unpack(f"<{sum(sizes)}d", payload)
-    buffers, offset = {}, 0
-    for (name, _), size in zip(layout, sizes):
-        buffers[name] = list(values[offset:offset + size])
-        offset += size
     net.set_buffers(buffers)
     net.set_running_counters(running)
     return net, manifest

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
@@ -48,17 +48,10 @@ class DivergedRunError(Exception):
     """A training run reached a non-finite loss."""
 
 
-@dataclass
-class MetricsRecord:
-    run_id: str
-    normalizer: str
-    batch_size: int
-    seed: int
-    epoch: int
-    step: int
-    split: str
-    loss: float
-    accuracy: float
+class MetricsRecord(namedtuple("MetricsRecord", METRICS_HEADER.split(","))):
+    """One row of the metrics CSV."""
+
+    __slots__ = ()
 
     def to_csv_row(self):
         return (

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
@@ -17,7 +16,7 @@ class UsageError(Exception):
 
 NORMALIZERS = ("none",) + SCHEMES
 TASKS = ("cnn-synthetic", "rnn-synthetic", "cnn-cifar10")
-FLAG_KEYS = tuple(f.name for f in fields(InferenceFlags))
+FLAG_KEYS = InferenceFlags._fields
 
 # fixed task geometry; runs are parameterized only through ExperimentConfig
 BLOBS_PER_CLASS = 120
@@ -32,24 +31,39 @@ TEST_FRACTION = 1.0 / 3.0
 VALIDATION_FRACTION = 0.1  # held out of the training pool for config search
 
 
-@dataclass
 class ExperimentConfig:
-    """One run's settings. The fields are the config keys; those without a default are required."""
+    """One run's settings, one attribute per config key.
 
-    task: str
-    normalizer: str
-    batch_size: int
-    epochs: int
-    seed: int
-    epsilon: float = 1e-4
-    momentum: object = 0.9
-    train_fraction: float = 0.2
-    learning_rate: float = 1e-3
-    flags: dict = field(default_factory=lambda: {k: False for k in FLAG_KEYS})
-    paths: dict = field(default_factory=dict)
+    KEYS is the config schema in key order: the REQUIRED keys, then the
+    optional ones, whose DEFAULTS validate_experiment fills in.
+    """
+
+    REQUIRED = ("task", "normalizer", "batch_size", "epochs", "seed")
+    DEFAULTS = {
+        "epsilon": 1e-4,
+        "momentum": 0.9,
+        "train_fraction": 0.2,
+        "learning_rate": 1e-3,
+        "flags": dict.fromkeys(FLAG_KEYS, False),
+        "paths": {},
+    }
+    KEYS = REQUIRED + tuple(DEFAULTS)
+    __slots__ = KEYS
+
+    def __init__(self, **values):
+        if set(values) != set(self.KEYS):
+            raise TypeError(f"ExperimentConfig takes the keys {list(self.KEYS)}, got {sorted(values)}")
+        for key in self.KEYS:
+            setattr(self, key, values[key])
 
     def to_dict(self):
-        return asdict(self)
+        """The config as a fresh dict in key order.
+
+        flags and paths hold only bools and strings, so copying them one
+        level deep leaves nothing shared.
+        """
+        values = {key: getattr(self, key) for key in self.KEYS}
+        return {key: dict(v) if isinstance(v, dict) else v for key, v in values.items()}
 
 
 def check_keys(raw, allowed, required):
@@ -128,9 +142,7 @@ def validate_experiment(raw, multi=False):
     the 'normalizer' and 'batch_size' keys may hold lists; one config per
     (normalizer, batch size) pair is returned, normalizer-major.
     """
-    schema = fields(ExperimentConfig)
-    check_keys(raw, {f.name for f in schema},
-               [f.name for f in schema if f.default is MISSING and f.default_factory is MISSING])
+    check_keys(raw, ExperimentConfig.KEYS, ExperimentConfig.REQUIRED)
 
     task = raw["task"]
     if task not in TASKS:
@@ -164,19 +176,19 @@ def validate_experiment(raw, multi=False):
 
     epochs = positive_int(raw["epochs"], "epochs")
     seed = check_seed(raw["seed"])
-    epsilon = _positive_number(raw.get("epsilon", ExperimentConfig.epsilon), "epsilon")
-    momentum = _check_momentum(raw.get("momentum", ExperimentConfig.momentum))
-    train_fraction = raw.get("train_fraction", ExperimentConfig.train_fraction)
+    settings = {**ExperimentConfig.DEFAULTS, **raw}
+    epsilon = _positive_number(settings["epsilon"], "epsilon")
+    momentum = _check_momentum(settings["momentum"])
+    train_fraction = settings["train_fraction"]
     if (
         not isinstance(train_fraction, (int, float))
         or isinstance(train_fraction, bool)
         or not 0.0 < train_fraction <= 1.0
     ):
         raise UsageError(f"config key 'train_fraction' must be in (0, 1], got {train_fraction!r}")
-    learning_rate = _positive_number(raw.get("learning_rate", ExperimentConfig.learning_rate),
-                                     "learning_rate")
-    flags = _check_flags(raw.get("flags", {}))
-    paths = _check_paths(raw.get("paths", {}), task)
+    learning_rate = _positive_number(settings["learning_rate"], "learning_rate")
+    flags = _check_flags(settings["flags"])
+    paths = _check_paths(settings["paths"], task)
 
     configs = [
         ExperimentConfig(

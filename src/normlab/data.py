@@ -1,7 +1,7 @@
 """Deterministic datasets: synthetic generators and the CIFAR-10 binary reader."""
 
 import math
-from dataclasses import dataclass
+from operator import add
 
 from .tensor import Rng, Tensor, take
 
@@ -13,20 +13,22 @@ class DataFormatError(ValueError):
     """An on-disk dataset file does not match its declared format."""
 
 
-@dataclass
 class Dataset:
-    inputs: Tensor
-    labels: list
-    num_classes: int
+    """Samples along the first axis of inputs, one class label per sample."""
 
-    def __post_init__(self):
-        if len(self.labels) != self.inputs.shape[0]:
+    __slots__ = ("inputs", "labels", "num_classes")
+
+    def __init__(self, inputs, labels, num_classes):
+        if len(labels) != inputs.shape[0]:
             raise ValueError("label count does not match input rows")
-        if len(self.labels) < 1:
+        if len(labels) < 1:
             raise ValueError("dataset must contain at least one sample")
-        for label in self.labels:
-            if not 0 <= label < self.num_classes:
-                raise ValueError(f"label {label} out of range for {self.num_classes} classes")
+        for label in labels:
+            if not 0 <= label < num_classes:
+                raise ValueError(f"label {label} out of range for {num_classes} classes")
+        self.inputs = inputs
+        self.labels = labels
+        self.num_classes = num_classes
 
     def __len__(self):
         return len(self.labels)
@@ -37,15 +39,13 @@ def gen_blobs(n_per_class, num_classes, dim, separation, seed):
     if n_per_class < 1 or num_classes < 1 or dim < 1:
         raise ValueError("n_per_class, num_classes, and dim must be positive")
     rng = Rng(seed)
-    centers = [[rng.normal() * separation for _ in range(dim)] for _ in range(num_classes)]
+    centers = [v * separation for v in rng.normals(num_classes * dim)]
     n = n_per_class * num_classes
-    data = []
-    labels = []
+    means = []
     for c in range(num_classes):
-        center = centers[c]
-        for _ in range(n_per_class):
-            data.extend(center[j] + rng.normal() for j in range(dim))
-            labels.append(c)
+        means += centers[c * dim:(c + 1) * dim] * n_per_class
+    data = list(map(add, means, rng.normals(n * dim)))
+    labels = [c for c in range(num_classes) for _ in range(n_per_class)]
     order = rng.permutation(n)
     inputs = take(Tensor._wrap((n, dim), data), order)
     return Dataset(inputs, [labels[i] for i in order], num_classes)

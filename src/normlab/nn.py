@@ -75,6 +75,8 @@ class Dense(Layer):
         return {"w": [in_dim, out_dim], "b": [out_dim]}
 
     def forward(self, x, train=True, flags=None):
+        if x.rank != 2 or x.shape[1] != self.in_dim:
+            raise ValueError(f"Dense expects a rank-2 (batch, {self.in_dim}) input, got shape {x.shape}")
         y = matmul(x, self.w) + _broadcast_row(self.b, x.shape[0])
         return y, x
 

@@ -18,7 +18,7 @@ see SIGMA_F_GUARD).
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from operator import mul, sub
 
 from .tensor import Tensor, _accumulate, ones, ordered_sum, zeros
@@ -31,7 +31,6 @@ class UninitializedStatsError(ValueError):
     """Population statistics were requested before any batch was absorbed."""
 
 
-@dataclass
 class NormParams:
     """Learnable per-feature scale/shift plus layer hyperparameters.
 
@@ -39,17 +38,15 @@ class NormParams:
     the string "cumulative" (running arithmetic mean over absorbed batches).
     """
 
-    gamma: Tensor
-    beta: Tensor
-    epsilon: float = 1e-4
-    momentum: object = 0.9
+    __slots__ = ("gamma", "beta", "epsilon", "momentum")
 
-    def __post_init__(self):
-        if isinstance(self.epsilon, bool) or not 0.0 < self.epsilon <= sys.float_info.max:
-            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
-        if self.gamma.shape != self.beta.shape or self.gamma.rank != 1:
+    def __init__(self, gamma, beta, epsilon=1e-4, momentum=0.9):
+        if isinstance(epsilon, bool) or not 0.0 < epsilon <= sys.float_info.max:
+            raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+        if gamma.shape != beta.shape or gamma.rank != 1:
             raise ValueError("gamma and beta must be equal-length vectors")
-        _check_momentum(self.momentum)
+        _check_momentum(momentum)
+        self.gamma, self.beta, self.epsilon, self.momentum = gamma, beta, epsilon, momentum
 
 
 def _check_momentum(momentum):
@@ -65,23 +62,6 @@ def init_params(d, epsilon=1e-4, momentum=0.9):
     return NormParams(ones([d]), zeros([d]), epsilon, momentum)
 
 
-@dataclass
-class BatchStats:
-    """Per-feature mean and std over the batch axis (epsilon inside the std)."""
-
-    mu_b: Tensor
-    sigma_b: Tensor
-
-
-@dataclass
-class FeatureStats:
-    """Per-sample mean and std over the feature axis (no epsilon term)."""
-
-    mu_f: Tensor
-    sigma_f: Tensor
-
-
-@dataclass
 class RunningStats:
     """Population estimates accumulated over training batches.
 
@@ -95,12 +75,12 @@ class RunningStats:
     is defined on variances).
     """
 
-    e_mu_b: Tensor
-    e_sigma_b: Tensor
-    e_mu_f: float = 0.0
-    e_sigma_f: float = 1.0
-    count: int = 0
-    batch_m: int = 0
+    __slots__ = ("e_mu_b", "e_sigma_b", "e_mu_f", "e_sigma_f", "count", "batch_m")
+
+    def __init__(self, e_mu_b, e_sigma_b, e_mu_f=0.0, e_sigma_f=1.0, count=0, batch_m=0):
+        self.e_mu_b, self.e_sigma_b = e_mu_b, e_sigma_b
+        self.e_mu_f, self.e_sigma_f = e_mu_f, e_sigma_f
+        self.count, self.batch_m = count, batch_m
 
 
 def init_running(d):
@@ -108,17 +88,14 @@ def init_running(d):
     return RunningStats(zeros([d]), ones([d]))
 
 
-@dataclass(frozen=True)
-class InferenceFlags:
+class InferenceFlags(namedtuple("InferenceFlags", ("e_b", "std_b", "e_f", "std_f"),
+                                defaults=(False, False, False, False))):
     """Population (True) vs current-batch (False) selection per statistic."""
 
-    e_b: bool = False
-    std_b: bool = False
-    e_f: bool = False
-    std_f: bool = False
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.e_b, self.std_b, self.e_f, self.std_f)
+        return tuple(self)
 
     def any(self):
         return self.e_b or self.std_b or self.e_f or self.std_f
@@ -131,21 +108,18 @@ class InferenceFlags:
         return cls(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1))
 
 
-@dataclass
-class NormCache:
+class NormCache(namedtuple("NormCache", (
+    "kind", "m", "d", "gamma",
+    "x_hat",        # batch- or sample-normalized values, flat row-major
+    "inv_std",      # per-feature (bn) or per-sample (ln) inverse std
+    "x_hh",         # bln: feature-normalized values after the zero guard
+    "x_comb",       # bln: blended and sqrt(d)-scaled values
+    "inv_std_f",    # bln: per-sample inverse feature std (0.0 where guarded)
+    "w_batch", "w_feat",
+), defaults=(None, None, None, 0.0, 0.0))):
     """Intermediates saved by a forward pass for its backward pass."""
 
-    kind: str
-    m: int
-    d: int
-    gamma: Tensor
-    x_hat: list                 # batch- or sample-normalized values, flat row-major
-    inv_std: list               # per-feature (bn) or per-sample (ln) inverse std
-    x_hh: list = None           # bln: feature-normalized values after the zero guard
-    x_comb: list = None         # bln: blended and sqrt(d)-scaled values
-    inv_std_f: list = None      # bln: per-sample inverse feature std (0.0 where guarded)
-    w_batch: float = 0.0
-    w_feat: float = 0.0
+    __slots__ = ()
 
 
 def _require_rank2(x):
@@ -325,20 +299,22 @@ def _blend_vector(old, new, momentum, count):
     return [keep * o + mix * n for o, n in zip(old, new)]
 
 
-def update_running(running, bstats, fstats, momentum):
+def update_running(running, mu_b, sigma_b, mu_f, sigma_f, momentum):
     """Absorb one batch of statistics into the population estimates.
 
-    The first batch initializes the estimates directly; afterwards the
-    configured averaging rule applies. Feature statistics enter as their
-    batch-mean scalars.
+    mu_b and sigma_b are the per-feature batch mean and std (epsilon inside
+    the std), mu_f and sigma_f the per-sample feature mean and std, each a
+    list. The first batch initializes the estimates directly; afterwards
+    the configured averaging rule applies. Feature statistics enter as
+    their batch-mean scalars.
     """
     _check_momentum(momentum)
     count = running.count
-    mu_b = _blend_vector(running.e_mu_b.data, bstats.mu_b.data, momentum, count)
-    sigma_b = _blend_vector(running.e_sigma_b.data, bstats.sigma_b.data, momentum, count)
-    m = fstats.mu_f.shape[0]
-    mu_f_new = ordered_sum(fstats.mu_f.data) / m
-    sigma_f_new = ordered_sum(fstats.sigma_f.data) / m
+    mu_b = _blend_vector(running.e_mu_b.data, mu_b, momentum, count)
+    sigma_b = _blend_vector(running.e_sigma_b.data, sigma_b, momentum, count)
+    m = len(mu_f)
+    mu_f_new = ordered_sum(mu_f) / m
+    sigma_f_new = ordered_sum(sigma_f) / m
     mu_f = _blend_scalar(running.e_mu_f, mu_f_new, momentum, count)
     sigma_f = _blend_scalar(running.e_sigma_f, sigma_f_new, momentum, count)
     return RunningStats(_vec(mu_b), _vec(sigma_b), mu_f, sigma_f, count + 1, m)
@@ -358,12 +334,10 @@ def bn_forward_train(x, params, running):
     y, cache, mu, var = _standardize("bn", 0, x, params)
     # this layer tracks variances, not stds, in its running slot
     count, mom = running.count, params.momentum
-    new_running = replace(
-        running,
-        e_mu_b=_vec(_blend_vector(running.e_mu_b.data, mu, mom, count)),
-        e_sigma_b=_vec(_blend_vector(running.e_sigma_b.data, var, mom, count)),
-        count=count + 1,
-        batch_m=cache.m,
+    new_running = RunningStats(
+        _vec(_blend_vector(running.e_mu_b.data, mu, mom, count)),
+        _vec(_blend_vector(running.e_sigma_b.data, var, mom, count)),
+        running.e_mu_f, running.e_sigma_f, count + 1, cache.m,
     )
     return y, cache, new_running
 
@@ -447,8 +421,7 @@ def bln_forward_train(x, params, running):
         x_hh=x_hh, x_comb=x_comb, inv_std_f=inv_std_f,
         w_batch=w_batch, w_feat=w_feat,
     )
-    new_running = update_running(running, BatchStats(_vec(mu_b), _vec(std_b)),
-                                 FeatureStats(_vec(mu_f), _vec(std_f)), params.momentum)
+    new_running = update_running(running, mu_b, std_b, mu_f, std_f, params.momentum)
     return Tensor._wrap((m, d), y), cache, new_running
 
 

@@ -1,19 +1,15 @@
 """Exhaustive search over the 16 inference-statistics configurations."""
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .nn import Normalizer, forward_layers, score
 from .norm import InferenceFlags
 
 
-@dataclass
-class ConfigResult:
-    flags: InferenceFlags
-    loss: float
-    accuracy: float
-    rank: int = 0
+# rank is 0 until rank_results assigns 1..n
+ConfigResult = namedtuple("ConfigResult", ("flags", "loss", "accuracy", "rank"), defaults=(0,))
 
 
 def enumerate_configs():

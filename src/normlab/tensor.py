@@ -40,17 +40,45 @@ class Rng:
 
     def normal(self):
         """Standard normal draw (Box-Muller, second value cached)."""
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        u1 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(theta)
-        return radius * math.cos(theta)
+        return self.normals(1)[0]
+
+    def normals(self, n):
+        """n standard normal draws, bit for bit those of n normal() calls.
+
+        Box-Muller turns each pair of uniforms into a cosine and a sine
+        value; a sine value left over waits for the next draw, and a zero
+        first uniform is drawn again. splitmix64 is inlined, because every
+        weight initialization and synthetic dataset draws through this loop.
+        """
+        out = []
+        if n > 0 and self._spare is not None:
+            out.append(self._spare)
+            self._spare = None
+        pairs, odd = divmod(max(n - len(out), 0), 2)
+        append, state = out.append, self._state
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+        two_pi = 2.0 * math.pi
+        for _ in range(pairs + odd):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            u1 = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+            while u1 == 0.0:    # one draw in 2**53
+                self._state = state
+                u1 = self.uniform()
+                state = self._state
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            u2 = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+            radius = sqrt(-2.0 * log(u1))
+            theta = two_pi * u2
+            append(radius * cos(theta))
+            append(radius * sin(theta))
+        self._state = state
+        if odd:
+            self._spare = out.pop()
+        return out
 
     def randint(self, n):
         """Unbiased integer in [0, n) via rejection sampling."""
@@ -161,7 +189,7 @@ def ones(shape):
 
 def randn(shape, rng):
     """Tensor of seeded standard-normal draws."""
-    return Tensor(shape, [rng.normal() for _ in range(_numel(shape))])
+    return Tensor(shape, rng.normals(_numel(shape)))
 
 
 def matmul(a, b):

@@ -1,6 +1,8 @@
+import math
 import os
 import sys
 from array import array
+from collections import namedtuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -48,18 +50,22 @@ def tolist(tensor):
     return build(tensor.shape, 0)
 
 
+BatchStats = namedtuple("BatchStats", ("mu_b", "sigma_b"))
+FeatureStats = namedtuple("FeatureStats", ("mu_f", "sigma_f"))
+
+
 def batch_stats(x, epsilon):
-    """Per-feature batch mean and std with epsilon inside the square root."""
+    """Per-feature batch mean and std (lists) with epsilon inside the square root."""
     norm._require_rank2(x)
     mu_b, _, sigma_b, _, _ = norm._branch(x, 0, epsilon)
-    return norm.BatchStats(norm._vec(mu_b), norm._vec(sigma_b))
+    return BatchStats(mu_b, sigma_b)
 
 
 def feature_stats(x):
-    """Per-sample feature mean and std; no epsilon, so constant rows give 0."""
+    """Per-sample feature mean and std (lists); no epsilon, so constant rows give 0."""
     norm._require_rank2(x)
     mu_f, _, sigma_f, _, _ = norm._branch(x, 1, 0.0)
-    return norm.FeatureStats(norm._vec(mu_f), norm._vec(sigma_f))
+    return FeatureStats(mu_f, sigma_f)
 
 
 def checksum(net):
@@ -69,3 +75,41 @@ def checksum(net):
         tuple((name, array("d", data).tobytes()) for name, data in net.buffers().items()),
         tuple(tuple(sorted(entry.items())) for entry in net.running_counters()),
     ))
+
+
+def scalar_normal(rng):
+    """One standard normal draw from rng, one uniform at a time: the reference
+    for Rng.normals (Box-Muller, the sine value kept in rng._spare, a zero
+    first uniform drawn again)."""
+    if rng._spare is not None:
+        value, rng._spare = rng._spare, None
+        return value
+    u1 = rng.uniform()
+    while u1 == 0.0:
+        u1 = rng.uniform()
+    u2 = rng.uniform()
+    radius = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    rng._spare = radius * math.sin(theta)
+    return radius * math.cos(theta)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _undo_xorshift(z, shift):
+    """The x with x ^ (x >> shift) == z."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def splitmix64_state_before(output):
+    """The Rng state whose next next_u64() returns `output`: splitmix64's
+    finalizer inverted, then one step of the state sequence undone."""
+    z = _undo_xorshift(output, 31)
+    z = _undo_xorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    z = _undo_xorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+    return (z - _GOLDEN) & _MASK64

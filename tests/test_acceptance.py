@@ -78,7 +78,7 @@ def test_criterion_2_normalization_statistics_suite():
             mean = sum(cache.x_hat[i * d + k] for i in range(m)) / m
             assert abs(mean) < 1e-12
         # feature-normalized values: per-sample mean vanishes, std is one
-        sigma_f = feature_stats(x).sigma_f.data
+        sigma_f = feature_stats(x).sigma_f
         for i in range(m):
             row = cache.x_hh[i * d:(i + 1) * d]
             mean = sum(row) / d
@@ -117,7 +117,7 @@ def test_criterion_3_oracle_equivalence():
         batches = [randn([4, d], rng) for _ in range(3)]
         running = init_running(d)
         for b in batches:
-            running = update_running(running, batch_stats(b, EPS), feature_stats(b), 0.9)
+            running = update_running(running, *batch_stats(b, EPS), *feature_stats(b), 0.9)
 
         # rebuild the population estimates with hand recurrences
         stats = [oracles.batch_moments(rows_of(b), EPS) for b in batches]
@@ -316,31 +316,31 @@ def test_criterion_8_running_stats_suite():
     b, f = batch_stats(x, EPS), feature_stats(x)
     running = init_running(4)
     for _ in range(1000):
-        running = update_running(running, b, f, 0.9)
-    assert_lists_close(running.e_mu_b.data, b.mu_b.data, tol=1e-9)
-    assert_lists_close(running.e_sigma_b.data, b.sigma_b.data, tol=1e-9)
-    assert abs(running.e_mu_f - sum(f.mu_f.data) / 5) < 1e-9
-    assert abs(running.e_sigma_f - sum(f.sigma_f.data) / 5) < 1e-9
+        running = update_running(running, *b, *f, 0.9)
+    assert_lists_close(running.e_mu_b.data, b.mu_b, tol=1e-9)
+    assert_lists_close(running.e_sigma_b.data, b.sigma_b, tol=1e-9)
+    assert abs(running.e_mu_f - sum(f.mu_f) / 5) < 1e-9
+    assert abs(running.e_sigma_f - sum(f.sigma_f) / 5) < 1e-9
 
     # cumulative-mode two-batch recurrence against the hand-unrolled oracle
     batches = [randn([3, 4], Rng(s)) for s in (811, 812)]
     running = init_running(4)
     for batch in batches:
         running = update_running(
-            running, batch_stats(batch, EPS), feature_stats(batch), "cumulative"
+            running, *batch_stats(batch, EPS), *feature_stats(batch), "cumulative"
         )
     for k in range(4):
-        series = [batch_stats(b, EPS).mu_b.data[k] for b in batches]
+        series = [batch_stats(b, EPS).mu_b[k] for b in batches]
         assert abs(running.e_mu_b.data[k] - oracles.cumulative_scalar(series)) < 1e-15
-        series = [batch_stats(b, EPS).sigma_b.data[k] for b in batches]
+        series = [batch_stats(b, EPS).sigma_b[k] for b in batches]
         assert abs(running.e_sigma_b.data[k] - oracles.cumulative_scalar(series)) < 1e-15
 
     # first batch initializes the estimates directly
-    fresh = update_running(init_running(4), b, f, 0.9)
+    fresh = update_running(init_running(4), *b, *f, 0.9)
     assert fresh.count == 1
-    assert fresh.e_mu_b.data == b.mu_b.data
-    assert fresh.e_sigma_b.data == b.sigma_b.data
-    assert fresh.e_mu_f == sum(f.mu_f.data) / 5
+    assert fresh.e_mu_b.data == b.mu_b
+    assert fresh.e_sigma_b.data == b.sigma_b
+    assert fresh.e_mu_f == sum(f.mu_f) / 5
     report(8, "running-stats suite", timer.check())
 
 

@@ -2,7 +2,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import replace
+import subprocess
+import sys
 
 import pytest
 
@@ -224,8 +225,11 @@ class TestCheckpointRoundTrip:
         path = str(tmp_path / "net.ckpt")
         save_checkpoint(path, net)
         calls = []
-        original = tensor.Rng.normal
-        monkeypatch.setattr(tensor.Rng, "normal", lambda self: calls.append(1) or original(self))
+        original = tensor.Rng.normals
+        monkeypatch.setattr(tensor.Rng, "normals", lambda self, n: calls.append(n) or original(self, n))
+        tensor.randn([2], Rng(0))
+        assert calls == [2]     # the patch sees the draws of randn, which initializes weights
+        calls.clear()
         loaded, _ = load_checkpoint(path)
         assert calls == []
         assert checksum(loaded) == checksum(net)
@@ -247,6 +251,24 @@ class TestCheckpointRoundTrip:
         from normlab.data import DataFormatError
         with pytest.raises(DataFormatError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, tmp_path, capsys, value):
+        # relu maps nan to 0.0, so a search on such a network would rank all 16 configurations
+        ck = tmp_path / "net.ckpt"
+        save_checkpoint(str(ck), _populated(build_cnn(1, 6, 6, 2, "bln", Rng(0))))
+        blob = ck.read_bytes()
+        (length,) = struct.unpack("<I", blob[4:8])
+        assert json.loads(blob[8:8 + length])["buffers"][0]["name"] == "0.b"
+        offset = 8 + length
+        ck.write_bytes(blob[:offset] + struct.pack("<d", value) + blob[offset + 8:])
+        out = tmp_path / "grid.csv"
+        code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", str(ck),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: malformed checkpoint: {ck} buffer 0.b holds a non-finite value\n"
+        assert not out.exists()
 
 
 def _rewrite_manifest(path, edit):
@@ -478,7 +500,7 @@ class TestGridsearchCommand:
 def _populated(net):
     """The network with every normalizer marked as having absorbed a batch of 25."""
     for layer in net.normalizers():
-        layer.running = replace(layer.running, count=1, batch_m=25)
+        layer.running.count, layer.running.batch_m = 1, 25
     return net
 
 
@@ -496,7 +518,8 @@ class TestCheckpointTaskMismatch:
          "RnnCell expects a rank-3 (batch, time, features) input, got shape (16, 1, 6, 6)"),
         ("rnn-synthetic", lambda rng: build_cnn(1, 6, 6, 2, "bln", rng),
          "Conv2d expects a rank-4 (batch, channels, height, width) input, got shape (20, 6, 3)"),
-        ("cnn-synthetic", _cnn_with_narrow_dense, "matmul shape mismatch: (16, 32) x (31, 32)"),
+        ("cnn-synthetic", _cnn_with_narrow_dense,
+         "Dense expects a rank-2 (batch, 31) input, got shape (16, 32)"),
     ], ids=["rnn-checkpoint-cnn-task", "cnn-checkpoint-rnn-task", "dense-in-dim-31"])
     def test_gridsearch_exits_2_with_one_line(self, tmp_path, capsys, task, build, names):
         ck = str(tmp_path / "net.ckpt")
@@ -607,3 +630,24 @@ class TestGradcheckOutput:
             "network[ln] m=4 d=6 max_rel_err=5.322e-09 PASS\n"
             "network[bln] m=4 d=6 max_rel_err=8.023e-09 PASS\n"
         )
+
+
+class TestImportCost:
+    # the stdlib modules that normlab imports at module level; whatever they
+    # load is theirs, so a stdlib change cannot trip the test
+    STDLIB = ("argparse", "collections", "functools", "itertools", "json", "math", "operator",
+              "os", "struct", "sys")
+
+    def test_cli_import_adds_neither_dataclasses_nor_inspect(self):
+        code = "; ".join((
+            f"import {', '.join(self.STDLIB)}",
+            "before = set(sys.modules)",
+            "import normlab.cli",
+            "print(*sorted(set(sys.modules) - before))",
+        ))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=60).stdout.split()
+        assert "normlab.cli" in added
+        assert not {"dataclasses", "inspect"} & set(added)

@@ -44,34 +44,34 @@ class TestBatchStats:
     def test_hand_example(self):
         x = Tensor([2, 2], [1, 2, 3, 4])
         s = batch_stats(x, EPS)
-        assert s.mu_b.data == [2.0, 3.0]
-        assert_lists_close(s.sigma_b.data, [math.sqrt(1 + EPS)] * 2)
+        assert s.mu_b == [2.0, 3.0]
+        assert_lists_close(s.sigma_b, [math.sqrt(1 + EPS)] * 2)
 
     def test_single_sample_forces_sqrt_eps(self):
         x = Tensor([1, 3], [5, -2, 9])
         s = batch_stats(x, EPS)
-        assert_lists_close(s.sigma_b.data, [math.sqrt(EPS)] * 3)
+        assert_lists_close(s.sigma_b, [math.sqrt(EPS)] * 3)
 
     def test_constant_column(self):
         x = Tensor([3, 1], [4.5, 4.5, 4.5])
         s = batch_stats(x, EPS)
-        assert s.mu_b.data == [4.5]
-        assert_lists_close(s.sigma_b.data, [math.sqrt(EPS)])
+        assert s.mu_b == [4.5]
+        assert_lists_close(s.sigma_b, [math.sqrt(EPS)])
 
 
 class TestFeatureStats:
     def test_hand_example(self):
         s = feature_stats(Tensor([1, 2], [1, 3]))
-        assert s.mu_f.data == [2.0]
-        assert s.sigma_f.data == [1.0]
+        assert s.mu_f == [2.0]
+        assert s.sigma_f == [1.0]
 
     def test_constant_row_gives_zero_std(self):
         s = feature_stats(Tensor([1, 4], [7, 7, 7, 7]))
-        assert s.sigma_f.data == [0.0]
+        assert s.sigma_f == [0.0]
 
     def test_single_feature_always_zero_std(self):
         s = feature_stats(Tensor([3, 1], [1, 5, -2]))
-        assert s.sigma_f.data == [0.0, 0.0, 0.0]
+        assert s.sigma_f == [0.0, 0.0, 0.0]
 
 
 class TestBatchNormTrain:
@@ -345,12 +345,12 @@ class TestUpdateRunning:
         x = Tensor([2, 2], [1, 2, 3, 4])
         b = batch_stats(x, EPS)
         f = feature_stats(x)
-        r = update_running(init_running(2), b, f, 0.9)
+        r = update_running(init_running(2), *b, *f, 0.9)
         assert r.count == 1 and r.batch_m == 2
-        assert r.e_mu_b.data == b.mu_b.data
-        assert r.e_sigma_b.data == b.sigma_b.data
-        assert r.e_mu_f == sum(f.mu_f.data) / 2
-        assert r.e_sigma_f == sum(f.sigma_f.data) / 2
+        assert r.e_mu_b.data == b.mu_b
+        assert r.e_sigma_b.data == b.sigma_b
+        assert r.e_mu_f == sum(f.mu_f) / 2
+        assert r.e_sigma_f == sum(f.sigma_f) / 2
 
     def test_fixed_point_on_repeated_batch(self):
         x = randn([4, 3], Rng(2))
@@ -358,19 +358,19 @@ class TestUpdateRunning:
         f = feature_stats(x)
         r = init_running(3)
         for _ in range(1000):
-            r = update_running(r, b, f, 0.9)
+            r = update_running(r, *b, *f, 0.9)
         assert r.count == 1000
-        assert_lists_close(r.e_mu_b.data, b.mu_b.data, tol=1e-9)
-        assert_lists_close(r.e_sigma_b.data, b.sigma_b.data, tol=1e-9)
-        assert abs(r.e_mu_f - sum(f.mu_f.data) / 4) < 1e-9
+        assert_lists_close(r.e_mu_b.data, b.mu_b, tol=1e-9)
+        assert_lists_close(r.e_sigma_b.data, b.sigma_b, tol=1e-9)
+        assert abs(r.e_mu_f - sum(f.mu_f) / 4) < 1e-9
 
     def test_two_batch_ema_recurrence(self):
         xs = [randn([3, 2], Rng(s)) for s in (10, 11)]
         r = init_running(2)
         for x in xs:
-            r = update_running(r, batch_stats(x, EPS), feature_stats(x), 0.5)
-        s1 = batch_stats(xs[0], EPS).mu_b.data
-        s2 = batch_stats(xs[1], EPS).mu_b.data
+            r = update_running(r, *batch_stats(x, EPS), *feature_stats(x), 0.5)
+        s1 = batch_stats(xs[0], EPS).mu_b
+        s2 = batch_stats(xs[1], EPS).mu_b
         expected = [0.5 * a + 0.5 * b for a, b in zip(s1, s2)]
         assert_lists_close(r.e_mu_b.data, expected)
 
@@ -378,14 +378,14 @@ class TestUpdateRunning:
         xs = [randn([3, 2], Rng(s)) for s in (20, 21)]
         r = init_running(2)
         for x in xs:
-            r = update_running(r, batch_stats(x, EPS), feature_stats(x), "cumulative")
-        per_batch = [sum(feature_stats(x).sigma_f.data) / 3 for x in xs]
+            r = update_running(r, *batch_stats(x, EPS), *feature_stats(x), "cumulative")
+        per_batch = [sum(feature_stats(x).sigma_f) / 3 for x in xs]
         assert abs(r.e_sigma_f - oracles.cumulative_scalar(per_batch)) < 1e-15
 
     def test_invalid_momentum_rejected(self):
         x = Tensor([2, 2], [1, 2, 3, 4])
         with pytest.raises(ValueError):
-            update_running(init_running(2), batch_stats(x, EPS), feature_stats(x), 1.5)
+            update_running(init_running(2), *batch_stats(x, EPS), *feature_stats(x), 1.5)
 
 
 class TestParamValidation:

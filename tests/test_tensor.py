@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import at, tolist
+from conftest import at, hexes, scalar_normal, splitmix64_state_before, tolist
 from normlab.nn import Dense
 from normlab.tensor import (
     Rng,
@@ -100,6 +100,31 @@ class TestRng:
         a = Rng(3).child().normal()
         b = Rng(3).child().normal()
         assert a == b
+
+
+# a seed whose first uniform is exactly 0.0, which Box-Muller must draw again
+ZERO_UNIFORM_SEED = splitmix64_state_before(2047)
+
+
+class TestNormalStream:
+    def test_zero_uniform_seed_draws_zero(self):
+        assert Rng(ZERO_UNIFORM_SEED).uniform() == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 101, -3])
+    @pytest.mark.parametrize("spare", [None, -1.25], ids=["no-spare", "spare"])
+    @pytest.mark.parametrize("seed", [0, 5, ZERO_UNIFORM_SEED], ids=["seed0", "seed5", "zero-uniform"])
+    def test_normals_equal_scalar_draws(self, seed, spare, n):
+        fast, slow = Rng(seed), Rng(seed)
+        fast._spare = slow._spare = spare
+        assert hexes(fast.normals(n)) == hexes([scalar_normal(slow) for _ in range(n)])
+        assert (fast._state, repr(fast._spare)) == (slow._state, repr(slow._spare))
+
+    def test_normal_calls_continue_the_stream(self):
+        one_at_a_time = Rng(9)
+        assert hexes([one_at_a_time.normal() for _ in range(5)]) == hexes(Rng(9).normals(5))
+
+    def test_randn_draws_the_stream(self):
+        assert randn([3, 3], Rng(4)).data == Rng(4).normals(9)
 
 
 class TestMatmul:
