@@ -1,7 +1,8 @@
 """Command-line harness: train, compare, gridsearch, and gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure,
-4 a gridsearch worker process that died without sending its results.
+4 a worker process ended without sending its results. Worker processes
+(see workers.py) run beside the command and end with it.
 """
 
 import argparse
@@ -35,8 +36,9 @@ from .norm import (
     init_params,
     init_running,
 )
-from .search import WorkerLostError, evaluate_all, select_best
+from .search import evaluate_all, select_best
 from .tensor import Rng, Tensor, ordered_sum, randn
+from .workers import WorkerLostError, scope
 
 METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accuracy"
 GRID_HEADER = ",".join(("rank", *FLAG_KEYS, "loss", "accuracy"))
@@ -361,8 +363,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with scope():
+            args = parser.parse_args(argv)
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

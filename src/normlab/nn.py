@@ -22,6 +22,7 @@ from itertools import compress
 
 from .tensor import Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
 from . import norm as _norm
+from . import workers
 from .norm import NormParams, init_params, init_running
 
 
@@ -262,7 +263,11 @@ class Activation(Layer):
 
 
 class RnnCell(Layer):
-    """Tanh recurrence over (batch, time, features); emits the last hidden state."""
+    """Tanh recurrence over (batch, time, features); emits the last hidden state.
+
+    forward and backward cut their work into blocks that helper processes
+    may run (workers.run_blocks), with the same bits for any block count.
+    """
 
     kind = "rnn-cell"
     PARAMS = ("w_xh", "w_hh", "b")
@@ -287,38 +292,135 @@ class RnnCell(Layer):
         m, steps, v = x.shape
         if v != self.in_dim:
             raise ValueError(f"expected {self.in_dim} input features, got {v}")
-        h = zeros([m, self.hidden])
-        xs = []
-        hs = [h]
-        bias = _broadcast_row(self.b, m)
-        for t in range(steps):
-            xt = Tensor._wrap((m, v), [x.data[(s * steps + t) * v + j] for s in range(m) for j in range(v)])
-            xs.append(xt)
-            pre = matmul(xt, self.w_xh) + matmul(h, self.w_hh) + bias
-            h = Tensor._wrap(pre.shape, [math.tanh(u) for u in pre.data])
-            hs.append(h)
-        return h, (xs, hs)
+        # each sample's rows go through the recurrence on their own
+        row = steps * v
+        blocks = workers.run_blocks(_rnn_steps, [
+            (self, Tensor._wrap((b - a, steps, v), x.data[a * row:b * row]))
+            for a, b in workers.spans(m, workers.block_count(m, MIN_BLOCK))
+        ])
+        xs, hs = (_stack(states) for states in zip(*blocks))
+        return hs[-1], (xs, hs)
 
     def backward(self, cache, dy):
         xs, hs = cache
-        hidden = self.hidden
-        dw_xh = zeros([self.in_dim, hidden])
-        dw_hh = zeros([hidden, hidden])
-        db = zeros([hidden])
-        dh = dy
-        w_hh_t = transpose2d(self.w_hh)
-        for t in range(len(xs) - 1, -1, -1):
-            ht = hs[t + 1]
-            da = Tensor._wrap(
-                ht.shape,
-                [g * (1.0 - u * u) for u, g in zip(ht.data, dh.data)],
-            )
-            dw_xh = dw_xh + matmul(transpose2d(xs[t]), da)
-            dw_hh = dw_hh + matmul(transpose2d(hs[t]), da)
-            db = db + _col_sum(da)
-            if t:  # at t = 0 it would be the gradient of the zero initial state
-                dh = matmul(da, w_hh_t)
+        m = dy.shape[0]
+        n = workers.block_count(m, MIN_BLOCK)
+        # da[t], the gradient at step t's pre-activation, by blocks of samples
+        das = _stack(workers.run_blocks(_rnn_chain, [
+            (self, _rows(dy, a, b), [_rows(h, a, b) for h in hs[1:]])
+            for a, b in workers.spans(m, n)
+        ]))
+        # then the parameter gradients by blocks of hidden units: each block
+        # sums its units' terms over the samples and then over the steps
+        grads = workers.run_blocks(_rnn_param_grads, [
+            (xs, hs[:-1], [_columns(da, a, b) for da in das])
+            for a, b in workers.spans(self.hidden, min(n, self.hidden))
+        ])
+        dw_xh, dw_hh, db = (_join_columns(parts) for parts in zip(*grads))
         return None, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
+
+
+# Fewest samples in an RnnCell block: a smaller block gains less than a
+# helper costs to wake and to pickle for (see README, "Worker processes").
+MIN_BLOCK = 4
+
+
+def _rnn_steps(cell, x):
+    """(xs, hs) of the recurrence of `cell` over x, a block of samples.
+
+    xs[t] holds each sample's input at step t, hs[t + 1] its hidden state
+    after it; hs[0] is the zero initial state.
+    """
+    m, steps, v = x.shape
+    h = zeros([m, cell.hidden])
+    xs = []
+    hs = [h]
+    bias = _broadcast_row(cell.b, m)
+    for t in range(steps):
+        xt = Tensor._wrap((m, v), [x.data[(s * steps + t) * v + j] for s in range(m) for j in range(v)])
+        xs.append(xt)
+        pre = matmul(xt, cell.w_xh) + matmul(h, cell.w_hh) + bias
+        h = Tensor._wrap(pre.shape, [math.tanh(u) for u in pre.data])
+        hs.append(h)
+    return xs, hs
+
+
+def _rnn_chain(cell, dy, hs):
+    """da[t], the gradient at the pre-activation of step t, of a block of samples.
+
+    dy is the gradient at the last hidden state, hs[t] the hidden state
+    after step t.
+    """
+    w_hh_t = transpose2d(cell.w_hh)
+    das = [None] * len(hs)
+    dh = dy
+    for t in range(len(hs) - 1, -1, -1):
+        ht = hs[t]
+        da = Tensor._wrap(ht.shape, [g * (1.0 - u * u) for u, g in zip(ht.data, dh.data)])
+        das[t] = da
+        if t:  # at t = 0 it would be the gradient of the zero initial state
+            dh = matmul(da, w_hh_t)
+    return das
+
+
+def _rnn_param_grads(xs, hs, das):
+    """(dw_xh, dw_hh, db) of the hidden units whose columns das holds.
+
+    Step t read input xs[t] and hidden state hs[t]; its terms x^T da, h^T da
+    and the column sums of da are added from the last step to the first.
+    """
+    units = das[0].shape[1]
+    dw_xh = zeros([xs[0].shape[1], units])
+    dw_hh = zeros([hs[0].shape[1], units])
+    db = zeros([units])
+    for t in range(len(das) - 1, -1, -1):
+        da = das[t]
+        dw_xh = dw_xh + matmul(transpose2d(xs[t]), da)
+        dw_hh = dw_hh + matmul(transpose2d(hs[t]), da)
+        db = db + _col_sum(da)
+    return dw_xh, dw_hh, db
+
+
+def _stack(blocks):
+    """Lists of per-block tensors as one list of tensors whose rows run block after block."""
+    if len(blocks) == 1:
+        return blocks[0]
+    out = []
+    for parts in zip(*blocks):
+        data = []
+        for part in parts:
+            data += part.data
+        d = parts[0].shape[1]
+        out.append(Tensor._wrap((len(data) // d, d), data))
+    return out
+
+
+def _rows(x, a, b):
+    """Rows a to b of a rank-2 tensor."""
+    d = x.shape[1]
+    return Tensor._wrap((b - a, d), x.data[a * d:b * d])
+
+
+def _columns(x, a, b):
+    """Columns a to b of a rank-2 tensor."""
+    m, d = x.shape
+    if b - a == d:
+        return x
+    data = []
+    for i in range(0, m * d, d):
+        data += x.data[i + a:i + b]
+    return Tensor._wrap((m, b - a), data)
+
+
+def _join_columns(parts):
+    """The tensor whose columns are those of parts, one part after another."""
+    if len(parts) == 1:
+        return parts[0]
+    if parts[0].rank == 1:
+        return Tensor._wrap((sum(p.size for p in parts),), [v for p in parts for v in p.data])
+    m = parts[0].shape[0]
+    rows = [p.data[i * p.shape[1]:(i + 1) * p.shape[1]] for i in range(m) for p in parts]
+    return Tensor._wrap((m, sum(p.shape[1] for p in parts)), [v for row in rows for v in row])
 
 
 class Normalizer(Layer):

@@ -1,8 +1,12 @@
 import math
 import os
+import signal
 import sys
 from array import array
 from collections import namedtuple
+from contextlib import contextmanager
+
+import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -75,6 +79,25 @@ def checksum(net):
         tuple((name, array("d", data).tobytes()) for name, data in net.buffers().items()),
         tuple(tuple(sorted(entry.items())) for entry in net.running_counters()),
     ))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a hang into a TimeoutError; forked children do not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def scalar_normal(rng):

@@ -1,14 +1,12 @@
 import json
 import os
-import signal
 import warnings
-from contextlib import contextmanager
 
 import pytest
 
 import oracles
-from conftest import assert_lists_close, checksum, rows_of
-from normlab import search
+from conftest import assert_lists_close, assert_no_child_left, checksum, deadline, rows_of
+from normlab import search, workers
 from normlab.cli import main, run_training
 from normlab.config import prepare_task, validate_experiment
 from normlab.data import gen_blobs
@@ -68,17 +66,47 @@ def trained_bn_then_bln(seed=55):
     return net, ds
 
 
+class Counted:
+    """A layer's method that adds its calls to calls[i]; a pickled copy counts in its own copy."""
+
+    def __init__(self, layer, method, calls, i):
+        self.layer, self.method, self.calls, self.i = layer, getattr(type(layer), method), calls, i
+
+    def __call__(self, *args, **kwargs):
+        self.calls[self.i] += 1
+        return self.method(self.layer, *args, **kwargs)
+
+
 def count_calls(net, method):
     """Per-layer call counters of `method`, installed on the layer instances that have it."""
     calls = [0] * len(net.layers)
     for i, layer in enumerate(net.layers):
-        if not hasattr(layer, method):
-            continue
-        def counted(*args, _i=i, _method=getattr(layer, method), **kwargs):
-            calls[_i] += 1
-            return _method(*args, **kwargs)
-        setattr(layer, method, counted)
+        if hasattr(layer, method):
+            setattr(layer, method, Counted(layer, method, calls, i))
     return calls
+
+
+class RefusingForward:
+    """A layer's forward that raises for the configurations whose e_b is `e_b`."""
+
+    def __init__(self, layer, e_b):
+        self.layer, self.e_b = layer, e_b
+
+    def __call__(self, x, train=True, flags=None):
+        if flags.e_b == self.e_b:
+            raise ValueError(f"tail refuses {flags.as_tuple()} in process {os.getpid()}")
+        return type(self.layer).forward(self.layer, x, train=train, flags=flags)
+
+
+TEST_PID = os.getpid()
+SCORE_CHUNK = search._score_chunk
+
+
+def score_chunk_or_exit(*args):
+    """search._score_chunk in the test process; a helper that runs it exits at once."""
+    if os.getpid() != TEST_PID:
+        os._exit(1)
+    return SCORE_CHUNK(*args)
 
 
 def bits_by_flags(pairs):
@@ -87,26 +115,7 @@ def bits_by_flags(pairs):
 
 def set_workers(monkeypatch, n):
     """Make evaluate_all see n usable CPUs, so it uses min(16, n) processes."""
-    monkeypatch.setattr(search, "usable_cpus", lambda: n)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def deadline(seconds):
-    """Turn a hang into a TimeoutError; forked children do not inherit the alarm."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n)
 
 
 SHARED_PREFIX_NETS = pytest.mark.parametrize(
@@ -306,15 +315,8 @@ class TestWorkers:
         set_workers(monkeypatch, cpus)
         net, ds = trained_net()
         last, parent = net.layers[-1], os.getpid()
-        forward = last.forward
-
-        def refusing(x, train=True, flags=None):
-            # configurations 8-15 are never in the first chunk
-            if flags.e_b == in_child:
-                raise ValueError(f"tail refuses {flags.as_tuple()} in process {os.getpid()}")
-            return forward(x, train=train, flags=flags)
-
-        last.forward = refusing
+        # configurations 8-15 are never in the first chunk
+        last.forward = RefusingForward(last, in_child)
         with deadline(120), pytest.raises(ValueError) as info:
             evaluate_all(net, ds)
         assert type(info.value) is ValueError
@@ -332,16 +334,13 @@ class TestWorkers:
                      "--checkpoint", ck]) == 0
         capsys.readouterr()
         set_workers(monkeypatch, 2)
-        parent, score_chunk = os.getpid(), search._score_chunk
-        monkeypatch.setattr(search, "_score_chunk",
-                            lambda *args: score_chunk(*args) if os.getpid() == parent
-                            else os._exit(1))
+        monkeypatch.setattr(search, "_score_chunk", score_chunk_or_exit)
         with deadline(120):
             code = main(["gridsearch", "--config", str(config), "--checkpoint", ck,
                          "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 4
-        assert err.startswith("error: search worker ")
+        assert err.startswith("error: worker process ")
         assert err.endswith(" ended without sending its results\n")
         assert err.count("\n") == 1
         assert not out.exists()
