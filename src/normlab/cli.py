@@ -36,7 +36,7 @@ from .norm import (
     init_params,
     init_running,
 )
-from .search import evaluate_all, select_best
+from .search import evaluate_all
 from .tensor import Rng, Tensor, ordered_sum, randn
 from .workers import WorkerLostError, scope
 
@@ -198,7 +198,7 @@ def cmd_gridsearch(args):
         raise DataFormatError(f"checkpoint {args.checkpoint} does not fit task {config.task!r}: "
                               f"{exc}") from None
     write_grid_csv(args.out, config.to_dict(), results)
-    best = select_best(results)
+    best = results[0]
     chosen = ", ".join(f"{k}={v}" for k, v in zip(FLAG_KEYS, best.flags.as_tuple()))
     print(f"wrote {args.out}; best configuration ({chosen}) "
           f"loss={best.loss!r} accuracy={best.accuracy!r}")
@@ -235,18 +235,18 @@ def _max_rel_error(analytic, numeric):
     return worst
 
 
-def _central_differences(loss, values, step):
+def _central_differences(loss, values):
     """Numeric d loss / d values[i] for every i, where loss takes the whole list."""
     grads = []
     for i in range(len(values)):
         plus, minus = list(values), list(values)
-        plus[i] += step
-        minus[i] -= step
-        grads.append((loss(plus) - loss(minus)) / (2.0 * step))
+        plus[i] += GRADCHECK_STEP
+        minus[i] -= GRADCHECK_STEP
+        grads.append((loss(plus) - loss(minus)) / (2.0 * GRADCHECK_STEP))
     return grads
 
 
-def norm_gradient_errors(kind, m, d, seed, corrupt=False, step=GRADCHECK_STEP):
+def norm_gradient_errors(kind, m, d, seed, corrupt=False):
     """Max relative error of each analytic gradient group vs central differences."""
     rng = Rng(seed)
     x = randn([m, d], rng)
@@ -271,15 +271,15 @@ def norm_gradient_errors(kind, m, d, seed, corrupt=False, step=GRADCHECK_STEP):
 
     return {
         "dx": _max_rel_error(analytic_dx, _central_differences(
-            lambda v: loss(x_data=v), x.data, step)),
+            lambda v: loss(x_data=v), x.data)),
         "dgamma": _max_rel_error(dgamma.data, _central_differences(
-            lambda v: loss(gamma=v), params.gamma.data, step)),
+            lambda v: loss(gamma=v), params.gamma.data)),
         "dbeta": _max_rel_error(dbeta.data, _central_differences(
-            lambda v: loss(beta=v), params.beta.data, step)),
+            lambda v: loss(beta=v), params.beta.data)),
     }
 
 
-def network_gradient_errors(normalizer, m, d, seed, corrupt=False, step=GRADCHECK_STEP):
+def network_gradient_errors(normalizer, m, d, seed, corrupt=False):
     """Max relative error per parameter of a two-layer dense network's gradients."""
     rng = Rng(seed)
     net = build_dense_net(d, 5, 3, normalizer, rng)
@@ -298,7 +298,7 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False, step=GRADCHEC
         analytic = list(grads[key].data)
         if corrupt:
             analytic[0] += 1e-2
-        numeric = _central_differences(lambda v: loss(key, p.shape, v), p.data, step)
+        numeric = _central_differences(lambda v: loss(key, p.shape, v), p.data)
         net.set_param(key, p)
         errors[key] = _max_rel_error(analytic, numeric)
     return errors

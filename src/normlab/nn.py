@@ -682,11 +682,10 @@ def accuracy(logits, labels):
 class Adam:
     """Adam with bias correction; state is keyed by parameter name."""
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {}
         self.v = {}
@@ -694,11 +693,11 @@ class Adam:
     def step(self, params, grads):
         """One update; returns fresh parameter tensors, never mutates."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         c1, c2 = 1.0 - b1, 1.0 - b2
-        lr, eps = self.learning_rate, self.epsilon
+        lr, eps = self.learning_rate, self.EPSILON
         sqrt = math.sqrt
         out = {}
         for key, p in params.items():
@@ -756,8 +755,9 @@ def score(logits, labels):
 
 
 def build_cnn(in_channels, height, width, num_classes, normalizer, rng,
-              epsilon=1e-4, momentum=0.9, filters=8, kernel=3, dense_width=32):
-    """Small post-nonlinearity-normalized CNN: conv, pool, two dense layers."""
+              epsilon=1e-4, momentum=0.9):
+    """Small post-nonlinearity-normalized CNN: conv (8 filters, 3x3), pool, dense (32), dense."""
+    filters, kernel, dense_width = 8, 3, 32
     conv_h, conv_w = height - kernel + 1, width - kernel + 1
     if conv_h % 2 or conv_w % 2:
         raise ValueError("conv output must have even spatial dims for 2x2 pooling")
@@ -785,12 +785,11 @@ def build_rnn(vocab, hidden, num_classes, normalizer, rng, epsilon=1e-4, momentu
     return Network(layers)
 
 
-def build_dense_net(in_dim, hidden, num_classes, normalizer, rng,
-                    epsilon=1e-4, momentum=0.9, activation="tanh"):
-    """Two-layer dense classifier used for gradient verification."""
-    layers = [Dense(in_dim, hidden, rng), Activation(activation)]
+def build_dense_net(in_dim, hidden, num_classes, normalizer, rng):
+    """Two-layer tanh dense classifier used for gradient verification."""
+    layers = [Dense(in_dim, hidden, rng), Activation("tanh")]
     if normalizer != "none":
-        layers.append(Normalizer(normalizer, hidden, epsilon, momentum))
+        layers.append(Normalizer(normalizer, hidden))
     layers.append(Dense(hidden, num_classes, rng))
     return Network(layers)
 

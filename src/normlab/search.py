@@ -93,11 +93,3 @@ def evaluate_all(net, dataset):
                                     [(tail, hidden, chunk, labels) for chunk in chunks])
     pairs = [pair for chunk_scores in scores for pair in chunk_scores]
     return rank_results([ConfigResult(flags, *pair) for flags, pair in zip(configs, pairs)])
-
-
-def select_best(results):
-    """Winning configuration: lowest loss, then highest accuracy, then all-False-most."""
-    if len(results) != 16:
-        raise ValueError(f"expected 16 results, got {len(results)}")
-    best = min(results, key=_sort_key)
-    return ConfigResult(best.flags, best.loss, best.accuracy, 1)

@@ -38,12 +38,8 @@ class Rng:
         """Uniform draw in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def normal(self):
-        """Standard normal draw (Box-Muller, second value cached)."""
-        return self.normals(1)[0]
-
     def normals(self, n):
-        """n standard normal draws, bit for bit those of n normal() calls.
+        """n standard normal draws; n calls of normals(1) draw the same bits.
 
         Box-Muller turns each pair of uniforms into a cosine and a sine
         value; a sine value left over waits for the next draw, and a zero
@@ -139,30 +135,11 @@ class Tensor:
     def rank(self):
         return len(self.shape)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, data={self.data!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and self.shape == other.shape
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.shape, tuple(self.data)))
-
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
 
 def _sizes(shape):

@@ -100,6 +100,11 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def normal(rng):
+    """The next standard normal draw of rng's stream."""
+    return rng.normals(1)[0]
+
+
 def scalar_normal(rng):
     """One standard normal draw from rng, one uniform at a time: the reference
     for Rng.normals (Box-Muller, the sine value kept in rng._spare, a zero

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import oracles
-from conftest import assert_lists_close, batch_stats, feature_stats, rows_of
+from conftest import assert_lists_close, batch_stats, feature_stats, normal, rows_of
 from normlab.cli import main, run_training
 from normlab.config import validate_experiment
 from normlab.norm import (
@@ -98,8 +98,8 @@ def test_criterion_3_oracle_equivalence():
         m = 1 + rng.randint(8)
         d = 1 + rng.randint(8)
         x = randn([m, d], rng)
-        gamma = [1.0 + 0.3 * rng.normal() for _ in range(d)]
-        beta = [0.3 * rng.normal() for _ in range(d)]
+        gamma = [1.0 + 0.3 * normal(rng) for _ in range(d)]
+        beta = [0.3 * normal(rng) for _ in range(d)]
         p = init_params(d)
         p.gamma = Tensor([d], gamma)
         p.beta = Tensor([d], beta)

@@ -219,7 +219,7 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             w -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
-        opt = Adam(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        opt = Adam(learning_rate=lr)
         params = {"w": Tensor([1], [1.0])}
         params = opt.step(params, {"w": Tensor([1], [g1])})
         params = opt.step(params, {"w": Tensor([1], [g2])})

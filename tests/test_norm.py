@@ -5,12 +5,13 @@ import struct
 import pytest
 
 import oracles
-from conftest import assert_lists_close, at, batch_stats, feature_stats, rows_of
+from conftest import assert_lists_close, at, batch_stats, feature_stats, hexes, rows_of
 from normlab.norm import (
     InferenceFlags,
     NormParams,
     SIGMA_F_GUARD,
     UninitializedStatsError,
+    bln_backward,
     bln_forward_infer,
     bln_forward_infer_configs,
     bln_forward_train,
@@ -244,6 +245,17 @@ class TestBlendedTrain:
         assert cache.x_hh[:3] == [0.0, 0.0, 0.0]
         assert any(v != 0.0 for v in cache.x_hh[3:])
 
+    def test_guarded_row_keeps_batch_branch_zero_signs_at_batch_one(self):
+        # At m = 1 w_batch is -eps, so where dy is +0.0 the batch branch
+        # gives dx = -0.0, and the guarded row's feature branch +0.0 (its
+        # mean gradient is negative). Adding that +0.0 would turn -0.0 into
+        # +0.0: a guarded row must take the batch branch alone.
+        x = Tensor([1, 4], [2.5] * 4)
+        _, cache, _ = bln_forward_train(x, params_for(4), init_running(4))
+        assert cache.inv_std_f == [0.0] and cache.w_batch < 0.0
+        dx, _, _ = bln_backward(cache, Tensor([1, 4], [0.0, -1.0, 0.0, -0.5]))
+        assert hexes(dx.data) == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+
     def test_scale_shift_affine_contract(self):
         x = random_batch(5, 3, 21)
         c, b = 2.5, -0.75
@@ -381,6 +393,24 @@ class TestUpdateRunning:
             r = update_running(r, *batch_stats(x, EPS), *feature_stats(x), "cumulative")
         per_batch = [sum(feature_stats(x).sigma_f) / 3 for x in xs]
         assert abs(r.e_sigma_f - oracles.cumulative_scalar(per_batch)) < 1e-15
+
+    def test_cumulative_feature_scalars_match_pinned_bits(self):
+        # (count * old + new) / (count + 1) from count 2 on; a regrouping
+        # such as multiplying by 1 / (count + 1) changes some of these bits
+        p = params_for(3, momentum="cumulative")
+        r = init_running(3)
+        seen = []
+        for seed in range(130, 135):
+            _, _, r = bln_forward_train(randn([4, 3], Rng(seed)), p, r)
+            seen.append((r.e_mu_f.hex(), r.e_sigma_f.hex()))
+        assert r.count == 5
+        assert seen == [
+            ("0x1.2da4293003644p-5", "0x1.5faf6b7f1d3eap-1"),
+            ("-0x1.83aa807ca5b3dp-4", "0x1.42fd6e80ab46ap-1"),
+            ("0x1.1a3e2f49e5ecfp-5", "0x1.4cc48e630940fp-1"),
+            ("0x1.c8fb7bf42fa2ep-4", "0x1.500bd3684af46p-1"),
+            ("0x1.2871995332e0ap-3", "0x1.492c954140e3cp-1"),
+        ]
 
     def test_invalid_momentum_rejected(self):
         x = Tensor([2, 2], [1, 2, 3, 4])

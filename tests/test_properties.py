@@ -11,16 +11,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import checksum, hexes
+from conftest import checksum, hexes, normal
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.data import DataFormatError, Dataset
 from normlab import nn, norm, tensor
 from normlab.nn import (
+    Activation,
     Adam,
     AvgPool2x2,
     Conv2d,
-    build_cnn,
-    build_dense_net,
+    Dense,
+    Flatten,
+    Normalizer,
     build_rnn,
     network_train_epoch,
 )
@@ -159,7 +161,7 @@ def test_matmul_zero_skip_keeps_non_finite_lines(operands):
 
 def _operand(rng, size, zero_every, specials=()):
     """Random values with every zero_every-th entry 0.0 (none if 0), then specials set."""
-    values = [rng.normal() for _ in range(size)]
+    values = [normal(rng) for _ in range(size)]
     if zero_every:
         values[::zero_every] = [0.0] * len(values[::zero_every])
     for at, value in specials:
@@ -266,7 +268,7 @@ def _one_term_at_a_time(kind, acc, terms):
 def _drawn(rng, size):
     """Normal draws: sums of them regrouped or reordered differ in some
     bits, unlike sums of the small integers that hypothesis favours."""
-    return [rng.normal() for _ in range(size)]
+    return [normal(rng) for _ in range(size)]
 
 
 def _drawn_accumulation(kind, seed):
@@ -413,21 +415,32 @@ SCHEMES = ("bn", "ln", "bln")
 
 @st.composite
 def trained_networks(draw, arch, scheme):
-    """A small random network of one architecture after a few Adam steps."""
+    """A small random network of one architecture after a few Adam steps.
+
+    The dense and CNN stacks are those of build_dense_net and build_cnn,
+    with drawn sizes and activation in place of their fixed ones.
+    """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = Rng(seed)
     classes = draw(st.integers(2, 3))
     n = draw(st.integers(classes, 6))
     if arch == "dense":
         d = draw(st.integers(1, 5))
-        net = build_dense_net(d, draw(st.integers(2, 5)), classes, scheme, rng,
-                              activation=draw(st.sampled_from(["relu", "tanh"])))
+        hidden, activation = draw(st.integers(2, 5)), draw(st.sampled_from(["relu", "tanh"]))
+        net = nn.Network([Dense(d, hidden, rng), Activation(activation),
+                          Normalizer(scheme, hidden), Dense(hidden, classes, rng)])
         shape = [n, d]
     elif arch == "cnn":
         cin, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
         h, w = draw(st.sampled_from([2, 4])) + k - 1, draw(st.sampled_from([2, 4])) + k - 1
-        net = build_cnn(cin, h, w, classes, scheme, rng, filters=draw(st.integers(1, 3)),
-                        kernel=k, dense_width=draw(st.integers(2, 5)))
+        filters, width = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+        conv_h, conv_w = h - k + 1, w - k + 1
+        net = nn.Network([
+            Conv2d(cin, filters, k, rng), Activation("relu"),
+            Normalizer(scheme, filters * conv_h * conv_w), AvgPool2x2(), Flatten(),
+            Dense(filters * (conv_h // 2) * (conv_w // 2), width, rng), Activation("relu"),
+            Normalizer(scheme, width), Dense(width, classes, rng),
+        ])
         shape = [n, cin, h, w]
     else:
         v = draw(st.integers(1, 3))
@@ -469,7 +482,7 @@ def test_layout_and_checksum_cover_the_whole_state(arch, scheme):
         buffers = net.buffers()
         assert [name for name, _ in layout] == list(buffers)
         assert [math.prod(shape) for _, shape in layout] == [len(v) for v in buffers.values()]
-        normalizers = [i for i, layer in enumerate(net.layers) if isinstance(layer, nn.Normalizer)]
+        normalizers = [i for i, layer in enumerate(net.layers) if isinstance(layer, Normalizer)]
         running = {f"{i}.running.{field}" for i in normalizers
                    for field in ("e_mu_b", "e_sigma_b", "e_mu_f", "e_sigma_f")}
         assert set(buffers) == set(net.params()) | running

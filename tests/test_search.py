@@ -27,7 +27,6 @@ from normlab.search import (
     evaluate_all,
     flag_prefix_length,
     rank_results,
-    select_best,
 )
 from normlab.tensor import Rng
 
@@ -148,6 +147,11 @@ class TestEnumeration:
 
 
 class TestSelectBest:
+    """gridsearch reports the first of the results rank_results orders."""
+
+    def best(self, results):
+        return rank_results(results)[0]
+
     def make(self, quads):
         return [
             ConfigResult(InferenceFlags(*flags), loss, acc)
@@ -168,32 +172,28 @@ class TestSelectBest:
             ((False, False, False, True), 0.5, 0.9),
             ((True, False, False, False), 0.4, 0.1),
         ]))
-        assert select_best(results).flags.as_tuple() == (True, False, False, False)
+        assert self.best(results).flags.as_tuple() == (True, False, False, False)
 
     def test_loss_tie_broken_by_accuracy(self):
         results = self.pad(self.make([
             ((False, True, False, False), 0.5, 0.7),
             ((True, False, False, False), 0.5, 0.8),
         ]))
-        best = select_best(results)
+        best = self.best(results)
         assert best.accuracy == 0.8
 
     def test_full_tie_prefers_all_false(self):
         results = [ConfigResult(c, 1.0, 0.5) for c in enumerate_configs()]
-        assert select_best(results).flags.as_tuple() == (False, False, False, False)
+        assert self.best(results).flags.as_tuple() == (False, False, False, False)
 
     def test_permutation_invariant(self):
         results = self.pad(self.make([
             ((False, False, True, False), 0.3, 0.9),
             ((False, True, False, False), 0.2, 0.8),
         ]))
-        forward = select_best(results)
-        backward = select_best(list(reversed(results)))
+        forward = self.best(results)
+        backward = self.best(list(reversed(results)))
         assert forward.flags == backward.flags
-
-    def test_requires_sixteen_results(self):
-        with pytest.raises(ValueError):
-            select_best([ConfigResult(InferenceFlags(), 0.1, 0.9)])
 
     def test_rank_assignment_is_a_permutation(self):
         results = [ConfigResult(c, 1.0 + i * 0.01, 0.5) for i, c in enumerate(enumerate_configs())]

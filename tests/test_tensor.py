@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import at, hexes, scalar_normal, splitmix64_state_before, tolist
+from conftest import at, hexes, normal, scalar_normal, splitmix64_state_before, tolist
 from normlab.nn import Dense
 from normlab.tensor import (
     Rng,
@@ -97,8 +97,8 @@ class TestRng:
         assert sorted(perm) == list(range(20))
 
     def test_child_streams_are_deterministic(self):
-        a = Rng(3).child().normal()
-        b = Rng(3).child().normal()
+        a = normal(Rng(3).child())
+        b = normal(Rng(3).child())
         assert a == b
 
 
@@ -121,7 +121,7 @@ class TestNormalStream:
 
     def test_normal_calls_continue_the_stream(self):
         one_at_a_time = Rng(9)
-        assert hexes([one_at_a_time.normal() for _ in range(5)]) == hexes(Rng(9).normals(5))
+        assert hexes([normal(one_at_a_time) for _ in range(5)]) == hexes(Rng(9).normals(5))
 
     def test_randn_draws_the_stream(self):
         assert randn([3, 3], Rng(4)).data == Rng(4).normals(9)
