@@ -148,11 +148,19 @@ def _check_output(path, force=True):
         raise UsageError(f"refusing to overwrite existing file {path} (use --force)")
 
 
+def _check_distinct(args, outputs, inputs):
+    """Refuse, before any work, an output option naming the same file as a
+    later output or an input option: the command would overwrite it."""
+    for i, out in enumerate(outputs):
+        for other in outputs[i + 1:] + inputs:
+            if os.path.realpath(getattr(args, out)) == os.path.realpath(getattr(args, other)):
+                raise UsageError(f"--{out} and --{other} name the same file {getattr(args, out)}")
+
+
 def cmd_train(args):
     raw = _apply_seed_override(load_config_file(args.config))
     config = validate_experiment(raw)
-    if os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
-        raise UsageError(f"--out and --checkpoint name the same file {args.out}")
+    _check_distinct(args, ("out", "checkpoint"), ("config",))
     _check_output(args.out)
     _check_output(args.checkpoint, args.force)
     records, net = run_training(config)
@@ -165,6 +173,7 @@ def cmd_train(args):
 def cmd_compare(args):
     raw = _apply_seed_override(load_config_file(args.config))
     configs = validate_experiment(raw, multi=True)
+    _check_distinct(args, ("out",), ("config",))
     _check_output(args.out)
     # the runs differ only in normalizer and batch size, which the splits
     # do not depend on
@@ -182,6 +191,7 @@ def cmd_compare(args):
 def cmd_gridsearch(args):
     raw = _apply_seed_override(load_config_file(args.config))
     config = validate_experiment(raw)
+    _check_distinct(args, ("out",), ("checkpoint", "config"))
     _check_output(args.out)
     net, _ = load_checkpoint(args.checkpoint)
     bln_layers = [n for n in net.normalizers() if n.scheme == "bln"]

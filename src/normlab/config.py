@@ -6,7 +6,7 @@ import sys
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
-from .norm import SCHEMES, InferenceFlags
+from .norm import EPSILON, MOMENTUM, SCHEMES, InferenceFlags
 from .tensor import Rng, reshape
 
 
@@ -40,8 +40,8 @@ class ExperimentConfig:
 
     REQUIRED = ("task", "normalizer", "batch_size", "epochs", "seed")
     DEFAULTS = {
-        "epsilon": 1e-4,
-        "momentum": 0.9,
+        "epsilon": EPSILON,
+        "momentum": MOMENTUM,
         "train_fraction": 0.2,
         "learning_rate": 1e-3,
         "flags": dict.fromkeys(FLAG_KEYS, False),

@@ -265,8 +265,9 @@ class Activation(Layer):
 class RnnCell(Layer):
     """Tanh recurrence over (batch, time, features); emits the last hidden state.
 
-    forward and backward cut their work into blocks that helper processes
-    may run (workers.run_blocks), with the same bits for any block count.
+    forward caches the input and the hidden states. Both passes cut their
+    work into blocks of rows, of samples or of hidden units, that helper
+    processes may run (workers.run_blocks), with the same bits for any count.
     """
 
     kind = "rnn-cell"
@@ -289,20 +290,17 @@ class RnnCell(Layer):
         if x.rank != 3:
             raise ValueError(f"RnnCell expects a rank-3 (batch, time, features) input, "
                              f"got shape {x.shape}")
-        m, steps, v = x.shape
+        m, _, v = x.shape
         if v != self.in_dim:
             raise ValueError(f"expected {self.in_dim} input features, got {v}")
         # each sample's rows go through the recurrence on their own
-        row = steps * v
-        blocks = workers.run_blocks(_rnn_steps, [
-            (self, Tensor._wrap((b - a, steps, v), x.data[a * row:b * row]))
-            for a, b in workers.spans(m, workers.block_count(m, MIN_BLOCK))
-        ])
-        xs, hs = (_stack(states) for states in zip(*blocks))
-        return hs[-1], (xs, hs)
+        hs = _stack(workers.run_blocks(_rnn_steps, [
+            (self, _rows(x, a, b)) for a, b in workers.spans(m, workers.block_count(m, MIN_BLOCK))
+        ]))
+        return hs[-1], (x, hs)
 
     def backward(self, cache, dy):
-        xs, hs = cache
+        x, hs = cache
         m = dy.shape[0]
         n = workers.block_count(m, MIN_BLOCK)
         # da[t], the gradient at step t's pre-activation, by blocks of samples
@@ -310,14 +308,14 @@ class RnnCell(Layer):
             (self, _rows(dy, a, b), [_rows(h, a, b) for h in hs[1:]])
             for a, b in workers.spans(m, n)
         ]))
-        # then the parameter gradients by blocks of hidden units: each block
-        # sums its units' terms over the samples and then over the steps
-        grads = workers.run_blocks(_rnn_param_grads, [
-            (xs, hs[:-1], [_columns(da, a, b) for da in das])
+        # then the transposed parameter gradients by blocks of hidden units,
+        # runs of rows of each da^T, summed over the samples, then the steps
+        das = [transpose2d(da) for da in das]
+        dw_xh, dw_hh, db = _stack(workers.run_blocks(_rnn_param_grads, [
+            (x, hs[:-1], [_rows(da, a, b) for da in das])
             for a, b in workers.spans(self.hidden, min(n, self.hidden))
-        ])
-        dw_xh, dw_hh, db = (_join_columns(parts) for parts in zip(*grads))
-        return None, {"w_xh": dw_xh, "w_hh": dw_hh, "b": db}
+        ]))
+        return None, {"w_xh": transpose2d(dw_xh), "w_hh": transpose2d(dw_hh), "b": db}
 
 
 # Fewest samples in an RnnCell block: a smaller block gains less than a
@@ -325,24 +323,27 @@ class RnnCell(Layer):
 MIN_BLOCK = 4
 
 
-def _rnn_steps(cell, x):
-    """(xs, hs) of the recurrence of `cell` over x, a block of samples.
-
-    xs[t] holds each sample's input at step t, hs[t + 1] its hidden state
-    after it; hs[0] is the zero initial state.
-    """
+def _step_input(x, t):
+    """Each sample's input at step t of x (batch, time, features), as (batch, features)."""
     m, steps, v = x.shape
+    data = []
+    for lo in range(t * v, m * steps * v, steps * v):
+        data += x.data[lo:lo + v]
+    return Tensor._wrap((m, v), data)
+
+
+def _rnn_steps(cell, x):
+    """hs of the recurrence of `cell` over x, a block of samples: hs[t + 1] holds
+    each sample's hidden state after step t, hs[0] the zero initial state."""
+    m, steps, _ = x.shape
     h = zeros([m, cell.hidden])
-    xs = []
     hs = [h]
     bias = _broadcast_row(cell.b, m)
     for t in range(steps):
-        xt = Tensor._wrap((m, v), [x.data[(s * steps + t) * v + j] for s in range(m) for j in range(v)])
-        xs.append(xt)
-        pre = matmul(xt, cell.w_xh) + matmul(h, cell.w_hh) + bias
+        pre = matmul(_step_input(x, t), cell.w_xh) + matmul(h, cell.w_hh) + bias
         h = Tensor._wrap(pre.shape, [math.tanh(u) for u in pre.data])
         hs.append(h)
-    return xs, hs
+    return hs
 
 
 def _rnn_chain(cell, dy, hs):
@@ -363,21 +364,22 @@ def _rnn_chain(cell, dy, hs):
     return das
 
 
-def _rnn_param_grads(xs, hs, das):
-    """(dw_xh, dw_hh, db) of the hidden units whose columns das holds.
+def _rnn_param_grads(x, hs, das):
+    """(dw_xh^T, dw_hh^T, db) of a block of hidden units; das[t] holds their rows of da[t]^T.
 
-    Step t read input xs[t] and hidden state hs[t]; its terms x^T da, h^T da
-    and the column sums of da are added from the last step to the first.
+    Step t read input _step_input(x, t) and hidden state hs[t]; its terms
+    da^T x, da^T h and the row sums of da^T are added from the last step to
+    the first.
     """
-    units = das[0].shape[1]
-    dw_xh = zeros([xs[0].shape[1], units])
-    dw_hh = zeros([hs[0].shape[1], units])
+    units = das[0].shape[0]
+    dw_xh = zeros([units, x.shape[2]])
+    dw_hh = zeros([units, hs[0].shape[1]])
     db = zeros([units])
     for t in range(len(das) - 1, -1, -1):
         da = das[t]
-        dw_xh = dw_xh + matmul(transpose2d(xs[t]), da)
-        dw_hh = dw_hh + matmul(transpose2d(hs[t]), da)
-        db = db + _col_sum(da)
+        dw_xh = dw_xh + matmul(da, _step_input(x, t))
+        dw_hh = dw_hh + matmul(da, hs[t])
+        db = db + Tensor._wrap((units,), _norm._line_sums(da.data, da.shape, 1))
     return dw_xh, dw_hh, db
 
 
@@ -390,37 +392,14 @@ def _stack(blocks):
         data = []
         for part in parts:
             data += part.data
-        d = parts[0].shape[1]
-        out.append(Tensor._wrap((len(data) // d, d), data))
+        out.append(Tensor._wrap((sum(p.shape[0] for p in parts),) + parts[0].shape[1:], data))
     return out
 
 
 def _rows(x, a, b):
-    """Rows a to b of a rank-2 tensor."""
-    d = x.shape[1]
-    return Tensor._wrap((b - a, d), x.data[a * d:b * d])
-
-
-def _columns(x, a, b):
-    """Columns a to b of a rank-2 tensor."""
-    m, d = x.shape
-    if b - a == d:
-        return x
-    data = []
-    for i in range(0, m * d, d):
-        data += x.data[i + a:i + b]
-    return Tensor._wrap((m, b - a), data)
-
-
-def _join_columns(parts):
-    """The tensor whose columns are those of parts, one part after another."""
-    if len(parts) == 1:
-        return parts[0]
-    if parts[0].rank == 1:
-        return Tensor._wrap((sum(p.size for p in parts),), [v for p in parts for v in p.data])
-    m = parts[0].shape[0]
-    rows = [p.data[i * p.shape[1]:(i + 1) * p.shape[1]] for i in range(m) for p in parts]
-    return Tensor._wrap((m, sum(p.shape[1] for p in parts)), [v for row in rows for v in row])
+    """Rows a to b of x, a tensor of any rank: its entries a to b along axis 0."""
+    row = x.size // x.shape[0]
+    return Tensor._wrap((b - a,) + x.shape[1:], x.data[a * row:b * row])
 
 
 class Normalizer(Layer):
@@ -438,7 +417,7 @@ class Normalizer(Layer):
     KEYS = ("scheme", "d", "epsilon", "momentum")
     SCHEMES = _norm.SCHEMES
 
-    def __init__(self, scheme, d, epsilon=1e-4, momentum=0.9):
+    def __init__(self, scheme, d, epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
         if scheme not in self.SCHEMES:
             raise ValueError(f"unknown normalization scheme {scheme!r}")
         self.scheme = scheme
@@ -448,7 +427,7 @@ class Normalizer(Layer):
         self.running = init_running(d)
 
     @staticmethod
-    def param_shapes(scheme, d, epsilon=1e-4, momentum=0.9):
+    def param_shapes(scheme, d, epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
         return {"gamma": [d], "beta": [d]}
 
     def _flat(self, x):
@@ -755,7 +734,7 @@ def score(logits, labels):
 
 
 def build_cnn(in_channels, height, width, num_classes, normalizer, rng,
-              epsilon=1e-4, momentum=0.9):
+              epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
     """Small post-nonlinearity-normalized CNN: conv (8 filters, 3x3), pool, dense (32), dense."""
     filters, kernel, dense_width = 8, 3, 32
     conv_h, conv_w = height - kernel + 1, width - kernel + 1
@@ -776,7 +755,8 @@ def build_cnn(in_channels, height, width, num_classes, normalizer, rng,
     return Network(layers)
 
 
-def build_rnn(vocab, hidden, num_classes, normalizer, rng, epsilon=1e-4, momentum=0.9):
+def build_rnn(vocab, hidden, num_classes, normalizer, rng,
+              epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
     """Recurrent classifier normalizing the final hidden state."""
     layers = [RnnCell(vocab, hidden, rng)]
     if normalizer != "none":

@@ -26,6 +26,9 @@ from .tensor import Tensor, _accumulate, ones, ordered_sum, zeros
 # below this, a feature-branch denominator is treated as exactly zero
 SIGMA_F_GUARD = 1e-12
 
+# a normalizer's epsilon and momentum where its config or caller sets none
+EPSILON, MOMENTUM = 1e-4, 0.9
+
 
 class UninitializedStatsError(ValueError):
     """Population statistics were requested before any batch was absorbed."""
@@ -40,7 +43,7 @@ class NormParams:
 
     __slots__ = ("gamma", "beta", "epsilon", "momentum")
 
-    def __init__(self, gamma, beta, epsilon=1e-4, momentum=0.9):
+    def __init__(self, gamma, beta, epsilon=EPSILON, momentum=MOMENTUM):
         if isinstance(epsilon, bool) or not 0.0 < epsilon <= sys.float_info.max:
             raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
         if gamma.shape != beta.shape or gamma.rank != 1:
@@ -57,7 +60,7 @@ def _check_momentum(momentum):
     raise ValueError(f"momentum must be in (0, 1] or 'cumulative', got {momentum!r}")
 
 
-def init_params(d, epsilon=1e-4, momentum=0.9):
+def init_params(d, epsilon=EPSILON, momentum=MOMENTUM):
     """Fresh per-feature parameters: gamma ones, beta zeros."""
     return NormParams(ones([d]), zeros([d]), epsilon, momentum)
 

@@ -347,3 +347,66 @@ def col_sum_loops(xd, m, d):
     for i in range(m):
         out = [s + v for s, v in zip(out, xd[i * d:(i + 1) * d])]
     return out
+
+
+# ---------------------------------------------------------------------------
+# RnnCell's recurrence and backward as index loops in the order its
+# docstrings document, kept as a bitwise reference.
+# ---------------------------------------------------------------------------
+
+def rnn_cell_loops(xd, x_shape, w_xh, w_hh, b, dyd):
+    """(y, hs, dw_xh, dw_hh, db) of a tanh recurrence over x (m, steps, v).
+
+    hs[t] is the flat (m, hidden) state after t steps, hs[0] all 0.0, and y
+    is hs[-1]. Step t's pre-activation is (x_t w_xh + h w_hh) + b, each
+    product's terms added in order from 0.0. Going back from dy, step t's
+    da = dh * (1 - h*h) and the dh before it is da w_hh^T. Each parameter
+    gradient adds one sum per step, over the samples in order from 0.0,
+    from the last step to the first.
+    """
+    m, steps, v = x_shape
+    hidden = len(b)
+    hs = [[0.0] * (m * hidden)]
+    for t in range(steps):
+        prev, h = hs[-1], []
+        for s in range(m):
+            for j in range(hidden):
+                from_x = 0.0
+                for i in range(v):
+                    from_x += xd[(s * steps + t) * v + i] * w_xh[i * hidden + j]
+                from_h = 0.0
+                for k in range(hidden):
+                    from_h += prev[s * hidden + k] * w_hh[k * hidden + j]
+                h.append(math.tanh(from_x + from_h + b[j]))
+        hs.append(h)
+    das = [None] * steps
+    dh = list(dyd)
+    for t in range(steps - 1, -1, -1):
+        h = hs[t + 1]
+        das[t] = [dh[e] * (1.0 - h[e] * h[e]) for e in range(m * hidden)]
+        dh = []
+        for s in range(m):
+            for k in range(hidden):
+                acc = 0.0
+                for j in range(hidden):
+                    acc += das[t][s * hidden + j] * w_hh[k * hidden + j]
+                dh.append(acc)
+    dw_xh, dw_hh, db = [0.0] * (v * hidden), [0.0] * (hidden * hidden), [0.0] * hidden
+    for t in range(steps - 1, -1, -1):
+        da, h = das[t], hs[t]
+        for j in range(hidden):
+            for i in range(v):
+                acc = 0.0
+                for s in range(m):
+                    acc += xd[(s * steps + t) * v + i] * da[s * hidden + j]
+                dw_xh[i * hidden + j] += acc
+            for k in range(hidden):
+                acc = 0.0
+                for s in range(m):
+                    acc += h[s * hidden + k] * da[s * hidden + j]
+                dw_hh[k * hidden + j] += acc
+            acc = 0.0
+            for s in range(m):
+                acc += da[s * hidden + j]
+            db[j] += acc
+    return hs[-1], hs, dw_xh, dw_hh, db

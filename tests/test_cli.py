@@ -533,6 +533,35 @@ class TestCheckpointTaskMismatch:
         assert not out.exists()
 
 
+class TestOutputNamesAnInput:
+    OPTIONS = {"train": ("--config", "--out", "--checkpoint", "--force"),
+               "compare": ("--config", "--out"),
+               "gridsearch": ("--config", "--checkpoint", "--out")}
+
+    @pytest.mark.parametrize("command, output, source", [
+        ("train", "--out", "--config"),
+        ("train", "--checkpoint", "--config"),
+        ("compare", "--out", "--config"),
+        ("gridsearch", "--out", "--config"),
+        ("gridsearch", "--out", "--checkpoint"),
+    ], ids=["train-out-config", "train-checkpoint-config", "compare-out-config",
+            "gridsearch-out-config", "gridsearch-out-checkpoint"])
+    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command, output,
+                                                      source):
+        normalizer = ["ln", "bln"] if command == "compare" else "bln"
+        paths = {"--config": write_config(tmp_path, normalizer=normalizer),
+                 "--checkpoint": str(tmp_path / "net.ckpt"), "--out": str(tmp_path / "out.csv")}
+        save_checkpoint(paths["--checkpoint"], _populated(build_cnn(1, 6, 6, 2, "bln", Rng(0))))
+        paths[output] = paths[source]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code = main([command] + [arg for option in self.OPTIONS[command]
+                                 for arg in (option, paths.get(option)) if arg])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {output} and {source} name the same file "
+                                           f"{paths[output]}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestCommittedConfigs:
     CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
     # the validator of the command each committed config is written for

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+import oracles
 from conftest import assert_no_child_left, deadline
 from normlab import nn, workers
 from normlab.cli import main
@@ -23,14 +24,15 @@ def set_cpus(monkeypatch, n):
 
 
 def bits(tensors):
-    """float64 bytes of every element but nan, which shows as None.
+    """float64 bytes of every element of tensors or float lists but nan, which shows as None.
 
     The bytes tell 0.0 from -0.0. A nan's sign is not reproducible even
     between two calls of the same code: CPython adds two nans of opposite
     sign to either one, depending on whether the addition's bytecode has
     been specialized yet.
     """
-    return [[struct.pack("d", v) if v == v else None for v in t.data] for t in tensors]
+    return [[struct.pack("d", v) if v == v else None for v in getattr(t, "data", t)]
+            for t in tensors]
 
 
 def special_inputs(m, steps, hidden, rng, case):
@@ -69,6 +71,25 @@ def write_config(tmp_path, name, **changes):
     return str(path)
 
 
+def cell_runs(monkeypatch, cell, x, dy):
+    """[y, *hs, dw_xh, dw_hh, db] of cell on x and dy at 1, 2 and 3 usable CPUs."""
+    m = x.shape[0]
+    runs = []
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        blocks = min(cpus, m // MIN_BLOCK) or 1
+        with deadline(120), workers.scope():
+            assert workers.block_count(m, MIN_BLOCK) == blocks
+            y, cache = cell.forward(x)
+            _, grads = cell.backward(cache, dy)
+            assert len(workers._helpers) == blocks - 1
+        cached_x, hs = cache
+        assert cached_x is x
+        runs.append([y, *hs, grads["w_xh"], grads["w_hh"], grads["b"]])
+        assert_no_child_left()
+    return runs
+
+
 class TestRnnCellBlocks:
     @pytest.mark.parametrize("case", ["infs", "nans"])
     @pytest.mark.parametrize("m", [MIN_BLOCK - 1, MIN_BLOCK, 25, 100])
@@ -77,24 +98,24 @@ class TestRnnCellBlocks:
         steps, hidden = 4, 8
         cell = RnnCell(3, hidden, rng)
         x, dy = special_inputs(m, steps, hidden, rng, case)
-        runs = []
-        for cpus in (1, 2, 3):
-            set_cpus(monkeypatch, cpus)
-            blocks = min(cpus, m // MIN_BLOCK) or 1
-            with deadline(120), workers.scope():
-                assert workers.block_count(m, MIN_BLOCK) == blocks
-                y, cache = cell.forward(x)
-                _, grads = cell.backward(cache, dy)
-                assert len(workers._helpers) == blocks - 1
-            xs, hs = cache
-            runs.append((bits([y]), bits(xs), bits(hs),
-                         bits([grads["w_xh"], grads["w_hh"], grads["b"]])))
-            assert_no_child_left()
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
-        # the specials reach the outputs without making every element nan
-        values = [v for t in (y, grads["w_xh"], grads["w_hh"], grads["b"]) for v in t.data]
+        runs = cell_runs(monkeypatch, cell, x, dy)
+        assert bits(runs[1]) == bits(runs[0])
+        assert bits(runs[2]) == bits(runs[0])
+        # the specials reach y and the gradients without making every element nan
+        values = [v for t in runs[0][:1] + runs[0][-3:] for v in t.data]
         assert any(not math.isfinite(v) for v in values) and any(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("case", ["infs", "nans"])
+    def test_bits_match_scalar_loops_at_every_block_count(self, monkeypatch, case):
+        m, steps, hidden = 3 * MIN_BLOCK, 4, 8
+        rng = Rng(m)
+        cell = RnnCell(3, hidden, rng)
+        x, dy = special_inputs(m, steps, hidden, rng, case)
+        y, hs, dw_xh, dw_hh, db = oracles.rnn_cell_loops(
+            x.data, x.shape, cell.w_xh.data, cell.w_hh.data, cell.b.data, dy.data)
+        expected = bits([y, *hs, dw_xh, dw_hh, db])
+        for blocks, run in zip((1, 2, 3), cell_runs(monkeypatch, cell, x, dy)):
+            assert bits(run) == expected, f"{blocks} blocks"
 
 
 class TestRunBlocks:
