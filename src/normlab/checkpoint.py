@@ -79,7 +79,8 @@ def load_checkpoint(path):
         raise DataFormatError(f"malformed checkpoint: {path} manifest truncated")
     try:
         manifest = json.loads(raw[8:8 + length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals
         raise DataFormatError(f"malformed checkpoint: {path} manifest unreadable") from exc
     if not isinstance(manifest, dict):
         raise _malformed(path, "manifest is not a JSON object")

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from collections import namedtuple
 
@@ -138,14 +139,33 @@ def _apply_seed_override(raw):
 
 def _check_output(path, force=True):
     """Refuse, before any work, an output that is a directory, one in a missing
-    directory or, unless forced, an existing file."""
+    directory (a symlink's target directory counts) or, unless forced, an
+    existing file."""
     if os.path.isdir(path):
         raise UsageError(f"output path {path} is a directory")
-    directory = os.path.dirname(path) or "."
+    directory = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(directory):
         raise UsageError(f"output directory {directory} does not exist")
     if not force and os.path.exists(path):
         raise UsageError(f"refusing to overwrite existing file {path} (use --force)")
+
+
+def _write_output(write, path, *args):
+    """write(path, *args), refused with one line on an OSError. A file the write
+    opened is removed: open() names its file in the error, a failed write or
+    close does not."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        if exc.filename is None:
+            _remove_file(path)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _remove_file(path):
+    # a symlink or a device (/dev/stdout, say) is left in place
+    if stat.S_ISREG(os.lstat(path).st_mode):
+        os.remove(path)
 
 
 def _check_distinct(args, outputs, inputs):
@@ -164,8 +184,12 @@ def cmd_train(args):
     _check_output(args.out)
     _check_output(args.checkpoint, args.force)
     records, net = run_training(config)
-    write_metrics_csv(args.out, config.to_dict(), records)
-    save_checkpoint(args.checkpoint, net, meta=config.to_dict())
+    _write_output(write_metrics_csv, args.out, config.to_dict(), records)
+    try:
+        _write_output(save_checkpoint, args.checkpoint, net, config.to_dict())
+    except UsageError:
+        _remove_file(args.out)
+        raise
     print(f"wrote {args.out} and {args.checkpoint}")
     return 0
 
@@ -183,7 +207,7 @@ def cmd_compare(args):
     effective = dict(raw)
     for key, value in configs[0].to_dict().items():
         effective.setdefault(key, value)
-    write_metrics_csv(args.out, effective, records)
+    _write_output(write_metrics_csv, args.out, effective, records)
     print(f"wrote {args.out} ({len(configs)} runs)")
     return 0
 
@@ -207,7 +231,7 @@ def cmd_gridsearch(args):
         # the checkpoint's layers cannot take this task's inputs
         raise DataFormatError(f"checkpoint {args.checkpoint} does not fit task {config.task!r}: "
                               f"{exc}") from None
-    write_grid_csv(args.out, config.to_dict(), results)
+    _write_output(write_grid_csv, args.out, config.to_dict(), results)
     best = results[0]
     chosen = ", ".join(f"{k}={v}" for k, v in zip(FLAG_KEYS, best.flags.as_tuple()))
     print(f"wrote {args.out}; best configuration ({chosen}) "

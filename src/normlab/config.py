@@ -216,10 +216,11 @@ def load_config_file(path):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer longer than sys.get_int_max_str_digits()
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise UsageError(f"config file {path} nests too deeply to read") from None
 

@@ -20,7 +20,8 @@ import math
 from functools import reduce
 from itertools import compress
 
-from .tensor import Tensor, _accumulate, matmul, ordered_sum, randn, reshape, take, transpose2d, zeros
+from .tensor import (Tensor, _accumulate, line_sums, matmul, ordered_sum, randn, reshape, take,
+                     transpose2d, zeros)
 from . import norm as _norm
 from . import workers
 from .norm import NormParams, init_params, init_running
@@ -84,7 +85,7 @@ class Dense(Layer):
     def backward(self, cache, dy):
         x = cache
         dw = matmul(transpose2d(x), dy)
-        db = _col_sum(dy)
+        db = Tensor._wrap((self.out_dim,), line_sums(dy.data, dy.shape, 0))
         return matmul(dy, transpose2d(self.w)), {"w": dw, "b": db}
 
 
@@ -379,7 +380,7 @@ def _rnn_param_grads(x, hs, das):
         da = das[t]
         dw_xh = dw_xh + matmul(da, _step_input(x, t))
         dw_hh = dw_hh + matmul(da, hs[t])
-        db = db + Tensor._wrap((units,), _norm._line_sums(da.data, da.shape, 1))
+        db = db + Tensor._wrap((units,), line_sums(da.data, da.shape, 1))
     return dw_xh, dw_hh, db
 
 
@@ -777,7 +778,3 @@ def build_dense_net(in_dim, hidden, num_classes, normalizer, rng):
 def _broadcast_row(vec, m):
     d = vec.shape[0]
     return Tensor._wrap((m, d), vec.data * m)
-
-
-def _col_sum(x):
-    return Tensor._wrap((x.shape[1],), _norm._line_sums(x.data, x.shape, 0))

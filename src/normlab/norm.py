@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 from operator import mul, sub
 
-from .tensor import Tensor, _accumulate, ones, ordered_sum, zeros
+from .tensor import Tensor, line_sums, ones, ordered_sum, zeros
 
 # below this, a feature-branch denominator is treated as exactly zero
 SIGMA_F_GUARD = 1e-12
@@ -100,9 +100,6 @@ class InferenceFlags(namedtuple("InferenceFlags", ("e_b", "std_b", "e_f", "std_f
     def as_tuple(self):
         return tuple(self)
 
-    def any(self):
-        return self.e_b or self.std_b or self.e_f or self.std_f
-
     @classmethod
     def from_index(cls, i):
         """Quadruple for index 0..15, counting binary with std_f least significant."""
@@ -125,14 +122,10 @@ class NormCache(namedtuple("NormCache", (
     __slots__ = ()
 
 
-def _require_rank2(x):
+def _check_input(x, params):
     if x.rank != 2:
         raise ValueError(f"normalization expects a rank-2 input, got shape {x.shape}")
-    return x.shape
-
-
-def _check_input(x, params):
-    m, d = _require_rank2(x)
+    m, d = x.shape
     if params.gamma.shape[0] != d:
         raise ValueError(f"parameter length {params.gamma.shape[0]} != feature count {d}")
     return m, d
@@ -146,28 +139,10 @@ def _vec(values):
 # the standardize kernel shared by bn, ln and bln
 # ---------------------------------------------------------------------------
 # A line is one column (axis 0, across the batch) or one row (axis 1, across
-# the features) of a flat row-major (m, d) buffer. Line sums run in index
-# order from 0.0, which fixes each output element's accumulation order;
-# everything else is elementwise over the flat buffer, with per-line values
-# broadcast to it.
-
-def _line_sums(values, shape, axis, weights=None):
-    """Sum of each line of a flat (m, d) list along `axis`.
-
-    With weights, the sum of values * weights, each product formed as it
-    is added.
-    """
-    m, d = shape
-    if axis == 1:
-        if weights is None:
-            return [ordered_sum(values[i * d:(i + 1) * d]) for i in range(m)]
-        return [ordered_sum(map(mul, values[i * d:(i + 1) * d], weights[i * d:(i + 1) * d]))
-                for i in range(m)]
-    rows = [values[i * d:(i + 1) * d] for i in range(m)]
-    if weights is None:
-        return _accumulate([0.0] * d, "rows", rows)
-    return _accumulate([0.0] * d, "products", rows, [weights[i * d:(i + 1) * d] for i in range(m)])
-
+# the features) of a flat row-major (m, d) buffer. Line sums (tensor.line_sums)
+# run in index order from 0.0, which fixes each output element's accumulation
+# order; everything else is elementwise over the flat buffer, with per-line
+# values broadcast to it.
 
 def _broadcast(per_line, shape, axis):
     """Per-line values repeated over the flat (m, d) buffer."""
@@ -180,36 +155,14 @@ def _broadcast(per_line, shape, axis):
     return out
 
 
-def _mean(x, axis):
-    """Mean of each line along `axis`."""
-    inv_n = 1.0 / x.shape[axis]
-    return [s * inv_n for s in _line_sums(x.data, x.shape, axis)]
-
-
-def _center(x, axis, mean):
-    """x - mean along each line, as a flat buffer."""
-    return list(map(sub, x.data, _broadcast(mean, x.shape, axis)))
-
-
-def _variance(centered, shape, axis):
-    """Biased variance of each line from its centered values."""
-    inv_n = 1.0 / shape[axis]
-    return [s * inv_n for s in _line_sums(centered, shape, axis, centered)]
-
-
-def _normalize(centered, shape, axis, inv_std):
-    """Centered values times each line's inverse std."""
-    return list(map(mul, centered, _broadcast(inv_std, shape, axis)))
-
-
 def _normalize_backward(dh, h, shape, axis, inv_std):
     """inv_std * (dh - mean(dh) - h * mean(dh * h)) along each line, flat.
 
     dh is the gradient with respect to the normalized values h.
     """
     inv_n = 1.0 / shape[axis]
-    mean_dh = [inv_n * s for s in _line_sums(dh, shape, axis)]
-    sum_dh_h = _line_sums(dh, shape, axis, h)
+    mean_dh = [inv_n * s for s in line_sums(dh, shape, axis)]
+    sum_dh_h = line_sums(dh, shape, axis, h)
     per_line = (_broadcast(v, shape, axis) for v in (inv_std, mean_dh, sum_dh_h))
     return [inv * (a - mdh - b * inv_n * sdh)
             for a, b, inv, mdh, sdh in zip(dh, h, *per_line)]
@@ -224,18 +177,19 @@ def _branch(x, axis, epsilon, mean=None, std=None):
     epsilon (bln's feature side) can meet a zero std, so only it is guarded:
     the line's inverse std becomes 0.0 and its normalized values are zero.
     """
+    inv_n = 1.0 / x.shape[axis]
     if mean is None:
-        mean = _mean(x, axis)
-    centered = _center(x, axis, mean)
+        mean = [s * inv_n for s in line_sums(x.data, x.shape, axis)]
+    centered = list(map(sub, x.data, _broadcast(mean, x.shape, axis)))
     var = None
     if std is None:
-        var = _variance(centered, x.shape, axis)
+        var = [s * inv_n for s in line_sums(centered, x.shape, axis, centered)]
         std = [math.sqrt(v + epsilon) for v in var]
     if epsilon:
         inv_std = [1.0 / s for s in std]
     else:
         inv_std = [0.0 if s < SIGMA_F_GUARD else 1.0 / s for s in std]
-    return mean, var, std, inv_std, _normalize(centered, x.shape, axis, inv_std)
+    return mean, var, std, inv_std, list(map(mul, centered, _broadcast(inv_std, x.shape, axis)))
 
 
 def _scale_shift(h, scale, shift):
@@ -244,14 +198,10 @@ def _scale_shift(h, scale, shift):
     return [s * v + t for v, s, t in zip(h, scale * m, shift * m)]
 
 
-def _times_gamma(dy, gamma):
-    return [v * g for v, g in zip(dy.data, gamma.data * dy.shape[0])]
-
-
 def _param_grads(dx, dy, h):
     """(dx, dgamma, dbeta) with dgamma = column sums of dy * h, dbeta of dy."""
-    dgamma = _line_sums(dy.data, dy.shape, 0, h)
-    dbeta = _line_sums(dy.data, dy.shape, 0)
+    dgamma = line_sums(dy.data, dy.shape, 0, h)
+    dbeta = line_sums(dy.data, dy.shape, 0)
     return Tensor._wrap(dy.shape, dx), _vec(dgamma), _vec(dbeta)
 
 
@@ -271,7 +221,7 @@ def _backward(kind, cache, dy):
     rows contribute nothing through the feature branch.
     """
     _check_cache(cache, kind, dy)
-    dc = _times_gamma(dy, cache.gamma)
+    dc = [v * g for v, g in zip(dy.data, cache.gamma.data * dy.shape[0])]
     if kind != "bln":
         dx = _normalize_backward(dc, cache.x_hat, dy.shape, 0 if kind == "bn" else 1, cache.inv_std)
         return _param_grads(dx, dy, cache.x_hat)
@@ -454,7 +404,7 @@ def bln_forward_infer_configs(x, params, running, flag_list):
     """
     _check_input(x, params)
     flag_list = list(flag_list)
-    if running.count == 0 and any(flags.any() for flags in flag_list):
+    if running.count == 0 and any(map(any, flag_list)):
         raise UninitializedStatsError("uninitialized population statistics")
     return _infer_outputs(x, params, running, flag_list)
 

@@ -367,6 +367,25 @@ def ordered_sum(values):
     return total
 
 
+def line_sums(values, shape, axis, weights=None):
+    """Sum of each line of a flat row-major (m, d) list along `axis`.
+
+    A line is one column (axis 0) or one row (axis 1). Each sum runs in
+    index order from 0.0; with weights it is the sum of values * weights,
+    each product formed as it is added.
+    """
+    m, d = shape
+    rows = [values[i * d:(i + 1) * d] for i in range(m)]
+    if weights is None:
+        if axis == 1:
+            return [ordered_sum(row) for row in rows]
+        return _accumulate([0.0] * d, "rows", rows)
+    weight_rows = [weights[i * d:(i + 1) * d] for i in range(m)]
+    if axis == 1:
+        return [ordered_sum(map(operator.mul, row, w)) for row, w in zip(rows, weight_rows)]
+    return _accumulate([0.0] * d, "products", rows, weight_rows)
+
+
 def _binary(a, b, op):
     if isinstance(b, (int, float)):
         return Tensor._wrap(a.shape, list(map(op, a.data, repeat(float(b)))))

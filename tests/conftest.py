@@ -58,16 +58,21 @@ BatchStats = namedtuple("BatchStats", ("mu_b", "sigma_b"))
 FeatureStats = namedtuple("FeatureStats", ("mu_f", "sigma_f"))
 
 
+def _require_rank2(x):
+    if x.rank != 2:
+        raise ValueError(f"normalization expects a rank-2 input, got shape {x.shape}")
+
+
 def batch_stats(x, epsilon):
     """Per-feature batch mean and std (lists) with epsilon inside the square root."""
-    norm._require_rank2(x)
+    _require_rank2(x)
     mu_b, _, sigma_b, _, _ = norm._branch(x, 0, epsilon)
     return BatchStats(mu_b, sigma_b)
 
 
 def feature_stats(x):
     """Per-sample feature mean and std (lists); no epsilon, so constant rows give 0."""
-    norm._require_rank2(x)
+    _require_rank2(x)
     mu_f, _, sigma_f, _, _ = norm._branch(x, 1, 0.0)
     return FeatureStats(mu_f, sigma_f)
 

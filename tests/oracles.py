@@ -311,8 +311,8 @@ def transpose2d_loops(xd, m, n):
 
 
 # ---------------------------------------------------------------------------
-# Line sums of norm._line_sums and nn._col_sum, one row per comprehension as
-# they were before the multi-term passes, kept as bitwise references.
+# Line sums of tensor.line_sums, one row per comprehension as they were
+# before the multi-term passes, kept as a bitwise reference.
 # ---------------------------------------------------------------------------
 
 def _ordered_sum(values):
@@ -339,14 +339,6 @@ def line_sums_loops(values, shape, axis, weights=None):
         else:
             sums[i] = _ordered_sum(row)
     return sums
-
-
-def col_sum_loops(xd, m, d):
-    """Column sums of a flat (m, d) list, rows added in order from 0.0."""
-    out = [0.0] * d
-    for i in range(m):
-        out = [s + v for s, v in zip(out, xd[i * d:(i + 1) * d])]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ pass lines and timings.
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -290,20 +291,20 @@ def test_criterion_7_grid_search_suite(tmp_path):
     assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "t.csv"),
                  "--checkpoint", checkpoint]) == 0
 
-    before = open(checkpoint, "rb").read()
+    before = Path(checkpoint).read_bytes()
     out1, out2 = str(tmp_path / "g1.csv"), str(tmp_path / "g2.csv")
     assert main(["gridsearch", "--config", str(config_path), "--checkpoint", checkpoint,
                  "--out", out1]) == 0
     assert main(["gridsearch", "--config", str(config_path), "--checkpoint", checkpoint,
                  "--out", out2]) == 0
-    assert open(checkpoint, "rb").read() == before, "checkpoint bytes changed"
+    assert Path(checkpoint).read_bytes() == before, "checkpoint bytes changed"
 
-    rows = [l for l in open(out1, encoding="utf-8").read().splitlines() if not l.startswith("#")]
+    rows = [l for l in Path(out1).read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     data = rows[1:]
     assert len(data) == 16
     ranks = sorted(int(r.split(",")[0]) for r in data)
     assert ranks == list(range(1, 17)), "ranks are not a permutation"
-    assert open(out1, "rb").read() == open(out2, "rb").read(), "rerun differs"
+    assert Path(out1).read_bytes() == Path(out2).read_bytes(), "rerun differs"
     rank_one = [r for r in data if r.startswith("1,")]
     assert len(rank_one) == 1
     report(7, "grid-search suite", timer.check())
@@ -360,13 +361,13 @@ def test_criterion_9_reproducibility(tmp_path):
     ck1, ck2 = str(tmp_path / "r1.ckpt"), str(tmp_path / "r2.ckpt")
     assert main(["train", "--config", str(config_path), "--out", csv1, "--checkpoint", ck1]) == 0
     assert main(["train", "--config", str(config_path), "--out", csv2, "--checkpoint", ck2]) == 0
-    assert open(csv1, "rb").read() == open(csv2, "rb").read(), "CSV not byte-identical"
-    assert open(ck1, "rb").read() == open(ck2, "rb").read(), "checkpoints differ"
+    assert Path(csv1).read_bytes() == Path(csv2).read_bytes(), "CSV not byte-identical"
+    assert Path(ck1).read_bytes() == Path(ck2).read_bytes(), "checkpoints differ"
 
     # checkpoint round trip is bitwise exact
     from normlab.checkpoint import load_checkpoint, save_checkpoint
     net, manifest = load_checkpoint(ck1)
     resaved = str(tmp_path / "resaved.ckpt")
     save_checkpoint(resaved, net, meta=manifest["meta"])
-    assert open(resaved, "rb").read() == open(ck1, "rb").read(), "round trip not bitwise"
+    assert Path(resaved).read_bytes() == Path(ck1).read_bytes(), "round trip not bitwise"
     report(9, "reproducibility", timer.check())

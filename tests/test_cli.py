@@ -1,9 +1,11 @@
+import errno
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,14 +62,14 @@ class TestTrainCommand:
         out2, ck2 = str(tmp_path / "b.csv"), str(tmp_path / "b.ckpt")
         assert main(["train", "--config", config, "--out", out1, "--checkpoint", ck1]) == 0
         assert main(["train", "--config", config, "--out", out2, "--checkpoint", ck2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert open(ck1, "rb").read() == open(ck2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert Path(ck1).read_bytes() == Path(ck2).read_bytes()
 
     def test_metrics_header_and_config_comments(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "m.csv")
         main(["train", "--config", config, "--out", out, "--checkpoint", str(tmp_path / "m.ckpt")])
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         comments = [l for l in lines if l.startswith("#")]
         assert comments, "config comment lines missing"
         body = [l for l in lines if not l.startswith("#")]
@@ -100,7 +102,7 @@ class TestTrainCommand:
         monkeypatch.setenv("BLN_SEED", "999")
         out = str(tmp_path / "e.csv")
         main(["train", "--config", config, "--out", out, "--checkpoint", str(tmp_path / "e.ckpt")])
-        text = open(out, encoding="utf-8").read()
+        text = Path(out).read_text(encoding="utf-8")
         assert '"seed": 999' in text
         assert "-s999," in text.splitlines()[-1]
 
@@ -272,7 +274,7 @@ class TestCheckpointRoundTrip:
 
 
 def _rewrite_manifest(path, edit):
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (length,) = struct.unpack("<I", blob[4:8])
     manifest = json.loads(blob[8:8 + length])
     edit(manifest)
@@ -368,7 +370,7 @@ class TestCompareCommand:
         config = write_config(tmp_path, normalizer=["bn", "ln", "bln"], batch_size=[5, 25])
         out = str(tmp_path / "cmp.csv")
         assert main(["compare", "--config", config, "--out", out]) == 0
-        rows = [l for l in open(out, encoding="utf-8").read().splitlines()
+        rows = [l for l in Path(out).read_text(encoding="utf-8").splitlines()
                 if not l.startswith("#")][1:]
         run_ids = {r.split(",")[0] for r in rows}
         assert len(run_ids) == 6
@@ -377,14 +379,14 @@ class TestCompareCommand:
         config = write_config(tmp_path, normalizer=["bn", "bln"], batch_size=5)
         out = str(tmp_path / "cmp.csv")
         main(["compare", "--config", config, "--out", out])
-        combined = [l for l in open(out, encoding="utf-8").read().splitlines()
+        combined = [l for l in Path(out).read_text(encoding="utf-8").splitlines()
                     if not l.startswith("#")][1:]
 
         single = write_config(tmp_path, name="single.json", normalizer="bn", batch_size=5)
         solo_out = str(tmp_path / "solo.csv")
         main(["train", "--config", single, "--out", solo_out,
               "--checkpoint", str(tmp_path / "solo.ckpt")])
-        solo = [l for l in open(solo_out, encoding="utf-8").read().splitlines()
+        solo = [l for l in Path(solo_out).read_text(encoding="utf-8").splitlines()
                 if not l.startswith("#")][1:]
         assert combined[:len(solo)] == solo
 
@@ -429,11 +431,11 @@ class TestGridsearchCommand:
 
     def test_sixteen_rows_rank_permutation_checkpoint_untouched(self, tmp_path):
         config, ck = self.run_train(tmp_path)
-        before = open(ck, "rb").read()
+        before = Path(ck).read_bytes()
         out = str(tmp_path / "grid.csv")
         assert main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", out]) == 0
-        assert open(ck, "rb").read() == before
-        rows = [l for l in open(out, encoding="utf-8").read().splitlines()
+        assert Path(ck).read_bytes() == before
+        rows = [l for l in Path(out).read_text(encoding="utf-8").splitlines()
                 if not l.startswith("#")]
         assert rows[0] == "rank,e_b,std_b,e_f,std_f,loss,accuracy"
         data = rows[1:]
@@ -451,7 +453,7 @@ class TestGridsearchCommand:
         out1, out2 = str(tmp_path / "g1.csv"), str(tmp_path / "g2.csv")
         main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", out1])
         main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_search_on_test_differs_from_validation(self, tmp_path):
         config, ck = self.run_train(tmp_path)
@@ -460,7 +462,7 @@ class TestGridsearchCommand:
         main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", val_out])
         main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", test_out,
               "--search-on-test"])
-        assert open(val_out, "rb").read() != open(test_out, "rb").read()
+        assert Path(val_out).read_bytes() != Path(test_out).read_bytes()
 
     def test_checkpoint_without_bln_layers_is_data_error(self, tmp_path, capsys):
         config, ck = self.run_train(tmp_path, normalizer="bn")
@@ -562,6 +564,99 @@ class TestOutputNamesAnInput:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def _entries(directory):
+    """Each entry's bytes, or a symlink's target."""
+    return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+            for p in directory.iterdir()}
+
+
+class TestUnwritableOutput:
+    """A symlink into a missing directory is refused before any work; a name
+    too long for the file system fails when the output is written."""
+
+    @pytest.mark.parametrize("damage", ["dangling-symlink", "long-name"])
+    @pytest.mark.parametrize("command, output", [
+        ("train", "--out"), ("train", "--checkpoint"), ("compare", "--out"), ("gridsearch", "--out"),
+    ], ids=["train-out", "train-checkpoint", "compare-out", "gridsearch-out"])
+    def test_exits_1_with_one_line_and_leaves_no_file(self, tmp_path, capsys, command, output,
+                                                      damage):
+        normalizer = ["ln", "bln"] if command == "compare" else "bln"
+        paths = {"--config": write_config(tmp_path, normalizer=normalizer),
+                 "--checkpoint": str(tmp_path / "net.ckpt"), "--out": str(tmp_path / "out.csv")}
+        if command == "gridsearch":
+            save_checkpoint(paths["--checkpoint"], _populated(build_cnn(1, 6, 6, 2, "bln", Rng(0))))
+        if damage == "dangling-symlink":
+            paths[output] = str(tmp_path / "dangling")
+            os.symlink(tmp_path / "missing" / "x", paths[output])
+            missing = os.path.realpath(tmp_path / "missing")
+            message = f"error: output directory {missing} does not exist\n"
+        else:
+            paths[output] = str(tmp_path / ("x" * 300))
+            message = f"error: cannot write {paths[output]}: "
+        before = _entries(tmp_path)
+        code = main([command] + [arg for option in TestOutputNamesAnInput.OPTIONS[command]
+                                 for arg in (option, paths.get(option)) if arg])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        assert _entries(tmp_path) == before
+
+
+def _fails_after_one_byte(path, *args):
+    with open(path, "wb") as fh:
+        fh.write(b"#")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("writer, output", [
+        ("write_metrics_csv", "m.csv"), ("save_checkpoint", "m.ckpt"),
+    ], ids=["train-out", "train-checkpoint"])
+    def test_partial_outputs_are_removed(self, tmp_path, capsys, monkeypatch, writer, output):
+        monkeypatch.setattr(cli, writer, _fails_after_one_byte)
+        code = main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "m.csv"),
+                     "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot write {tmp_path / output}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS_LIMIT, reason="this interpreter converts integers of any length")
+class TestOverlongInteger:
+    """An integer literal longer than the interpreter converts is unreadable JSON."""
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_config_seed_is_usage_error(self, tmp_path, capsys, command):
+        fields = base_config() if command == "train" else {"layer": "bn", "m": 2, "d": 3,
+                                                           "seed": 123}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(fields).replace('"seed": 123',
+                                                     '"seed": ' + "1" * (INT_DIGITS_LIMIT + 1)),
+                          encoding="utf-8")
+        outputs = ["--out", str(tmp_path / "m.csv"), "--checkpoint", str(tmp_path / "m.ckpt")]
+        code = main([command, "--config", str(config)] + (outputs if command == "train" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: config file {config} is not valid JSON")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_manifest_version_exits_2_with_one_line(self, tmp_path, capsys):
+        ck = tmp_path / "net.ckpt"
+        manifest = b'{"version": ' + b"1" * (INT_DIGITS_LIMIT + 1) + b"}"
+        ck.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(manifest)) + manifest)
+        out = tmp_path / "grid.csv"
+        code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", str(ck),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: malformed checkpoint: {ck} manifest unreadable\n"
+        assert not out.exists()
+
+
 class TestCommittedConfigs:
     CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
     # the validator of the command each committed config is written for
@@ -585,7 +680,7 @@ class TestCommittedConfigs:
         out = str(tmp_path / "smoke.csv")
         assert main(["train", "--config", config, "--out", out,
                      "--checkpoint", str(tmp_path / "smoke.ckpt")]) == 0
-        rows = [l for l in open(out, encoding="utf-8").read().splitlines()
+        rows = [l for l in Path(out).read_text(encoding="utf-8").splitlines()
                 if not l.startswith("#")][1:]
         losses = [float(r.split(",")[7]) for r in rows if r.split(",")[6] == "train"]
         assert len(losses) == 3
@@ -596,7 +691,7 @@ class TestCommittedConfigs:
         out = str(tmp_path / "uniq.csv")
         main(["train", "--config", config, "--out", out,
               "--checkpoint", str(tmp_path / "uniq.ckpt")])
-        rows = [l for l in open(out, encoding="utf-8").read().splitlines()
+        rows = [l for l in Path(out).read_text(encoding="utf-8").splitlines()
                 if not l.startswith("#")][1:]
         keys = [(r.split(",")[0], r.split(",")[6], r.split(",")[4], r.split(",")[5])
                 for r in rows]

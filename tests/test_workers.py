@@ -38,8 +38,8 @@ def bits(tensors):
 def special_inputs(m, steps, hidden, rng, case):
     """(x, dy) of an RnnCell with hidden units: the first sample's input is
     all -0.0 and every other unit of its gradient -0.0; the middle sample's
-    input holds inf and -inf ("infs"), or its gradient a nan that also ends
-    the last sample's input ("nans")."""
+    input holds inf and -inf ("infs"), or unit 2 of its gradient a nan that
+    also ends the last sample's input ("nans") or is the only one ("dy-nan")."""
     x = randn([m, steps, 3], rng).data
     dy = randn([m, hidden], rng).data
     row, mid = steps * 3, m // 2
@@ -48,8 +48,9 @@ def special_inputs(m, steps, hidden, rng, case):
     if case == "infs":
         x[mid * row + 4], x[mid * row + 7] = math.inf, -math.inf
     else:
-        x[m * row - 1] = math.nan
         dy[mid * hidden + 2] = math.nan
+        if case == "nans":
+            x[m * row - 1] = math.nan
     return Tensor._wrap((m, steps, 3), x), Tensor._wrap((m, hidden), dy)
 
 
@@ -113,6 +114,23 @@ class TestRnnCellBlocks:
         x, dy = special_inputs(m, steps, hidden, rng, case)
         y, hs, dw_xh, dw_hh, db = oracles.rnn_cell_loops(
             x.data, x.shape, cell.w_xh.data, cell.w_hh.data, cell.b.data, dy.data)
+        expected = bits([y, *hs, dw_xh, dw_hh, db])
+        for blocks, run in zip((1, 2, 3), cell_runs(monkeypatch, cell, x, dy)):
+            assert bits(run) == expected, f"{blocks} blocks"
+
+    def test_one_nan_in_dy_leaves_the_other_units_bits_to_check(self, monkeypatch):
+        # over one step the nan reaches only hidden unit 2's gradient rows, so
+        # the other rows' bits are compared, not just their nan positions
+        m, steps, hidden = 3 * MIN_BLOCK, 1, 8
+        rng = Rng(m)
+        cell = RnnCell(3, hidden, rng)
+        x, dy = special_inputs(m, steps, hidden, rng, "dy-nan")
+        y, hs, dw_xh, dw_hh, db = oracles.rnn_cell_loops(
+            x.data, x.shape, cell.w_xh.data, cell.w_hh.data, cell.b.data, dy.data)
+        for grad in (dw_xh, dw_hh, db):
+            nans = [v != v for v in grad]
+            assert nans == [e % hidden == 2 for e in range(len(grad))]
+            assert all(math.isfinite(v) for v, nan in zip(grad, nans) if not nan)
         expected = bits([y, *hs, dw_xh, dw_hh, db])
         for blocks, run in zip((1, 2, 3), cell_runs(monkeypatch, cell, x, dy)):
             assert bits(run) == expected, f"{blocks} blocks"
