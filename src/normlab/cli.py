@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure,
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -139,13 +140,16 @@ def _apply_seed_override(raw):
 
 def _check_output(path, force=True):
     """Refuse, before any work, an output that is a directory, one in a missing
-    directory (a symlink's target directory counts) or, unless forced, an
-    existing file."""
+    directory (a symlink's target directory counts), one whose name is longer
+    than its file system takes or, unless forced, an existing file."""
     if os.path.isdir(path):
         raise UsageError(f"output path {path} is a directory")
-    directory = os.path.dirname(os.path.realpath(path))
+    directory, name = os.path.split(os.path.realpath(path))
     if not os.path.isdir(directory):
         raise UsageError(f"output directory {directory} does not exist")
+    name_max = os.pathconf(directory, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
+    if 0 < name_max < len(os.fsencode(name)):
+        raise UsageError(f"cannot write {path}: {os.strerror(errno.ENAMETOOLONG)}")
     if not force and os.path.exists(path):
         raise UsageError(f"refusing to overwrite existing file {path} (use --force)")
 
@@ -183,12 +187,16 @@ def cmd_train(args):
     _check_distinct(args, ("out", "checkpoint"), ("config",))
     _check_output(args.out)
     _check_output(args.checkpoint, args.force)
+    # the checkpoint first: when it cannot be written, an existing --out
+    # keeps its bytes; when the CSV cannot, a checkpoint this run created goes
+    had_checkpoint = os.path.lexists(args.checkpoint)
     records, net = run_training(config)
-    _write_output(write_metrics_csv, args.out, config.to_dict(), records)
+    _write_output(save_checkpoint, args.checkpoint, net, config.to_dict())
     try:
-        _write_output(save_checkpoint, args.checkpoint, net, config.to_dict())
+        _write_output(write_metrics_csv, args.out, config.to_dict(), records)
     except UsageError:
-        _remove_file(args.out)
+        if not had_checkpoint:
+            _remove_file(args.checkpoint)
         raise
     print(f"wrote {args.out} and {args.checkpoint}")
     return 0

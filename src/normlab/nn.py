@@ -671,7 +671,15 @@ class Adam:
         self.v = {}
 
     def step(self, params, grads):
-        """One update; returns fresh parameter tensors, never mutates."""
+        """One update; returns the updated parameter tensors, never mutates.
+
+        A parameter with no moments yet whose gradient is all +-0.0 comes
+        back as the same tensor, and no moments are kept for it: from zero
+        moments that update is w - 0.0, which is w bit for bit, and the
+        moments it would store are the +0.0 lists a first nonzero gradient
+        starts from. A nan or inf gradient element is nonzero and takes the
+        full update.
+        """
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
@@ -685,6 +693,9 @@ class Adam:
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key}")
             mom = self.m.get(key)
+            if mom is None and not any(g.data):
+                out[key] = p
+                continue
             vel = self.v.get(key)
             if mom is None:
                 mom = [0.0] * p.size

@@ -178,6 +178,10 @@ def matmul(a, b):
     if k != k2:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    if k == 1:
+        # the one term from 0.0 as it is: a skipped zero term gives +0.0,
+        # and so does 0.0 + (+-0.0)
+        return Tensor._wrap((m, n), [0.0 + c * v for c in ad for v in bd])
     # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ... in t order.
     # The row form scales rows of B by entries of A, the column form columns
     # of A by entries of B, both skipping zero entries. The form with fewer

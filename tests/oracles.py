@@ -402,3 +402,30 @@ def rnn_cell_loops(xd, x_shape, w_xh, w_hh, b, dyd):
                 acc += da[s * hidden + j]
             db[j] += acc
     return hs[-1], hs, dw_xh, dw_hh, db
+
+
+# ---------------------------------------------------------------------------
+# Adam as a scalar loop that updates every element on every step, kept as a
+# bitwise reference for the optimizer's skip of all-zero first gradients.
+# ---------------------------------------------------------------------------
+
+def adam_loops(w, grads, learning_rate):
+    """The weights after each Adam step over the gradient lists in grads.
+
+    Moments start at 0.0; step t corrects them by 1 - beta**t, with beta1
+    0.9, beta2 0.999 and epsilon 1e-8.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    w = list(w)
+    m = [0.0] * len(w)
+    v = [0.0] * len(w)
+    history = []
+    for t, g in enumerate(grads, start=1):
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for i in range(len(w)):
+            m[i] = b1 * m[i] + (1.0 - b1) * g[i]
+            v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i]
+            w[i] = w[i] - learning_rate * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
+        history.append(list(w))
+    return history

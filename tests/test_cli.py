@@ -571,15 +571,20 @@ def _entries(directory):
 
 
 class TestUnwritableOutput:
-    """A symlink into a missing directory is refused before any work; a name
-    too long for the file system fails when the output is written."""
+    """A symlink into a missing directory and a name too long for the file
+    system are refused before any work."""
 
     @pytest.mark.parametrize("damage", ["dangling-symlink", "long-name"])
     @pytest.mark.parametrize("command, output", [
         ("train", "--out"), ("train", "--checkpoint"), ("compare", "--out"), ("gridsearch", "--out"),
     ], ids=["train-out", "train-checkpoint", "compare-out", "gridsearch-out"])
-    def test_exits_1_with_one_line_and_leaves_no_file(self, tmp_path, capsys, command, output,
-                                                      damage):
+    def test_exits_1_with_one_line_and_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                      command, output, damage):
+        def no_work(*args):
+            raise AssertionError("the output was not refused before the work")
+
+        monkeypatch.setattr(cli, "run_training", no_work)
+        monkeypatch.setattr(cli, "evaluate_all", no_work)
         normalizer = ["ln", "bln"] if command == "compare" else "bln"
         paths = {"--config": write_config(tmp_path, normalizer=normalizer),
                  "--checkpoint": str(tmp_path / "net.ckpt"), "--out": str(tmp_path / "out.csv")}
@@ -620,6 +625,23 @@ class TestFailedWrite:
         assert capsys.readouterr().err == (f"error: cannot write {tmp_path / output}: "
                                            f"{os.strerror(errno.ENOSPC)}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("writer, kept, written", [
+        ("save_checkpoint", "m.csv", "m.ckpt"), ("write_metrics_csv", "m.ckpt", "m.csv"),
+    ], ids=["checkpoint-fails", "out-fails"])
+    def test_existing_output_is_kept(self, tmp_path, capsys, monkeypatch, writer, kept, written):
+        # the checkpoint is written first, and a checkpoint that existed
+        # before the run is not removed when the CSV fails
+        (tmp_path / kept).write_bytes(b"old metrics")
+        monkeypatch.setattr(cli, writer, _fails_after_one_byte)
+        code = main(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "m.csv"),
+                     "--checkpoint", str(tmp_path / "m.ckpt"), "--force"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot write {tmp_path / written}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", kept])
+        if writer == "save_checkpoint":
+            assert (tmp_path / kept).read_bytes() == b"old metrics"
 
 
 INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -82,6 +82,22 @@ def test_train_checkpoints_match_golden_digests(tmp_path, task, normalizer):
     assert _digest(ckpt) == CHECKPOINT_GOLDEN[task, normalizer]
 
 
+# sha256 of a batch-1 bn CNN checkpoint: at m = 1 no gradient reaches the
+# layers below a bn layer, so its conv, bn128 and first dense buffers are the
+# ones Adam's skip of all-zero gradients leaves untouched
+BATCH1_BN_CHECKPOINT_GOLDEN = "e4287476c0dbf59e1222fc2d5730557832ce83a5894926620109209306bde27e"
+
+
+def test_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
+    config = _write(tmp_path, "config.json", {
+        "task": "cnn-synthetic", "normalizer": "bn", "batch_size": 1, "epochs": 1, "seed": 7,
+    })
+    ckpt = str(tmp_path / "net.ckpt")
+    assert main(["train", "--config", config, "--out", str(tmp_path / "metrics.csv"),
+                 "--checkpoint", ckpt]) == 0
+    assert _digest(ckpt) == BATCH1_BN_CHECKPOINT_GOLDEN
+
+
 # sha256 of the grid CSV of a bln RNN: its first bln normalizer takes the
 # RnnCell's rank-2 output directly, with no reshape
 RNN_GRID_GOLDEN = "364091b88d83dde59dc4330370cbc845408bdc85f80aad53e3ce62e06da84941"

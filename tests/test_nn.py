@@ -226,6 +226,51 @@ class TestAdam:
         assert abs(params["w"].data[0] - w) < 1e-15
 
 
+INF, NAN = math.inf, math.nan
+# weights that an update may not touch by a bit: signed zeros and non-finite values
+ADAM_WEIGHTS = [1.5, -0.0, 0.0, INF, -INF, NAN, -2.25, 1e-300]
+NONZERO = [0.5, -1.0, 2.0, 0.25, -0.125, 3.0, -4.0, 1e-3]
+ZERO, NEG_ZERO = [0.0] * 8, [-0.0] * 8
+# six steps of gradients each; the first nonzero element is never at index 0
+ADAM_SCHEDULES = {
+    "zero-then-nonzero": [ZERO] * 3 + [NONZERO] * 3,
+    "negative-zero": [NEG_ZERO] * 6,
+    "partly-zero": [[0.0, -0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.5]] * 6,
+    "one-nan": [[0.0, -0.0, 0.0, NAN, 0.0, 0.0, 0.0, 0.0]] + [ZERO] * 5,
+    "one-inf": [[0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -INF, 0.0]] + [NEG_ZERO] * 5,
+    "nonzero-then-zero": [NONZERO] * 2 + [ZERO] * 4,
+}
+
+
+class TestAdamZeroGradientSkip:
+    """A parameter whose gradients have all been +-0.0 comes back unchanged."""
+
+    @pytest.mark.parametrize("schedule", sorted(ADAM_SCHEDULES))
+    def test_matches_adam_without_the_skip_bit_for_bit(self, schedule):
+        grads = ADAM_SCHEDULES[schedule]
+        want = oracles.adam_loops(ADAM_WEIGHTS, grads, 0.01)
+        opt = Adam(learning_rate=0.01)
+        params = {"w": Tensor([8], ADAM_WEIGHTS)}
+        seen_nonzero = False
+        for step, g in enumerate(grads):
+            out = opt.step(params, {"w": Tensor([8], g)})
+            seen_nonzero = seen_nonzero or any(g)
+            # a nan's sign is not reproducible, so hexes compares nans by position
+            assert hexes(out["w"].data) == hexes(want[step])
+            assert (out["w"] is params["w"]) == (not seen_nonzero)
+            assert ("w" in opt.m) == seen_nonzero
+            params = out
+        assert opt.t == 6
+
+    def test_each_parameter_is_skipped_on_its_own(self):
+        opt = Adam(learning_rate=0.01)
+        params = {"a": Tensor([8], ADAM_WEIGHTS), "b": Tensor([8], ADAM_WEIGHTS)}
+        out = opt.step(params, {"a": Tensor([8], NEG_ZERO), "b": Tensor([8], NONZERO)})
+        assert out["a"] is params["a"]
+        assert hexes(out["b"].data) == hexes(oracles.adam_loops(ADAM_WEIGHTS, [NONZERO], 0.01)[0])
+        assert sorted(opt.m) == sorted(opt.v) == ["b"]
+
+
 class TestNetworkConstruction:
     def test_normalizer_must_follow_nonlinearity(self):
         rng = Rng(0)

@@ -126,6 +126,8 @@ def matmul_operands(draw):
 @given(matmul_operands())
 @example((1, 1, 1, [-0.0], [0.0]))
 @example((1, 4, 1, [1.0, 2.0, 3.0, 4.0], [0.5, -0.0, 1e3, -2.0]))
+@example((3, 1, 2, [-0.0, 0.0, 2.5], [-0.0, -3.0]))  # k = 1: the outer product
+@example((2, 1, 3, [1e3, -0.0], [0.0, -0.0, -1e3]))
 def test_matmul_matches_scalar_loops_bit_for_bit(operands):
     m, k, n, a, b = operands
     out = matmul(Tensor((m, k), a), Tensor((k, n), b))
@@ -153,6 +155,11 @@ def special_operands(draw):
 @example((2, 2, 1, [1.0, 2.0, -0.0, 3.0], [float("nan"), 1e308]))
 @example((3, 2, 1, [INF, 0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0]))
 @example((2, 2, 2, [1e308, 1e308, 0.0, 0.0], [1e308, -1e308, 1e308, 1e308]))
+# k = 1 with +-0.0, +-inf and nan in either operand; hexes shows every nan as
+# "nan", so nans compare by position, their sign not being reproducible
+@example((3, 1, 4, [0.0, -0.0, INF], [INF, -INF, float("nan"), -0.0]))
+@example((4, 1, 3, [-INF, float("nan"), 0.0, -0.0], [-0.0, 0.0, INF]))
+@example((2, 1, 2, [1e308, -1e308], [1e308, -0.0]))
 def test_matmul_zero_skip_keeps_non_finite_lines(operands):
     m, k, n, a, b = operands
     out = matmul(Tensor((m, k), a), Tensor((k, n), b))
@@ -171,11 +178,12 @@ def _operand(rng, size, zero_every, specials=()):
 
 # (m, k, n, zero_every of A, zero_every of B, specials of A, specials of B, form)
 # where form is the variant that runs: "rows" accumulates length-n rows,
-# "columns" length-m columns, "dot" takes one reduce per output
+# "columns" length-m columns, "dot" takes one reduce per output and "outer"
+# (k = 1) forms every 0.0 + a[i]*b[j] in one comprehension
 VARIANT_CASES = [
     (2, 3, 4, 0, 0, (), (), "rows"),        # dense, n >= m
     (5, 3, 2, 0, 0, (), (), "columns"),     # dense, n < m
-    (32, 1, 32, 0, 0, (), (), "rows"),      # 1024 outputs from 32 comprehensions
+    (32, 1, 32, 0, 0, (), (), "outer"),     # k = 1: one comprehension, no skip scan
     (128, 25, 1, 0, 0, (), (), "columns"),  # 128 outputs from 25 comprehensions
     (2, 4, 5, 0, 2, (), (), "columns"),     # zeros in B outweigh the n >= m default
     (5, 4, 2, 2, 0, (), (), "rows"),        # zeros in A outweigh the n < m default
@@ -204,7 +212,7 @@ def test_matmul_variant_choice_keeps_the_bits(case, monkeypatch):
     monkeypatch.setattr(tensor, "_accumulate_nonzero", spy)
     out = matmul(Tensor((m, k), a), Tensor((k, n), b))
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
-    expected = {"rows": [n] * m, "columns": [m] * n, "dot": []}[form]
+    expected = {"rows": [n] * m, "columns": [m] * n, "dot": [], "outer": []}[form]
     assert lengths == expected
 
 
