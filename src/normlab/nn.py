@@ -445,11 +445,12 @@ class Normalizer(Layer):
         flat, params = self._flat(x), self._params()
         if train:
             y, cache, self.running = _norm.forward_train(self.scheme, flat, params, self.running)
+            cache = (cache, orig)
         else:
             y = _norm.forward_infer(self.scheme, flat, params, self.running, flags)
             cache = None
         out = y if x.rank == 2 else reshape(y, orig)
-        return out, (cache, orig)
+        return out, cache
 
     def forward_configs(self, x, flag_list):
         """Iterator over the inference outputs of a bln layer, one per flags in flag_list.
@@ -465,9 +466,9 @@ class Normalizer(Layer):
         return outputs if x.rank == 2 else (reshape(y, x.shape) for y in outputs)
 
     def backward(self, cache, dy):
-        norm_cache, orig = cache
-        if norm_cache is None:
+        if cache is None:
             raise ValueError("no backward pass through an inference-mode forward")
+        norm_cache, orig = cache
         flat_dy = dy if dy.rank == 2 else reshape(dy, (orig[0], dy.size // orig[0]))
         dx, dgamma, dbeta = _norm.backward(norm_cache, flat_dy)
         if dy.rank != 2:
@@ -542,12 +543,35 @@ class Network:
         return forward_layers(self.layers, x, train, flags)
 
     def backward(self, caches, dout):
+        """{"i.name": gradient} of every parameter, from the caches of a training forward.
+
+        Once the running gradient is all +-0.0 (bn's is at m = 1) and every
+        number in the caches and parameters below is finite, each parameter
+        below gets +0.0 and no backward below runs. These are the full
+        backward's bits. Below, each product is +-0.0 times a finite value,
+        so each input gradient stays +-0.0: Dense's dy W^T, AvgPool2x2,
+        Flatten, relu, tanh's g*(1-t*t), Normalizer._backward (bln's guarded
+        row adds nothing) and _rnn_chain. Each parameter gradient is a sum of
+        such products from +0.0 (matmul and its k = 1 form 0.0 + c*v,
+        line_sums, _accumulate, _rnn_param_grads), and +0.0 + (+-0.0) is
+        +0.0. Conv2d skips zero g, so its sums are ordered_sum([]) = 0.0 and
+        its +0.0 starts. An inf or nan below runs the full backward, as
+        0 * inf is nan, and so does an inference-mode cache (None), which
+        the normalizer's backward refuses.
+        """
         grads = {}
         grad = dout
         for i in range(len(self.layers) - 1, -1, -1):
             grad, layer_grads = self.layers[i].backward(caches[i], grad)
             for name, g in layer_grads.items():
                 grads[f"{i}.{name}"] = g
+            if i and not any(grad.data):
+                below = [layer.params() for layer in self.layers[:i]]
+                if None not in caches[:i] and _finite([caches[:i], below]):
+                    for j in range(i - 1, -1, -1):
+                        for name, p in below[j].items():
+                            grads[f"{j}.{name}"] = Tensor._wrap(p.shape, [0.0] * p.size)
+                    break
         return grads
 
     def loss(self, x, labels):
@@ -607,6 +631,19 @@ class Network:
         for entry in entries:
             running = self.layers[entry["layer"]].running
             running.count, running.batch_m = entry["count"], entry["batch_m"]
+
+
+def _finite(value):
+    """Whether every number in a nesting of tensors, lists, tuples and dicts is finite."""
+    if isinstance(value, Tensor):
+        value = value.data
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        if value and isinstance(value[0], (int, float)):
+            return all(map(math.isfinite, value))
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def forward_layers(layers, x, train=True, flags=None):

@@ -7,12 +7,16 @@ A change that alters these bytes on purpose updates the digests and says
 why.
 """
 
+import builtins
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 
 import pytest
 
+import normlab
 from normlab.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
@@ -82,20 +86,31 @@ def test_train_checkpoints_match_golden_digests(tmp_path, task, normalizer):
     assert _digest(ckpt) == CHECKPOINT_GOLDEN[task, normalizer]
 
 
-# sha256 of a batch-1 bn CNN checkpoint: at m = 1 no gradient reaches the
-# layers below a bn layer, so its conv, bn128 and first dense buffers are the
-# ones Adam's skip of all-zero gradients leaves untouched
+# sha256 of batch-1 bn checkpoints: at m = 1 bn's input gradient is all
+# +-0.0, so Network.backward stops there and gives every parameter below it
+# +0.0, and Adam's skip of all-zero gradients leaves those parameters as they
+# are: the CNN's conv, bn128 and first dense buffers, and the RNN's RnnCell
 BATCH1_BN_CHECKPOINT_GOLDEN = "e4287476c0dbf59e1222fc2d5730557832ce83a5894926620109209306bde27e"
+RNN_BATCH1_BN_CHECKPOINT_GOLDEN = "f4d2016c8703753f0dd63e1639f08f6253be7b7a08e40351d065158df7275907"
 
 
-def test_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
+def _batch1_bn_checkpoint(tmp_path, task, **settings):
     config = _write(tmp_path, "config.json", {
-        "task": "cnn-synthetic", "normalizer": "bn", "batch_size": 1, "epochs": 1, "seed": 7,
+        "task": task, "normalizer": "bn", "batch_size": 1, "epochs": 1, "seed": 7, **settings,
     })
     ckpt = str(tmp_path / "net.ckpt")
     assert main(["train", "--config", config, "--out", str(tmp_path / "metrics.csv"),
                  "--checkpoint", ckpt]) == 0
-    assert _digest(ckpt) == BATCH1_BN_CHECKPOINT_GOLDEN
+    return _digest(ckpt)
+
+
+def test_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
+    assert _batch1_bn_checkpoint(tmp_path, "cnn-synthetic") == BATCH1_BN_CHECKPOINT_GOLDEN
+
+
+def test_rnn_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
+    digest = _batch1_bn_checkpoint(tmp_path, "rnn-synthetic", train_fraction=0.1)
+    assert digest == RNN_BATCH1_BN_CHECKPOINT_GOLDEN
 
 
 # sha256 of the grid CSV of a bln RNN: its first bln normalizer takes the
@@ -112,3 +127,48 @@ def test_rnn_bln_grid_matches_golden_digest(tmp_path):
                  "--checkpoint", ckpt]) == 0
     assert main(["gridsearch", "--config", config, "--checkpoint", ckpt, "--out", grid]) == 0
     assert _digest(grid) == RNN_GRID_GOLDEN
+
+
+def _compensated_sum(iterable, /, start=0):
+    """sum() with Neumaier compensation once a float is met, as CPython 3.12's
+    builtin does; an emulation of it, not that interpreter."""
+    items = list(iterable)
+    if not any(isinstance(v, float) for v in items + [start]):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for v in items:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_digests_hold_with_a_compensated_builtin_sum(tmp_path, monkeypatch):
+    # 3.12 and 3.13 compensate the builtin sum() of floats, 3.10 and 3.11 do
+    # not; normlab sums floats with tensor.ordered_sum, so no float may reach
+    # sum() and the bits pinned here must hold with every normlab module's
+    # sum() replaced by the stand-in
+    calls, float_calls = [], []
+
+    def stand_in(iterable, /, start=0):
+        items = list(iterable)
+        calls.append(len(items))
+        if any(isinstance(v, float) for v in items + [start]):
+            float_calls.append(len(items))
+        return _compensated_sum(items, start)
+
+    for info in pkgutil.iter_modules(normlab.__path__):
+        module = importlib.import_module(f"normlab.{info.name}")
+        monkeypatch.setattr(module, "sum", stand_in, raising=False)
+    smoke = os.path.join(CONFIG_DIR, "cnn-bln-smoke.json")
+    out = {name: str(tmp_path / name) for name in ("smoke.csv", "smoke.ckpt")}
+    assert main(["train", "--config", smoke, "--out", out["smoke.csv"],
+                 "--checkpoint", out["smoke.ckpt"]]) == 0
+    assert {name: _digest(path) for name, path in out.items()} == {
+        name: GOLDEN[name] for name in out}
+    assert _batch1_bn_checkpoint(tmp_path, "cnn-synthetic") == BATCH1_BN_CHECKPOINT_GOLDEN
+    assert calls, "no normlab module called sum(), so the stand-in checked nothing"
+    assert not float_calls, f"sum() of floats, by item count: {float_calls}"

@@ -376,3 +376,94 @@ class TestTrainingLoop:
             assert norm.running.count == (0 if scheme == "ln" else calls)
             seen.append((hexes([value, acc]), {key: hexes(g.data) for key, g in grads.items()}))
         assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def _layer_by_layer(net, caches, dout):
+    """Every parameter gradient of net, each layer's backward run in turn."""
+    grads = {}
+    grad = dout
+    for i in range(len(net.layers) - 1, -1, -1):
+        grad, layer_grads = net.layers[i].backward(caches[i], grad)
+        for name, g in layer_grads.items():
+            grads[f"{i}.{name}"] = g
+    return grads
+
+
+def _float_lists(value):
+    """Every list of floats in a cache or parameter dict: tensor buffers and bare lists."""
+    if isinstance(value, Tensor):
+        yield value.data
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _float_lists(v)
+    elif isinstance(value, list) and value and isinstance(value[0], float):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _float_lists(v)
+
+
+def _zero_case(case):
+    """(network, caches, dlogits, layers below the first all-zero gradient) of a training step."""
+    rng = Rng(5)
+    kind, scheme, m = case.split("-")
+    m = int(m[1:])
+    if kind == "cnn":
+        net, x, below = build_cnn(1, 6, 6, 3, scheme, rng), randn([m, 1, 6, 6], rng), 7
+    elif kind == "rnn":
+        net, x, below = build_rnn(4, 5, 3, scheme, rng), randn([m, 3, 4], rng), 1
+    else:
+        net, x, below = build_dense_net(4, 5, 3, scheme, rng), randn([m, 4], rng), 2
+    _, _, caches, dlogits = net.loss(x, [rng.randint(3) for _ in range(m)])
+    if m > 1:
+        # a hand-zeroed loss gradient, one -0.0 among the +0.0
+        dlogits = Tensor._wrap(dlogits.shape, [-0.0] + [0.0] * (dlogits.size - 1))
+        below = len(net.layers) - 1
+    return net, caches, dlogits, net.layers[:below]
+
+
+# bn at m = 1 zeroes its input gradient; ln and bln at m = 25 get a zero dlogits
+ZERO_CASES = ["cnn-bn-b1", "cnn-ln-b25", "cnn-bln-b25", "rnn-bn-b1", "dense-bn-b1"]
+
+
+class TestBackwardBelowAnAllZeroGradient:
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan],
+                             ids=["zero", "negative-zero", "inf", "negative-inf", "nan"])
+    @pytest.mark.parametrize("case", ZERO_CASES)
+    def test_gradient_bits_match_the_layer_by_layer_backward(self, case, value):
+        # the value goes, one place at a time, into dlogits, into each cache
+        # and into each parameter of the layers below the zero
+        net, caches, dlogits, below = _zero_case(case)
+        places = [("dlogits", dlogits.data)]
+        for j, layer in enumerate(below):
+            places += [(f"cache {j}", values) for values in _float_lists(caches[j])]
+            places += [(f"param {j}.{name}", p.data) for name, p in layer.params().items()]
+        for where, values in places:
+            for k in sorted({0, len(values) - 1}):
+                old, values[k] = values[k], value
+                try:
+                    grads = net.backward(caches, dlogits)
+                    expected = _layer_by_layer(net, caches, dlogits)
+                finally:
+                    values[k] = old
+                assert [(key, g.shape, hexes(g.data)) for key, g in grads.items()] == \
+                    [(key, g.shape, hexes(g.data)) for key, g in expected.items()], (where, k)
+
+    @pytest.mark.parametrize("case", ZERO_CASES)
+    def test_no_backward_runs_below_the_zero_when_all_is_finite(self, case):
+        net, caches, dlogits, below = _zero_case(case)
+        expected = _layer_by_layer(net, caches, dlogits)
+        for layer in below:
+            layer.backward = None   # a call would raise TypeError
+        grads = net.backward(caches, dlogits)
+        assert [(key, hexes(g.data)) for key, g in grads.items()] == \
+            [(key, hexes(g.data)) for key, g in expected.items()]
+
+    def test_inference_caches_below_the_zero_are_refused(self):
+        rng = Rng(5)
+        net = build_cnn(1, 6, 6, 3, "bn", rng)
+        x = randn([2, 1, 6, 6], rng)
+        net.forward(x)      # population statistics for the inference forward
+        logits, caches = net.forward(x, train=False)
+        with pytest.raises(ValueError, match="inference-mode forward"):
+            net.backward(caches, zeros(list(logits.shape)))
