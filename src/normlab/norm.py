@@ -158,8 +158,13 @@ def _broadcast(per_line, shape, axis):
 def _normalize_backward(dh, h, shape, axis, inv_std):
     """inv_std * (dh - mean(dh) - h * mean(dh * h)) along each line, flat.
 
-    dh is the gradient with respect to the normalized values h.
+    dh is the gradient with respect to the normalized values h. A
+    one-element line (the batch axis at batch 1) is written out with the
+    same bits: each line sum is its one term from 0.0, and the products by
+    inv_n = 1.0 are left out, since s * 1.0 is s for every float.
     """
+    if shape[axis] == 1:
+        return [inv * ((a - (0.0 + a)) - b * (0.0 + a * b)) for a, b, inv in zip(dh, h, inv_std)]
     inv_n = 1.0 / shape[axis]
     mean_dh = [inv_n * s for s in line_sums(dh, shape, axis)]
     sum_dh_h = line_sums(dh, shape, axis, h)
@@ -176,14 +181,25 @@ def _branch(x, axis, epsilon, mean=None, std=None):
     The variance is None when the std was given. Only a branch without
     epsilon (bln's feature side) can meet a zero std, so only it is guarded:
     the line's inverse std becomes 0.0 and its normalized values are zero.
+
+    One-element lines (the batch axis at batch 1) with the mean and std from
+    the batch are written out with the same bits: each line sum is its one
+    term from 0.0 (-0.0 still becomes +0.0), and the products by
+    inv_n = 1.0 are left out, since s * 1.0 is s for every float.
     """
-    inv_n = 1.0 / x.shape[axis]
-    if mean is None:
-        mean = [s * inv_n for s in line_sums(x.data, x.shape, axis)]
-    centered = list(map(sub, x.data, _broadcast(mean, x.shape, axis)))
     var = None
+    if x.shape[axis] == 1 and mean is None and std is None:
+        mean = [0.0 + v for v in x.data]
+        centered = list(map(sub, x.data, mean))
+        var = [0.0 + c * c for c in centered]
+    else:
+        inv_n = 1.0 / x.shape[axis]
+        if mean is None:
+            mean = [s * inv_n for s in line_sums(x.data, x.shape, axis)]
+        centered = list(map(sub, x.data, _broadcast(mean, x.shape, axis)))
+        if std is None:
+            var = [s * inv_n for s in line_sums(centered, x.shape, axis, centered)]
     if std is None:
-        var = [s * inv_n for s in line_sums(centered, x.shape, axis, centered)]
         std = [math.sqrt(v + epsilon) for v in var]
     if epsilon:
         inv_std = [1.0 / s for s in std]

@@ -347,11 +347,17 @@ def _accumulate_nonzero(acc, coeffs, rows, finite):
 
 
 def transpose2d(x):
-    """Transpose of a rank-2 tensor."""
+    """Transpose of a rank-2 tensor.
+
+    A row's or a column's transpose holds its data in the same order, so a
+    copy of the buffer is every bit of it.
+    """
     if x.rank != 2:
         raise ValueError(f"transpose2d needs a rank-2 tensor, got {x.shape}")
     m, n = x.shape
     xd = x.data
+    if m == 1 or n == 1:
+        return Tensor._wrap((n, m), list(xd))
     out = []
     for j in range(n):
         out += xd[j::n]
@@ -376,9 +382,16 @@ def line_sums(values, shape, axis, weights=None):
 
     A line is one column (axis 0) or one row (axis 1). Each sum runs in
     index order from 0.0; with weights it is the sum of values * weights,
-    each product formed as it is added.
+    each product formed as it is added. Where every line holds one element
+    (a single row along axis 0, a single column along axis 1), each sum is
+    its one term from 0.0, written out: 0.0 + v has the bits of that order,
+    -0.0 becoming +0.0.
     """
     m, d = shape
+    if shape[axis] == 1:
+        if weights is None:
+            return [0.0 + v for v in values]
+        return [0.0 + v * w for v, w in zip(values, weights)]
     rows = [values[i * d:(i + 1) * d] for i in range(m)]
     if weights is None:
         if axis == 1:

@@ -342,6 +342,66 @@ def line_sums_loops(values, shape, axis, weights=None):
 
 
 # ---------------------------------------------------------------------------
+# norm._branch with batch statistics and norm._normalize_backward as index
+# loops over each line, in the order their docstrings document: every line
+# sum runs in index order from 0.0 and is then multiplied by inv_n = 1/n.
+# Kept as a bitwise reference.
+# ---------------------------------------------------------------------------
+
+def _line_indices(shape, axis):
+    """Flat indices of each line of a row-major (m, d) buffer along `axis`."""
+    m, d = shape
+    if axis == 0:
+        return [[i * d + k for i in range(m)] for k in range(d)]
+    return [[i * d + k for k in range(d)] for i in range(m)]
+
+
+def branch_loops(xd, shape, axis, epsilon):
+    """(mean, var, std, inv_std, x_hat) of each line standardized along `axis`.
+
+    std is sqrt(var + epsilon); with epsilon 0 a std below GUARD gives an
+    inverse std of 0.0.
+    """
+    inv_n = 1.0 / shape[axis]
+    mean, var, std, inv_std = [], [], [], []
+    x_hat = [0.0] * len(xd)
+    for line in _line_indices(shape, axis):
+        total = 0.0
+        for i in line:
+            total += xd[i]
+        mu = total * inv_n
+        total = 0.0
+        for i in line:
+            total += (xd[i] - mu) * (xd[i] - mu)
+        v = total * inv_n
+        sd = math.sqrt(v + epsilon)
+        inv = 0.0 if not epsilon and sd < GUARD else 1.0 / sd
+        for i in line:
+            x_hat[i] = (xd[i] - mu) * inv
+        mean.append(mu)
+        var.append(v)
+        std.append(sd)
+        inv_std.append(inv)
+    return mean, var, std, inv_std, x_hat
+
+
+def normalize_backward_loops(dh, h, shape, axis, inv_std):
+    """inv_std * (dh - mean(dh) - h * inv_n * sum(dh * h)) along each line,
+    each product grouped left to right."""
+    inv_n = 1.0 / shape[axis]
+    out = [0.0] * len(dh)
+    for line, inv in zip(_line_indices(shape, axis), inv_std):
+        sum_dh = sum_dh_h = 0.0
+        for i in line:
+            sum_dh += dh[i]
+            sum_dh_h += dh[i] * h[i]
+        mean_dh = inv_n * sum_dh
+        for i in line:
+            out[i] = inv * (dh[i] - mean_dh - h[i] * inv_n * sum_dh_h)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # RnnCell's recurrence and backward as index loops in the order its
 # docstrings document, kept as a bitwise reference.
 # ---------------------------------------------------------------------------

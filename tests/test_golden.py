@@ -92,11 +92,14 @@ def test_train_checkpoints_match_golden_digests(tmp_path, task, normalizer):
 # are: the CNN's conv, bn128 and first dense buffers, and the RNN's RnnCell
 BATCH1_BN_CHECKPOINT_GOLDEN = "e4287476c0dbf59e1222fc2d5730557832ce83a5894926620109209306bde27e"
 RNN_BATCH1_BN_CHECKPOINT_GOLDEN = "f4d2016c8703753f0dd63e1639f08f6253be7b7a08e40351d065158df7275907"
+# sha256 of a batch-1 bln CNN checkpoint: at m = 1 every batch-axis line of
+# bln holds one element, and its one-element shortcuts must keep these bits
+BATCH1_BLN_CHECKPOINT_GOLDEN = "690659901f744abb65d6a05dea64629c907b2133c8c0a12e2bbdd63d300b6d5f"
 
 
-def _batch1_bn_checkpoint(tmp_path, task, **settings):
+def _batch1_checkpoint(tmp_path, task, normalizer, **settings):
     config = _write(tmp_path, "config.json", {
-        "task": task, "normalizer": "bn", "batch_size": 1, "epochs": 1, "seed": 7, **settings,
+        "task": task, "normalizer": normalizer, "batch_size": 1, "epochs": 1, "seed": 7, **settings,
     })
     ckpt = str(tmp_path / "net.ckpt")
     assert main(["train", "--config", config, "--out", str(tmp_path / "metrics.csv"),
@@ -105,11 +108,15 @@ def _batch1_bn_checkpoint(tmp_path, task, **settings):
 
 
 def test_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
-    assert _batch1_bn_checkpoint(tmp_path, "cnn-synthetic") == BATCH1_BN_CHECKPOINT_GOLDEN
+    assert _batch1_checkpoint(tmp_path, "cnn-synthetic", "bn") == BATCH1_BN_CHECKPOINT_GOLDEN
+
+
+def test_batch1_bln_checkpoint_matches_golden_digest(tmp_path):
+    assert _batch1_checkpoint(tmp_path, "cnn-synthetic", "bln") == BATCH1_BLN_CHECKPOINT_GOLDEN
 
 
 def test_rnn_batch1_bn_checkpoint_matches_golden_digest(tmp_path):
-    digest = _batch1_bn_checkpoint(tmp_path, "rnn-synthetic", train_fraction=0.1)
+    digest = _batch1_checkpoint(tmp_path, "rnn-synthetic", "bn", train_fraction=0.1)
     assert digest == RNN_BATCH1_BN_CHECKPOINT_GOLDEN
 
 
@@ -169,6 +176,8 @@ def test_digests_hold_with_a_compensated_builtin_sum(tmp_path, monkeypatch):
                  "--checkpoint", out["smoke.ckpt"]]) == 0
     assert {name: _digest(path) for name, path in out.items()} == {
         name: GOLDEN[name] for name in out}
-    assert _batch1_bn_checkpoint(tmp_path, "cnn-synthetic") == BATCH1_BN_CHECKPOINT_GOLDEN
+    assert _batch1_checkpoint(tmp_path, "cnn-synthetic", "bn") == BATCH1_BN_CHECKPOINT_GOLDEN
+    (tmp_path / "bln").mkdir()
+    assert _batch1_checkpoint(tmp_path / "bln", "cnn-synthetic", "bln") == BATCH1_BLN_CHECKPOINT_GOLDEN
     assert calls, "no normlab module called sum(), so the stand-in checked nothing"
     assert not float_calls, f"sum() of floats, by item count: {float_calls}"

@@ -14,7 +14,7 @@ import oracles
 from conftest import checksum, hexes, normal
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.data import DataFormatError, Dataset
-from normlab import nn, tensor
+from normlab import nn, norm, tensor
 from normlab.nn import (
     Activation,
     Adam,
@@ -313,12 +313,49 @@ def line_sum_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(line_sum_cases())
 @example((_drawn(Rng(4), 31 * 64), _drawn(Rng(5), 31 * 64), (31, 64)))
+@example(([-0.0, 2.0, -0.0], [1.0, -0.0, -3.0], (1, 3)))  # one row: 0.0 + -0.0 is +0.0
 def test_line_sums_match_row_loops_bit_for_bit(case):
     values, weights, shape = case
     for axis in (0, 1):
         for w in (None, weights):
             got = tensor.line_sums(values, shape, axis, w)
             assert hexes(got) == hexes(oracles.line_sums_loops(values, shape, axis, w))
+
+
+@st.composite
+def norm_kernel_cases(draw):
+    """(x, dh, h, shape, axis, epsilon): m, d in 1..6, lines along axis of
+    one element in about half the cases, some lines constant; epsilon 0 is
+    bln's feature side, whose constant lines are guarded."""
+    axis, lines = draw(st.sampled_from([0, 1])), draw(st.integers(1, 6))
+    n = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    m, d = (n, lines) if axis == 0 else (lines, n)
+    epsilon = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+    x = draw(st.lists(MIXED, min_size=m * d, max_size=m * d))
+    for line in range(lines):
+        if draw(st.booleans()):
+            v = draw(MIXED)
+            for t in range(n):
+                x[t * d + line if axis == 0 else line * d + t] = v
+    dh = draw(st.lists(MIXED, min_size=m * d, max_size=m * d))
+    h = draw(st.lists(MIXED, min_size=m * d, max_size=m * d))
+    return x, dh, h, (m, d), axis, epsilon
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(norm_kernel_cases())
+@example(([-0.0, 2.0, -0.0], [-0.0, 1.0, -0.0], [2.0, -0.0, -1.0], (1, 3), 0, 1e-4))
+@example(([-0.0, INF, 0.0], [-0.0, -0.0, INF], [0.5, 3.0, -0.0], (1, 3), 0, 0.0))
+def test_norm_kernels_match_line_loops_bit_for_bit(case):
+    # at m = 1 the batch axis takes the one-element shortcuts, which must
+    # keep the general order's bits, -0.0, inf and nan included
+    x, dh, h, shape, axis, epsilon = case
+    got = norm._branch(Tensor(shape, x), axis, epsilon)
+    expected = oracles.branch_loops(x, shape, axis, epsilon)
+    assert [hexes(v) for v in got] == [hexes(v) for v in expected]
+    inv_std = got[3]
+    assert hexes(norm._normalize_backward(dh, h, shape, axis, inv_std)) == hexes(
+        oracles.normalize_backward_loops(dh, h, shape, axis, inv_std))
 
 
 @st.composite
@@ -349,8 +386,9 @@ def test_avgpool2x2_matches_index_loops_bit_for_bit(case):
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
 def test_transpose2d_matches_index_loops_bit_for_bit(m, n, data):
     x = data.draw(st.lists(st.one_of(SPECIALS, VALUES), min_size=m * n, max_size=m * n))
-    out = transpose2d(Tensor((m, n), x))
-    assert out.shape == (n, m)
+    t = Tensor((m, n), x)
+    out = transpose2d(t)
+    assert out.shape == (n, m) and out.data is not t.data
     assert hexes(out.data) == hexes(oracles.transpose2d_loops(x, m, n))
 
 
