@@ -1,8 +1,9 @@
 """Command-line harness: train, compare, gridsearch, and gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure,
-4 a worker process ended without sending its results. Worker processes
-(see workers.py) run beside the command and end with it.
+Exit codes (main reads them from _EXIT_CODES): 0 success, 1 usage error,
+2 data error, 3 verification failure, 4 a worker process ended without
+sending its results. Worker processes (see workers.py) run beside the
+command and end with it.
 """
 
 import argparse
@@ -52,16 +53,12 @@ class DivergedRunError(Exception):
     """A training run reached a non-finite loss."""
 
 
-class MetricsRecord(namedtuple("MetricsRecord", METRICS_HEADER.split(","))):
-    """One row of the metrics CSV."""
+# the exit code of each error main reports in one line
+_EXIT_CODES = {UsageError: 1, DataFormatError: 2, UninitializedStatsError: 2,
+               DivergedRunError: 3, WorkerLostError: 4}
 
-    __slots__ = ()
-
-    def to_csv_row(self):
-        return (
-            f"{self.run_id},{self.normalizer},{self.batch_size},{self.seed},"
-            f"{self.epoch},{self.step},{self.split},{self.loss!r},{self.accuracy!r}"
-        )
+# one row of the metrics CSV
+MetricsRecord = namedtuple("MetricsRecord", METRICS_HEADER.split(","))
 
 
 def _require_finite(loss, run_id, epoch, split):
@@ -108,34 +105,40 @@ def run_training(config, splits=None):
 
 
 def _write_csv(path, effective_config, header, rows):
-    """The effective config as '# ' comment lines, then the header and rows."""
+    """The effective config as '# ' comment lines, then the header and rows,
+    each row's fields joined by commas (str of a float is its repr)."""
     text = json.dumps(effective_config, sort_keys=True, indent=2)
-    lines = [f"# {line}" for line in text.splitlines()] + [header, *rows]
+    lines = [f"# {line}" for line in text.splitlines()]
+    lines += [header, *(",".join(map(str, row)) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(path, effective_config, records):
-    _write_csv(path, effective_config, METRICS_HEADER, (r.to_csv_row() for r in records))
+    _write_csv(path, effective_config, METRICS_HEADER, records)
 
 
 def write_grid_csv(path, effective_config, results):
-    rows = (",".join(map(str, (r.rank, *r.flags.as_tuple(), repr(r.loss), repr(r.accuracy))))
-            for r in results)
-    _write_csv(path, effective_config, GRID_HEADER, rows)
+    _write_csv(path, effective_config, GRID_HEADER,
+               ((r.rank, *r.flags.as_tuple(), r.loss, r.accuracy) for r in results))
 
 
-def _apply_seed_override(raw):
+def _read_experiment(path, multi=False):
+    """(raw config, validate_experiment's result) for the config file at path.
+
+    BLN_SEED, when set, replaces the seed of a config that is a JSON object;
+    validate_experiment refuses any other config.
+    """
+    raw = load_config_file(path)
     env = os.environ.get("BLN_SEED")
-    if env is None:
-        return raw
-    try:
-        seed = int(env)
-    except ValueError:
-        raise UsageError(f"BLN_SEED must be an integer, got {env!r}") from None
-    out = dict(raw)
-    out["seed"] = seed
-    return out
+    if env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"BLN_SEED must be an integer, got {env!r}") from None
+        if isinstance(raw, dict):
+            raw = {**raw, "seed": seed}
+    return raw, validate_experiment(raw, multi)
 
 
 def _check_output(path, force=True):
@@ -182,8 +185,7 @@ def _check_distinct(args, outputs, inputs):
 
 
 def cmd_train(args):
-    raw = _apply_seed_override(load_config_file(args.config))
-    config = validate_experiment(raw)
+    _, config = _read_experiment(args.config)
     _check_distinct(args, ("out", "checkpoint"), ("config",))
     _check_output(args.out)
     _check_output(args.checkpoint, args.force)
@@ -203,8 +205,7 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
-    raw = _apply_seed_override(load_config_file(args.config))
-    configs = validate_experiment(raw, multi=True)
+    raw, configs = _read_experiment(args.config, multi=True)
     _check_distinct(args, ("out",), ("config",))
     _check_output(args.out)
     # the runs differ only in normalizer and batch size, which the splits
@@ -221,8 +222,7 @@ def cmd_compare(args):
 
 
 def cmd_gridsearch(args):
-    raw = _apply_seed_override(load_config_file(args.config))
-    config = validate_experiment(raw)
+    _, config = _read_experiment(args.config)
     _check_distinct(args, ("out",), ("checkpoint", "config"))
     _check_output(args.out)
     net, _ = load_checkpoint(args.checkpoint)
@@ -408,18 +408,9 @@ def main(argv=None):
         with scope():
             args = parser.parse_args(argv)
             return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataFormatError, UninitializedStatsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergedRunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except WorkerLostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entrypoint():

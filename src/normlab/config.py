@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from collections import namedtuple
 
 from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
 from .nn import build_cnn, build_rnn
@@ -31,30 +32,23 @@ TEST_FRACTION = 1.0 / 3.0
 VALIDATION_FRACTION = 0.1  # held out of the training pool for config search
 
 
-class ExperimentConfig:
-    """One run's settings, one attribute per config key.
+# the config schema in key order: the required keys, then the optional ones
+# with the defaults validate_experiment fills in
+REQUIRED_KEYS = ("task", "normalizer", "batch_size", "epochs", "seed")
+DEFAULTS = {
+    "epsilon": EPSILON,
+    "momentum": MOMENTUM,
+    "train_fraction": 0.2,
+    "learning_rate": 1e-3,
+    "flags": dict.fromkeys(FLAG_KEYS, False),
+    "paths": {},
+}
 
-    KEYS is the config schema in key order: the REQUIRED keys, then the
-    optional ones, whose DEFAULTS validate_experiment fills in.
-    """
 
-    REQUIRED = ("task", "normalizer", "batch_size", "epochs", "seed")
-    DEFAULTS = {
-        "epsilon": EPSILON,
-        "momentum": MOMENTUM,
-        "train_fraction": 0.2,
-        "learning_rate": 1e-3,
-        "flags": dict.fromkeys(FLAG_KEYS, False),
-        "paths": {},
-    }
-    KEYS = REQUIRED + tuple(DEFAULTS)
-    __slots__ = KEYS
+class ExperimentConfig(namedtuple("ExperimentConfig", REQUIRED_KEYS + tuple(DEFAULTS))):
+    """One run's settings, one field per config key."""
 
-    def __init__(self, **values):
-        if set(values) != set(self.KEYS):
-            raise TypeError(f"ExperimentConfig takes the keys {list(self.KEYS)}, got {sorted(values)}")
-        for key in self.KEYS:
-            setattr(self, key, values[key])
+    __slots__ = ()
 
     def to_dict(self):
         """The config as a fresh dict in key order.
@@ -62,8 +56,7 @@ class ExperimentConfig:
         flags and paths hold only bools and strings, so copying them one
         level deep leaves nothing shared.
         """
-        values = {key: getattr(self, key) for key in self.KEYS}
-        return {key: dict(v) if isinstance(v, dict) else v for key, v in values.items()}
+        return {key: dict(v) if isinstance(v, dict) else v for key, v in zip(self._fields, self)}
 
 
 def check_keys(raw, allowed, required):
@@ -72,7 +65,7 @@ def check_keys(raw, allowed, required):
         raise UsageError("config must be a JSON object")
     for key in raw:
         if key not in allowed:
-            raise UsageError(f"unknown config key: '{key}'")
+            raise UsageError(f"unknown config key: {key!r}")
     for key in required:
         if key not in raw:
             raise UsageError(f"missing config key: '{key}'")
@@ -110,7 +103,7 @@ def _check_flags(raw):
         raise UsageError("config key 'flags' must be an object")
     for key in raw:
         if key not in FLAG_KEYS:
-            raise UsageError(f"unknown config key: 'flags.{key}'")
+            raise UsageError(f"unknown config key: {'flags.' + key!r}")
     out = {}
     for key in FLAG_KEYS:
         value = raw.get(key, False)
@@ -125,7 +118,7 @@ def _check_paths(raw, task):
         raise UsageError("config key 'paths' must be an object")
     for key, value in raw.items():
         if key not in ("train", "test"):
-            raise UsageError(f"unknown config key: 'paths.{key}'")
+            raise UsageError(f"unknown config key: {'paths.' + key!r}")
         if not isinstance(value, str):
             raise UsageError(f"config key 'paths.{key}' must be a string")
     if task == "cnn-cifar10":
@@ -142,28 +135,20 @@ def validate_experiment(raw, multi=False):
     the 'normalizer' and 'batch_size' keys may hold lists; one config per
     (normalizer, batch size) pair is returned, normalizer-major.
     """
-    check_keys(raw, ExperimentConfig.KEYS, ExperimentConfig.REQUIRED)
+    check_keys(raw, ExperimentConfig._fields, REQUIRED_KEYS)
 
     task = raw["task"]
     if task not in TASKS:
         raise UsageError(f"config key 'task' must be one of {list(TASKS)}, got {task!r}")
 
-    normalizers = raw["normalizer"]
-    batch_sizes = raw["batch_size"]
-    if not multi:
-        if isinstance(normalizers, list) or isinstance(batch_sizes, list):
-            raise UsageError("config keys 'normalizer' and 'batch_size' must be scalars here")
-        normalizers = [normalizers]
-        batch_sizes = [batch_sizes]
-    else:
-        if not isinstance(normalizers, list):
-            normalizers = [normalizers]
-        if not isinstance(batch_sizes, list):
-            batch_sizes = [batch_sizes]
-        if len(normalizers) < 2:
-            raise UsageError("compare needs at least two normalizers in 'normalizer'")
-        if not batch_sizes:
-            raise UsageError("config key 'batch_size' lists no entry")
+    runs = [raw[key] for key in ("normalizer", "batch_size")]
+    if not multi and any(isinstance(value, list) for value in runs):
+        raise UsageError("config keys 'normalizer' and 'batch_size' must be scalars here")
+    normalizers, batch_sizes = (value if isinstance(value, list) else [value] for value in runs)
+    if multi and len(normalizers) < 2:
+        raise UsageError("compare needs at least two normalizers in 'normalizer'")
+    if not batch_sizes:
+        raise UsageError("config key 'batch_size' lists no entry")
 
     for name in normalizers:
         if name not in NORMALIZERS:
@@ -176,7 +161,7 @@ def validate_experiment(raw, multi=False):
 
     epochs = positive_int(raw["epochs"], "epochs")
     seed = check_seed(raw["seed"])
-    settings = {**ExperimentConfig.DEFAULTS, **raw}
+    settings = {**DEFAULTS, **raw}
     epsilon = _positive_number(settings["epsilon"], "epsilon")
     momentum = _check_momentum(settings["momentum"])
     train_fraction = settings["train_fraction"]

@@ -81,7 +81,7 @@ def load_cifar10_binary(path):
         raise DataFormatError(f"malformed CIFAR-10 binary: {path} ({len(raw)} bytes)")
     n = len(raw) // CIFAR_RECORD
     labels = []
-    data = [0.0] * (n * 3072)
+    data = []
     scale = 1.0 / 255.0
     for i in range(n):
         base = i * CIFAR_RECORD
@@ -89,9 +89,7 @@ def load_cifar10_binary(path):
         if label >= CIFAR_CLASSES:
             raise DataFormatError(f"malformed CIFAR-10 binary: record {i} has label {label}")
         labels.append(label)
-        obase = i * 3072
-        for j in range(3072):
-            data[obase + j] = raw[base + 1 + j] * scale
+        data += [b * scale for b in raw[base + 1:base + CIFAR_RECORD]]
     return Dataset(Tensor._wrap((n, 3, 32, 32), data), labels, CIFAR_CLASSES)
 
 

@@ -432,7 +432,7 @@ def div(a, b):
 
 
 def reshape(x, shape):
-    """Same buffer under a new shape with identical element count."""
+    """A copy of x's buffer under a new shape with identical element count."""
     shape = _sizes(shape)
     if len(shape) == 0 or len(shape) > MAX_RANK or any(s < 1 for s in shape):
         raise ValueError(f"invalid target shape {shape}")

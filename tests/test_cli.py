@@ -117,6 +117,18 @@ class TestTrainCommand:
             del os.environ["BLN_SEED"]
         assert code == 1
 
+    @pytest.mark.parametrize("body", ["[1, 2]", '"abc"', "7", "null", "[[1, 2]]"])
+    def test_env_seed_with_non_object_config_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                    monkeypatch, body):
+        config = tmp_path / "config.json"
+        config.write_text(body, encoding="utf-8")
+        monkeypatch.setenv("BLN_SEED", "3")
+        out, ck = tmp_path / "m.csv", tmp_path / "m.ckpt"
+        code = main(["train", "--config", str(config), "--out", str(out), "--checkpoint", str(ck)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not out.exists() and not ck.exists()
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["train", "--out", "x.csv"]) == 1
 
