@@ -29,16 +29,8 @@ from .config import (
     validate_experiment,
 )
 from .data import DataFormatError
-from .nn import Adam, build_dense_net, network_evaluate, network_train_epoch
-from .norm import (
-    SCHEMES,
-    InferenceFlags,
-    UninitializedStatsError,
-    backward,
-    forward_train,
-    init_params,
-    init_running,
-)
+from .nn import Adam, Normalizer, build_dense_net, network_evaluate, network_train_epoch
+from .norm import SCHEMES, InferenceFlags, UninitializedStatsError
 from .search import evaluate_all
 from .tensor import Rng, Tensor, ordered_sum, randn
 from .workers import WorkerLostError, scope
@@ -56,6 +48,10 @@ class DivergedRunError(Exception):
 # the exit code of each error main reports in one line
 _EXIT_CODES = {UsageError: 1, DataFormatError: 2, UninitializedStatsError: 2,
                DivergedRunError: 3, WorkerLostError: 4}
+
+# the characters str.splitlines() breaks at, each written as its escape, so
+# that every error main reports stays on one line
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 # one row of the metrics CSV
 MetricsRecord = namedtuple("MetricsRecord", METRICS_HEADER.split(","))
@@ -268,57 +264,48 @@ def _validate_gradcheck(raw):
     return layer, m, d, seed, corrupt
 
 
-def _max_rel_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        err = abs(a - n) / max(abs(a), abs(n), 1e-6)
-        if err > worst:
-            worst = err
-    return worst
+def _gradient_errors(analytic, values, loss):
+    """{name: max relative error of analytic[name] vs central differences}.
 
-
-def _central_differences(loss, values):
-    """Numeric d loss / d values[i] for every i, where loss takes the whole list."""
-    grads = []
-    for i in range(len(values)):
-        plus, minus = list(values), list(values)
-        plus[i] += GRADCHECK_STEP
-        minus[i] -= GRADCHECK_STEP
-        grads.append((loss(plus) - loss(minus)) / (2.0 * GRADCHECK_STEP))
-    return grads
+    Each difference moves one entry of the tensor values[name] by
+    +-GRADCHECK_STEP and reads loss(name, trial) at the moved tensor.
+    """
+    errors = {}
+    for name, grad in analytic.items():
+        value, worst = values[name], 0.0
+        for i, a in enumerate(grad):
+            plus, minus = list(value.data), list(value.data)
+            plus[i] += GRADCHECK_STEP
+            minus[i] -= GRADCHECK_STEP
+            n = (loss(name, Tensor._wrap(value.shape, plus))
+                 - loss(name, Tensor._wrap(value.shape, minus))) / (2.0 * GRADCHECK_STEP)
+            worst = max(worst, abs(a - n) / max(abs(a), abs(n), 1e-6))
+        errors[name] = worst
+    return errors
 
 
 def norm_gradient_errors(kind, m, d, seed, corrupt=False):
-    """Max relative error of each analytic gradient group vs central differences."""
+    """Max relative error of an nn.Normalizer's gradients for x, gamma and beta."""
     rng = Rng(seed)
     x = randn([m, d], rng)
     dy = randn([m, d], rng)
-    params = init_params(d)
-    params.gamma = randn([d], rng) * 0.5 + 1.0
-    params.beta = randn([d], rng) * 0.5
+    layer = Normalizer(kind, d)
+    layer.gamma = randn([d], rng) * 0.5 + 1.0
+    layer.beta = randn([d], rng) * 0.5
+    values = {"x": x, "gamma": layer.gamma, "beta": layer.beta}
 
-    _, cache, _ = forward_train(kind, x, params, init_running(d))
-    dx, dgamma, dbeta = backward(cache, dy)
-
-    analytic_dx = list(dx.data)
+    dx, grads = layer.backward(layer.forward(x)[1], dy)
+    analytic = {"x": list(dx.data), "gamma": grads["gamma"].data, "beta": grads["beta"].data}
     if corrupt:
-        analytic_dx[0] += 1e-2
+        analytic["x"][0] += 1e-2
 
-    def loss(x_data=x.data, gamma=params.gamma.data, beta=params.beta.data):
-        trial = init_params(d, params.epsilon, params.momentum)
-        trial.gamma = Tensor._wrap((d,), gamma)
-        trial.beta = Tensor._wrap((d,), beta)
-        y, _, _ = forward_train(kind, Tensor._wrap((m, d), x_data), trial, init_running(d))
+    def loss(name, trial):
+        inputs = {**values, name: trial}
+        layer.gamma, layer.beta = inputs["gamma"], inputs["beta"]
+        y, _ = layer.forward(inputs["x"])
         return ordered_sum(u * v for u, v in zip(y.data, dy.data))
 
-    return {
-        "dx": _max_rel_error(analytic_dx, _central_differences(
-            lambda v: loss(x_data=v), x.data)),
-        "dgamma": _max_rel_error(dgamma.data, _central_differences(
-            lambda v: loss(gamma=v), params.gamma.data)),
-        "dbeta": _max_rel_error(dbeta.data, _central_differences(
-            lambda v: loss(beta=v), params.beta.data)),
-    }
+    return _gradient_errors(analytic, values, loss)
 
 
 def network_gradient_errors(normalizer, m, d, seed, corrupt=False):
@@ -327,23 +314,22 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False):
     net = build_dense_net(d, 5, 3, normalizer, rng)
     x = randn([m, d], rng)
     labels = [rng.randint(3) for _ in range(m)]
+    values = net.params()
 
     _, _, caches, dlogits = net.loss(x, labels)
     grads = net.backward(caches, dlogits)
+    analytic = {key: list(grads[key].data) for key in values}
+    if corrupt:
+        for grad in analytic.values():
+            grad[0] += 1e-2
 
-    def loss(key, shape, values):
-        net.set_param(key, Tensor._wrap(shape, values))
-        return net.loss(x, labels)[0]
+    def loss(key, trial):
+        net.set_param(key, trial)
+        value = net.loss(x, labels)[0]
+        net.set_param(key, values[key])
+        return value
 
-    errors = {}
-    for key, p in net.params().items():
-        analytic = list(grads[key].data)
-        if corrupt:
-            analytic[0] += 1e-2
-        numeric = _central_differences(lambda v: loss(key, p.shape, v), p.data)
-        net.set_param(key, p)
-        errors[key] = _max_rel_error(analytic, numeric)
-    return errors
+    return _gradient_errors(analytic, values, loss)
 
 
 def cmd_gradcheck(args):
@@ -353,8 +339,8 @@ def cmd_gradcheck(args):
                    max(network_gradient_errors(scheme, m, d, seed, corrupt).values()))
                   for scheme in SCHEMES]
     else:
-        checks = [(f"{layer} m={m} d={d} {group}", err)
-                  for group, err in norm_gradient_errors(layer, m, d, seed, corrupt).items()]
+        checks = [(f"{layer} m={m} d={d} d{name}", err)
+                  for name, err in norm_gradient_errors(layer, m, d, seed, corrupt).items()]
     failed = False
     for label, err in checks:
         status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -409,7 +395,7 @@ def main(argv=None):
             args = parser.parse_args(argv)
             return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -24,7 +24,7 @@ from .tensor import (Tensor, _accumulate, line_sums, matmul, ordered_sum, randn,
                      transpose2d, zeros)
 from . import norm as _norm
 from . import workers
-from .norm import NormParams, init_params, init_running
+from .norm import init_params, init_running
 
 
 class Layer:
@@ -408,8 +408,9 @@ class Normalizer(Layer):
 
     Inputs of rank > 2 are flattened to (batch, features) for the transform
     and restored afterwards; the feature count is the flattened size.
-    gamma, beta, epsilon and momentum are plain attributes, validated here
-    and again by the NormParams that each forward builds from them; the
+    gamma, beta, epsilon and momentum are plain attributes, and the layer
+    itself is the params record the norm kernels read. Values are checked
+    once, at construction (from a config or a checkpoint descriptor); the
     population statistics live in running.
     """
 
@@ -437,17 +438,14 @@ class Normalizer(Layer):
             raise ValueError(f"expected {self.d} features, got {flat.shape[1]}")
         return flat
 
-    def _params(self):
-        return NormParams(self.gamma, self.beta, self.epsilon, self.momentum)
-
     def forward(self, x, train=True, flags=None):
         orig = x.shape
-        flat, params = self._flat(x), self._params()
+        flat = self._flat(x)
         if train:
-            y, cache, self.running = _norm.forward_train(self.scheme, flat, params, self.running)
+            y, cache, self.running = _norm.forward_train(self.scheme, flat, self, self.running)
             cache = (cache, orig)
         else:
-            y = _norm.forward_infer(self.scheme, flat, params, self.running, flags)
+            y = _norm.forward_infer(self.scheme, flat, self, self.running, flags)
             cache = None
         out = y if x.rank == 2 else reshape(y, orig)
         return out, cache
@@ -461,8 +459,7 @@ class Normalizer(Layer):
         """
         if self.scheme != "bln":
             raise ValueError(f"only a bln normalizer reads inference flags, not {self.scheme!r}")
-        outputs = _norm.bln_forward_infer_configs(self._flat(x), self._params(), self.running,
-                                                  flag_list)
+        outputs = _norm.bln_forward_infer_configs(self._flat(x), self, self.running, flag_list)
         return outputs if x.rank == 2 else (reshape(y, x.shape) for y in outputs)
 
     def backward(self, cache, dy):

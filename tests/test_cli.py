@@ -625,6 +625,42 @@ def _fails_after_one_byte(path, *args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+# every character str.splitlines() breaks a line at (none lies above U+2029)
+LINE_BREAKS = [chr(i) for i in range(0x3000) if len(f"a{chr(i)}a".splitlines()) > 1]
+
+
+class TestLineBreakInMessage:
+    """A line break from an input reaches its error message escaped: one line each."""
+
+    @pytest.mark.parametrize("argv, overrides, code, shown", [
+        (["train", "--config", "config.json", "--out", "m.csv", "--checkpoint", "m.ckpt"],
+         {"task": "cnn-cifar10", "paths": {"train": "no\nsuch", "test": "x"}}, 2, "no\\nsuch"),
+        (["train", "--config", "config.json", "--out", "a\nb/o.csv", "--checkpoint", "m.ckpt"],
+         {}, 1, "a\\nb"),
+        (["train", "--config", "x\ny.json", "--out", "m.csv", "--checkpoint", "m.ckpt"],
+         {}, 1, "x\\ny.json"),
+        (["gridsearch", "--config", "config.json", "--checkpoint", "no\nckpt", "--out", "g.csv"],
+         {}, 2, "no\\nckpt"),
+    ], ids=["cifar-path", "train-out", "train-config", "gridsearch-checkpoint"])
+    def test_exits_with_one_line(self, tmp_path, capsys, monkeypatch, argv, overrides, code,
+                                 shown):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, **overrides)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+        assert shown in err
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_every_line_break_is_escaped(self, tmp_path, capsys, monkeypatch, brk):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", f"x{brk}y.json", "--out", "m.csv",
+                     "--checkpoint", "m.ckpt"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"x{repr(brk)[1:-1]}y.json" in err
+
+
 class TestFailedWrite:
     @pytest.mark.parametrize("writer, output", [
         ("write_metrics_csv", "m.csv"), ("save_checkpoint", "m.ckpt"),
@@ -788,6 +824,40 @@ class TestGradcheckOutput:
             "network[ln] m=4 d=6 max_rel_err=5.322e-09 PASS\n"
             "network[bln] m=4 d=6 max_rel_err=8.023e-09 PASS\n"
         )
+
+    @pytest.mark.parametrize("spec, code, stdout", [
+        ({"layer": "bn", "m": 25}, 0,
+         "bn m=25 d=8 dx max_rel_err=8.316e-08 PASS\n"
+         "bn m=25 d=8 dgamma max_rel_err=7.584e-11 PASS\n"
+         "bn m=25 d=8 dbeta max_rel_err=3.312e-10 PASS\n"),
+        ({"layer": "ln", "m": 25}, 0,
+         "ln m=25 d=8 dx max_rel_err=8.013e-09 PASS\n"
+         "ln m=25 d=8 dgamma max_rel_err=3.637e-10 PASS\n"
+         "ln m=25 d=8 dbeta max_rel_err=5.582e-10 PASS\n"),
+        ({"layer": "bln", "m": 1}, 0,
+         "bln m=1 d=8 dx max_rel_err=9.004e-10 PASS\n"
+         "bln m=1 d=8 dgamma max_rel_err=7.820e-10 PASS\n"
+         "bln m=1 d=8 dbeta max_rel_err=5.464e-11 PASS\n"),
+        ({"layer": "bn", "m": 1}, 0,
+         "bn m=1 d=8 dx max_rel_err=0.000e+00 PASS\n"
+         "bn m=1 d=8 dgamma max_rel_err=0.000e+00 PASS\n"
+         "bn m=1 d=8 dbeta max_rel_err=1.177e-10 PASS\n"),
+        # a corrupt layer check offsets dx[0] only
+        ({"layer": "bln", "m": 25, "corrupt": True}, 3,
+         "bln m=25 d=8 dx max_rel_err=2.363e-02 FAIL\n"
+         "bln m=25 d=8 dgamma max_rel_err=1.943e-10 PASS\n"
+         "bln m=25 d=8 dbeta max_rel_err=2.250e-10 PASS\n"),
+        # a corrupt network check offsets the first entry of every parameter
+        ({"layer": "network", "m": 4, "d": 6, "corrupt": True}, 3,
+         "network[bn] m=4 d=6 max_rel_err=2.100e-01 FAIL\n"
+         "network[ln] m=4 d=6 max_rel_err=1.190e-01 FAIL\n"
+         "network[bln] m=4 d=6 max_rel_err=4.219e-01 FAIL\n"),
+    ], ids=["bn-m25", "ln-m25", "bln-m1", "bn-m1", "corrupt-bln", "corrupt-network"])
+    def test_spec_stdout(self, tmp_path, capsys, spec, code, stdout):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"d": 8, "seed": 0, **spec}), encoding="utf-8")
+        assert main(["gradcheck", "--config", str(path)]) == code
+        assert capsys.readouterr().out == stdout
 
 
 class TestImportCost:

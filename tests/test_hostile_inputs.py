@@ -1,16 +1,20 @@
 """Hostile-input sweep over the command front end (hypothesis).
 
-Each case damages one tiny config, by one key's value, a removed or an
-unknown key, or the file itself, and runs `cli.main` on it in a fresh
-directory with BLN_SEED unset, valid or invalid. Whatever the damage, the
-command must end in a documented exit code (0-4); a nonzero exit prints
-exactly one `error:` line and leaves every output as it found it: a
-pre-existing one keeps its bytes, an absent one stays absent.
+Each config case damages one tiny config, by one key's value, a removed or
+an unknown key, or the file itself, and runs `cli.main` on it in a fresh
+directory with BLN_SEED unset, valid or invalid. Each manifest case runs
+`gridsearch` on a copy of a trained checkpoint whose manifest has one value,
+at any depth, replaced from the same palette, or one key or list entry
+removed. Whatever the damage, the command must end in a documented exit code
+(0-4); a nonzero exit prints exactly one `error:` line and leaves every
+output as it found it: a pre-existing one keeps its bytes, an absent one
+stays absent.
 """
 
 import contextlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -139,3 +143,66 @@ def test_damaged_config_exits_with_one_line_and_keeps_outputs(bln_checkpoint, co
         else:
             assert err == ""
     assert bln_checkpoint.read_bytes() == checkpoint_bytes
+
+
+def manifest_paths(value, path=()):
+    """The path of every value in a JSON nesting, the root's first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from manifest_paths(child, path + (key,))
+
+
+def damaged_checkpoint(raw, damage):
+    """The bytes of a checkpoint whose manifest has one value replaced or one entry removed."""
+    (length,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8:8 + length])
+    kind, path = damage[:2]
+    if not path:
+        manifest = damage[2]
+    else:
+        *parents, last = path
+        owner = manifest
+        for key in parents:
+            owner = owner[key]
+        if kind == "value":
+            owner[last] = damage[2]
+        else:
+            del owner[last]
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:]
+
+
+@pytest.fixture(scope="module")
+def manifest_damages(bln_checkpoint):
+    """Half the cases each, as for the configs: a replaced value or a removed entry."""
+    raw = bln_checkpoint.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    paths = list(manifest_paths(json.loads(raw[8:8 + length])))
+    return st.one_of(st.sampled_from([("value", path, value) for path in paths for value in PALETTE]),
+                     st.sampled_from([("remove", path) for path in paths[1:]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_manifest_exits_with_one_line_and_writes_nothing(bln_checkpoint, manifest_damages,
+                                                                 data):
+    raw = bln_checkpoint.read_bytes()
+    damage = data.draw(manifest_damages)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "config.json").write_text(json.dumps(TINY), encoding="utf-8")
+        (directory / "net.ckpt").write_bytes(damaged_checkpoint(raw, damage))
+        out = directory / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["gridsearch", "--config", str(directory / "config.json"),
+                         "--checkpoint", str(directory / "net.ckpt"), "--out", str(out)])
+        assert code in (0, 1, 2, 3, 4)
+        err = err.getvalue()
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert not out.exists()
+        else:
+            assert err == ""
+    assert bln_checkpoint.read_bytes() == raw
