@@ -39,10 +39,15 @@ METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accura
 GRID_HEADER = ",".join(("rank", *FLAG_KEYS, "loss", "accuracy"))
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_STEP = 1e-5
+# A mean train loss above -log of the smallest positive double (744.4) means
+# some sample's softmax probability of its true class is below every
+# positive double: the run has exploded. The test loss has no such bound,
+# since bn at batch 1 tests with a zero population variance.
+TRAIN_LOSS_BOUND = -math.log(math.ulp(0.0))
 
 
 class DivergedRunError(Exception):
-    """A training run reached a non-finite loss."""
+    """A training run reached a non-finite loss or a train loss above TRAIN_LOSS_BOUND."""
 
 
 # the exit code of each error main reports in one line
@@ -57,8 +62,8 @@ _ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u202
 MetricsRecord = namedtuple("MetricsRecord", METRICS_HEADER.split(","))
 
 
-def _require_finite(loss, run_id, epoch, split):
-    if not math.isfinite(loss):
+def _require_bounded(loss, bound, run_id, epoch, split):
+    if not (math.isfinite(loss) and loss <= bound):
         raise DivergedRunError(f"run {run_id} diverged: epoch {epoch} {split} loss is {loss!r}")
 
 
@@ -69,7 +74,7 @@ def run_training(config, splits=None):
     derive from the config seed. `splits` is the config's prepare_task
     result when the caller already has it; nothing mutates a dataset, so
     runs may share one. Raises DivergedRunError as soon as an epoch's train
-    or test loss is not finite.
+    or test loss is not finite, or its train loss is above TRAIN_LOSS_BOUND.
     """
     train_ds, _, test_ds = splits if splits is not None else prepare_task(config)
     plan = seed_plan(config.seed)
@@ -86,13 +91,13 @@ def run_training(config, splits=None):
         seen = sum(n for _, _, n in steps)
         train_loss = ordered_sum(l * n for l, _, n in steps) / seen
         train_acc = ordered_sum(a * n for _, a, n in steps) / seen
-        _require_finite(train_loss, run_id, epoch, "train")
+        _require_bounded(train_loss, TRAIN_LOSS_BOUND, run_id, epoch, "train")
         records.append(MetricsRecord(
             run_id, config.normalizer, config.batch_size, config.seed,
             epoch, total_steps, "train", train_loss, train_acc,
         ))
         test_loss, test_acc = network_evaluate(net, test_ds, flags=flags)
-        _require_finite(test_loss, run_id, epoch, "test")
+        _require_bounded(test_loss, math.inf, run_id, epoch, "test")
         records.append(MetricsRecord(
             run_id, config.normalizer, config.batch_size, config.seed,
             epoch, total_steps, "test", test_loss, test_acc,
@@ -313,7 +318,7 @@ def network_gradient_errors(normalizer, m, d, seed, corrupt=False):
     rng = Rng(seed)
     net = build_dense_net(d, 5, 3, normalizer, rng)
     x = randn([m, d], rng)
-    labels = [rng.randint(3) for _ in range(m)]
+    labels = rng.randints(3, m)
     values = net.params()
 
     _, _, caches, dlogits = net.loss(x, labels)

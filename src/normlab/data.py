@@ -55,18 +55,11 @@ def gen_parity_sequences(n, length, vocab, seed):
     """One-hot token sequences labeled by the parity of the token-0 count."""
     if length < 1 or vocab < 2 or n < 1:
         raise ValueError("need n >= 1, length >= 1, vocab >= 2")
-    rng = Rng(seed)
+    tokens = Rng(seed).randints(vocab, n * length)
     data = [0.0] * (n * length * vocab)
-    labels = []
-    for i in range(n):
-        zeros_seen = 0
-        base = i * length * vocab
-        for t in range(length):
-            tok = rng.randint(vocab)
-            if tok == 0:
-                zeros_seen += 1
-            data[base + t * vocab + tok] = 1.0
-        labels.append(zeros_seen % 2)
+    for i, tok in enumerate(tokens):
+        data[i * vocab + tok] = 1.0
+    labels = [tokens[i:i + length].count(0) % 2 for i in range(0, n * length, length)]
     return Dataset(Tensor._wrap((n, length, vocab), data), labels, 2)
 
 

@@ -6,12 +6,31 @@ inputs; tensors are treated as immutable values once constructed.
 
 import math
 import operator
+import struct
 from functools import reduce
 from itertools import repeat
 
 MAX_RANK = 4
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_TWO_PI = 2.0 * math.pi
+# outputs per chunk of Rng.next_u64s; each lane takes 128 bits of one int
+_CHUNK = 2048
+
+
+def _lane_constants(lanes):
+    """(ones, ramp, low) over `lanes` 128-bit lanes, built by doubling: lane
+    i of ones holds 1, of ramp (i + 1) * golden mod 2**64, of low 2**64 - 1."""
+    ones, ramp, n = 1, _GOLDEN, 1
+    while n < lanes:
+        ramp |= ((ramp + (n * _GOLDEN & _MASK64) * ones) & (ones * _MASK64)) << (n << 7)
+        ones |= ones << (n << 7)
+        n <<= 1
+    return ones, ramp, ones * _MASK64
+
+
+_ONES, _RAMP, _LOW = _lane_constants(_CHUNK)
 
 
 class Rng:
@@ -19,6 +38,36 @@ class Rng:
 
     There is no global state: every consumer receives an Rng (or derives a
     child stream), so identical seeds replay identical draw sequences.
+
+    splitmix64 steps the state by the golden constant G mod 2**64 and
+    mixes each state s into one output:
+
+        z = (s ^ (s >> 30)) * C1 mod 2**64
+        z = (z ^ (z >> 27)) * C2 mod 2**64
+        output = z ^ (z >> 31)
+
+    next_u64s computes a chunk of outputs in one int, output i in lane i
+    (bits 128*i to 128*i + 127), and each step of the mix is exact lane by
+    lane:
+    - the states s + (i + 1) * G come from a constant ramp; a lane's sum is
+      below 2**65, so it carries into no other lane, and masking off every
+      lane's upper 64 bits reduces it mod 2**64;
+    - a right shift by 30, 27 or 31 bits moves bits of lane i + 1 only into
+      bits 97 and up of lane i, which are masked off before the next
+      multiply;
+    - a lane value below 2**64 times C1 or C2 is below 2**128, so a
+      multiply carries into no other lane, and the mask after it reduces
+      it mod 2**64;
+    - after the last xorshift, bits 64 to 96 of every lane are 0, so the
+      low 8 bytes of each lane, read little-endian after a right shift of
+      at most 33 bits, are that lane's output so shifted (normals reads
+      output >> 11, the integer of a uniform).
+    Chunks of _CHUNK outputs bound the size of the ints.
+
+    The draws built on next_u64s skip an output where a one-at-a-time
+    loop would draw again (a first Box-Muller uniform of 0.0, a bounded
+    draw in the rejection region) and draw one more at the end, so every
+    call leaves the same values, state and spare as that loop.
     """
 
     __slots__ = ("_state", "_spare")
@@ -27,70 +76,115 @@ class Rng:
         self._state = int(seed) & _MASK64
         self._spare = None
 
+    def next_u64s(self, count):
+        """The next count values of next_u64(), as a list."""
+        return self._outputs(count, 0)
+
+    def _outputs(self, count, shift):
+        """The next count outputs, each shifted right by shift <= 33 bits."""
+        out = []
+        state = self._state
+        for start in range(0, count, _CHUNK):
+            k = min(_CHUNK, count - start)
+            lanes = (1 << (k << 7)) - 1
+            low = _LOW & lanes
+            z = (state * (_ONES & lanes) + (_RAMP & lanes)) & low
+            z = (z ^ (z >> 30)) & low
+            z = (z * 0xBF58476D1CE4E5B9) & low
+            z = (z ^ (z >> 27)) & low
+            z = (z * 0x94D049BB133111EB) & low
+            z ^= z >> 31
+            out += struct.unpack(f"<{2 * k}Q", (z >> shift).to_bytes(k << 4, "little"))[0::2]
+            state = (state + k * _GOLDEN) & _MASK64
+        self._state = state
+        return out
+
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        """The next splitmix64 output, in [0, 2**64)."""
+        return self.next_u64s(1)[0]
 
     def uniform(self):
         """Uniform draw in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def _redraw(self, draws, first_rejected, shift):
+        """draws (outputs shifted right by shift) with the value at index
+        first_rejected(draws) dropped and one more drawn at the end, until
+        that returns None.
+
+        A one-at-a-time loop draws again where a value is rejected, so the
+        values after it move up one place, as they do here.
+        """
+        k = first_rejected(draws)
+        while k is not None:
+            del draws[k]
+            draws += self._outputs(1, shift)
+            k = first_rejected(draws)
+        return draws
 
     def normals(self, n):
         """n standard normal draws; n calls of normals(1) draw the same bits.
 
         Box-Muller turns each pair of uniforms into a cosine and a sine
         value; a sine value left over waits for the next draw, and a zero
-        first uniform is drawn again. splitmix64 is inlined, because every
-        weight initialization and synthetic dataset draws through this loop.
+        first uniform is drawn again.
         """
         out = []
         if n > 0 and self._spare is not None:
             out.append(self._spare)
             self._spare = None
         pairs, odd = divmod(max(n - len(out), 0), 2)
-        append, state = out.append, self._state
-        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-        two_pi = 2.0 * math.pi
-        for _ in range(pairs + odd):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            u1 = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
-            while u1 == 0.0:    # one draw in 2**53
-                self._state = state
-                u1 = self.uniform()
-                state = self._state
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            u2 = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
-            radius = sqrt(-2.0 * log(u1))
-            theta = two_pi * u2
-            append(radius * cos(theta))
-            append(radius * sin(theta))
-        self._state = state
+        total = 2 * (pairs + odd)
+        # a chunk of draws at a time (an even count) bounds the lists below;
+        # a redraw draws on from the stream, as the next chunk then does
+        for start in range(0, total, _CHUNK):
+            draws = self._redraw(self._outputs(min(_CHUNK, total - start), 11), _first_zero_uniform, 11)
+            uniforms = list(map(operator.mul, draws, repeat(2.0 ** -53)))
+            radii = list(map(math.sqrt, map(operator.mul, repeat(-2.0), map(math.log, uniforms[0::2]))))
+            thetas = list(map(operator.mul, repeat(_TWO_PI), uniforms[1::2]))
+            # each pair's cosine and sine values take the places of its uniforms
+            uniforms[0::2] = map(operator.mul, radii, map(math.cos, thetas))
+            uniforms[1::2] = map(operator.mul, radii, map(math.sin, thetas))
+            out += uniforms
         if odd:
             self._spare = out.pop()
         return out
 
+    def _bounded(self, bounds):
+        """One unbiased integer in range(b) for each bound b, in order.
+
+        A draw at or above 2**64 - 2**64 % b, the rejection region, is
+        drawn again. Every region lies above 2**64 - max(bounds).
+        """
+        safe = (1 << 64) - max(bounds, default=1)
+
+        def first_rejected(draws):
+            if max(draws, default=0) <= safe:
+                return None
+            return next((i for i, (u, b) in enumerate(zip(draws, bounds))
+                         if u >= (1 << 64) - (1 << 64) % b), None)
+
+        draws = self._redraw(self.next_u64s(len(bounds)), first_rejected, 0)
+        return list(map(operator.mod, draws, bounds))
+
     def randint(self, n):
         """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        return self.randints(n, 1)[0]
+
+    def randints(self, n, count):
+        """count unbiased integers in [0, n); count calls of randint(n) draw the same.
+
+        n is at most 2**64, the number of outputs: above it, every output
+        would fall in the rejection region and the draw would never end.
+        """
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"randint bound must be in [1, 2**64], got {n}")
+        return self._bounded([n] * count)
 
     def permutation(self, n):
         """Fisher-Yates permutation of range(n) as a fresh list."""
         items = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), self._bounded(range(n, 1, -1))):
             items[i], items[j] = items[j], items[i]
         return items
 
@@ -99,19 +193,19 @@ class Rng:
         return Rng(self.next_u64())
 
 
+def _first_zero_uniform(draws):
+    """Index of the first draw at an even place (a pair's first uniform) that is 0, or None."""
+    firsts = draws[0::2]
+    return 2 * firsts.index(0) if 0 in firsts else None
+
+
 class Tensor:
     """Dense n-dimensional array: shape tuple plus flat row-major buffer."""
 
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data):
-        shape = _sizes(shape)
-        if len(shape) == 0:
-            raise ValueError("tensor shape must have at least one dimension")
-        if len(shape) > MAX_RANK:
-            raise ValueError(f"rank {len(shape)} exceeds supported maximum {MAX_RANK}")
-        if any(s < 1 for s in shape):
-            raise ValueError(f"dimension sizes must be >= 1, got {shape}")
+        shape = _shape(shape)
         n = math.prod(shape)
         data = [float(v) for v in data]
         if n != len(data):
@@ -150,23 +244,34 @@ def _sizes(shape):
     return shape
 
 
-def _numel(shape):
-    return math.prod(_sizes(shape))
+def _shape(shape):
+    """shape as a tuple of 1 to MAX_RANK integer sizes, each at least 1; else ValueError."""
+    shape = _sizes(shape)
+    if len(shape) == 0:
+        raise ValueError("tensor shape must have at least one dimension")
+    if len(shape) > MAX_RANK:
+        raise ValueError(f"rank {len(shape)} exceeds supported maximum {MAX_RANK}")
+    if any(s < 1 for s in shape):
+        raise ValueError(f"dimension sizes must be >= 1, got {shape}")
+    return shape
 
 
 def zeros(shape):
     """Tensor of the given shape filled with 0.0."""
-    return Tensor(shape, [0.0] * _numel(shape))
+    shape = _shape(shape)
+    return Tensor._wrap(shape, [0.0] * math.prod(shape))
 
 
 def ones(shape):
     """Tensor of the given shape filled with 1.0."""
-    return Tensor(shape, [1.0] * _numel(shape))
+    shape = _shape(shape)
+    return Tensor._wrap(shape, [1.0] * math.prod(shape))
 
 
 def randn(shape, rng):
     """Tensor of seeded standard-normal draws."""
-    return Tensor(shape, rng.normals(_numel(shape)))
+    shape = _shape(shape)
+    return Tensor._wrap(shape, rng.normals(math.prod(shape)))
 
 
 def matmul(a, b):
@@ -436,14 +541,14 @@ def reshape(x, shape):
     shape = _sizes(shape)
     if len(shape) == 0 or len(shape) > MAX_RANK or any(s < 1 for s in shape):
         raise ValueError(f"invalid target shape {shape}")
-    if _numel(shape) != x.size:
+    if math.prod(shape) != x.size:
         raise ValueError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
     return Tensor._wrap(shape, list(x.data))
 
 
 def take(x, indices):
     """Gather rows along axis 0 in the given order."""
-    row = _numel(x.shape[1:]) if x.rank > 1 else 1
+    row = math.prod(x.shape[1:])
     xd = x.data
     out = []
     n = x.shape[0]

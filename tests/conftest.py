@@ -1,4 +1,3 @@
-import math
 import os
 import signal
 import sys
@@ -110,23 +109,6 @@ def normal(rng):
     return rng.normals(1)[0]
 
 
-def scalar_normal(rng):
-    """One standard normal draw from rng, one uniform at a time: the reference
-    for Rng.normals (Box-Muller, the sine value kept in rng._spare, a zero
-    first uniform drawn again)."""
-    if rng._spare is not None:
-        value, rng._spare = rng._spare, None
-        return value
-    u1 = rng.uniform()
-    while u1 == 0.0:
-        u1 = rng.uniform()
-    u2 = rng.uniform()
-    radius = math.sqrt(-2.0 * math.log(u1))
-    theta = 2.0 * math.pi * u2
-    rng._spare = radius * math.sin(theta)
-    return radius * math.cos(theta)
-
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -139,10 +121,11 @@ def _undo_xorshift(z, shift):
     return x
 
 
-def splitmix64_state_before(output):
-    """The Rng state whose next next_u64() returns `output`: splitmix64's
-    finalizer inverted, then one step of the state sequence undone."""
+def splitmix64_state_before(output, draws=0):
+    """The Rng state whose next_u64() returns `output` after `draws` other
+    draws: splitmix64's finalizer inverted, then draws + 1 steps of the
+    state sequence undone."""
     z = _undo_xorshift(output, 31)
     z = _undo_xorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
     z = _undo_xorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
-    return (z - _GOLDEN) & _MASK64
+    return (z - (draws + 1) * _GOLDEN) & _MASK64

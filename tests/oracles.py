@@ -489,3 +489,59 @@ def adam_loops(w, grads, learning_rate):
             w[i] = w[i] - learning_rate * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
         history.append(list(w))
     return history
+
+
+# ---------------------------------------------------------------------------
+# splitmix64 one output at a time, the reference for tensor.Rng's bulk draws.
+# Each function takes an Rng and updates its _state and _spare as Rng does.
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def scalar_u64(rng):
+    """rng's next splitmix64 output."""
+    rng._state = (rng._state + 0x9E3779B97F4A7C15) & _MASK64
+    z = rng._state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def scalar_uniform(rng):
+    """Uniform in [0, 1) from the top 53 bits of the next output."""
+    return (scalar_u64(rng) >> 11) * 2.0 ** -53
+
+
+def scalar_normal(rng):
+    """One standard normal draw: Box-Muller, the sine value kept in
+    rng._spare, a zero first uniform drawn again."""
+    if rng._spare is not None:
+        value, rng._spare = rng._spare, None
+        return value
+    u1 = scalar_uniform(rng)
+    while u1 == 0.0:
+        u1 = scalar_uniform(rng)
+    u2 = scalar_uniform(rng)
+    radius = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    rng._spare = radius * math.sin(theta)
+    return radius * math.cos(theta)
+
+
+def scalar_randint(rng, n):
+    """Unbiased integer in [0, n): an output in the top 2**64 % n values is drawn again."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        u = scalar_u64(rng)
+        if u < limit:
+            return u % n
+
+
+def scalar_permutation(rng, n):
+    """Fisher-Yates over range(n), one scalar_randint per index from the top."""
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = scalar_randint(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items

@@ -56,6 +56,21 @@ class TestTrainCommand:
         assert_diverged(code, capsys.readouterr().err)
         assert not out.exists() and not ck.exists()
 
+    def test_exploding_train_loss_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # train losses 1.16, then 3.8e12, then 0.0 with accuracy 1.0: every
+        # loss is finite, and only the bound on the train loss stops the run
+        smoke = Path(__file__).resolve().parent.parent / "configs" / "cnn-bln-smoke.json"
+        raw = json.loads(smoke.read_text(encoding="utf-8"))
+        raw.update(normalizer="bn", batch_size=25, seed=1, train_fraction=0.1, learning_rate=1e6)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out, ck = tmp_path / "m.csv", tmp_path / "m.ckpt"
+        code = main(["train", "--config", str(config), "--out", str(out), "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert_diverged(code, err)
+        assert err.startswith("error: run cnn-synthetic-bn-b25-s1 diverged: epoch 2 train loss ")
+        assert not out.exists() and not ck.exists()
+
     def test_runs_and_is_byte_identical_across_reruns(self, tmp_path):
         config = write_config(tmp_path)
         out1, ck1 = str(tmp_path / "a.csv"), str(tmp_path / "a.ckpt")

@@ -15,6 +15,7 @@ from normlab.data import (
 )
 from normlab.nn import Adam, Dense, Network, network_evaluate, network_train_epoch
 from normlab.tensor import Rng
+from oracles import scalar_randint
 
 
 class TestBlobs:
@@ -74,6 +75,12 @@ class TestParitySequences:
         ds = gen_parity_sequences(1000, 6, 3, seed=13)
         positives = sum(ds.labels)
         assert abs(positives / 1000 - 0.5) < 0.05
+
+    def test_tokens_are_randint_draws_in_sample_then_step_order(self):
+        ds = gen_parity_sequences(30, 4, 3, seed=9)
+        rng = Rng(9)
+        tokens = [scalar_randint(rng, 3) for _ in range(30 * 4)]
+        assert ds.inputs.data == [float(v == tok) for tok in tokens for v in range(3)]
 
     def test_determinism(self):
         a = gen_parity_sequences(30, 4, 3, seed=9)

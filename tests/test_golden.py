@@ -13,11 +13,14 @@ import importlib
 import json
 import os
 import pkgutil
+import struct
 
 import pytest
 
 import normlab
 from normlab.cli import main
+from normlab.config import build_network_for_config, prepare_task, seed_plan, validate_experiment
+from normlab.tensor import Rng
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
@@ -65,6 +68,32 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert main(["compare", "--config", rnn, "--out", out["compare-rnn.csv"]]) == 0
 
     assert {name: _digest(path) for name, path in out.items()} == GOLDEN
+
+
+# sha256 of the data a run starts from: prepare_task's three splits (shape,
+# labels and the float64 bytes of the inputs) and the initial buffers of the
+# config's network, so a change to the seeded streams shows before training
+DATA_GOLDEN = {
+    ("cnn-synthetic", 1): "bba51be68cbd4a7aca56a78246c3ab398ce1ff4224ca5a00dd9e9779dc29cbc9",
+    ("cnn-synthetic", 7): "e2c971aaf151ab4d2e0109fc268011d9b985230432dc813c48dce5c17ed0e4c7",
+    ("rnn-synthetic", 1): "6d3a7645e6825948ebec6326410167b8c6a7232e154d41fada26027595905d0b",
+    ("rnn-synthetic", 7): "96fad0a07740c08acfdec73873bd443a3b05c3e40a50734d91484e1e4c6055e8",
+}
+
+
+@pytest.mark.parametrize("task,seed", sorted(DATA_GOLDEN))
+def test_task_data_and_initial_weights_match_golden_digests(task, seed):
+    config = validate_experiment({"task": task, "normalizer": "bln", "batch_size": 25,
+                                  "epochs": 1, "seed": seed})
+    h = hashlib.sha256()
+    for split in prepare_task(config):
+        h.update(repr((split.inputs.shape, split.labels)).encode())
+        h.update(struct.pack(f"<{split.inputs.size}d", *split.inputs.data))
+    net = build_network_for_config(config, Rng(seed_plan(seed)["init"]))
+    for name, values in net.buffers().items():
+        h.update(name.encode())
+        h.update(struct.pack(f"<{len(values)}d", *values))
+    assert h.hexdigest() == DATA_GOLDEN[task, seed]
 
 
 # sha256 of `train` checkpoints beyond the bln CNN of the smoke config, so a
