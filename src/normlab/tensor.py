@@ -7,7 +7,7 @@ inputs; tensors are treated as immutable values once constructed.
 import math
 import operator
 import struct
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 
 MAX_RANK = 4
@@ -295,8 +295,9 @@ def matmul(a, b):
     # without zeros are common. One ordered dot product per output replaces
     # it only when that form's comprehensions would be shorter than 4
     # elements and there are fewer outputs than terms: a reduce step costs
-    # more than an element of a comprehension of up to 8 terms, but such
-    # short comprehensions cost more per element still.
+    # more than an element of a comprehension of up to 16 terms, but such
+    # short comprehensions cost more per element still: at (1,32)x(32,2), the
+    # last dense forward at batch 1, the dot form is about 1.7 times as fast.
     row_terms = m * k - (0 if all(ad) else ad.count(0.0))
     col_terms = n * k - (0 if all(bd) else bd.count(0.0))
     use_rows = row_terms * n < col_terms * m or (row_terms * n == col_terms * m and n >= m)
@@ -322,90 +323,57 @@ def matmul(a, b):
     return Tensor._wrap((m, n), out)
 
 
-# Each pass adds the terms t, t+1, ... of one kind in one comprehension.
+# Each pass adds the terms t, t+1, ... of one kind, `size` to a comprehension.
 # Python adds left to right, v + c0*x0 + c1*x1 = (v + c0*x0) + c1*x1, so
 # every element gets its terms in the order of one comprehension per term.
-# Per multiply-add at length 32, a pass of 8 terms costs about 60% of a pass
-# of one. Passes of 16 were 5-10% faster again, but written out they double
-# this code, and compiled at run time they cost more than they saved.
+# A line's terms go 16 to a comprehension, all full blocks in one call, and
+# its last 1-15 terms to one pass of exactly that size. Against passes of 8,
+# 4, 2 and 1 this made train-cnn-b25 3.6% faster (10 of 10 pairs of 8 s
+# runs, 2 CPUs, CPython 3.11). Written out, the 48 passes would triple this
+# code; compiled at import they would cost every process about 10 ms, while
+# a command uses 4 to 22 of them (2 to 8 ms). So each pass is written from
+# one template the first time a line needs it.
 
-def _scaled8(acc, t, c, r):
-    c0, c1, c2, c3, c4, c5, c6, c7 = c[t:t + 8]
-    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
-    return [v + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + c4 * x4 + c5 * x5 + c6 * x6 + c7 * x7
-            for v, x0, x1, x2, x3, x4, x5, x6, x7 in zip(acc, r0, r1, r2, r3, r4, r5, r6, r7)]
-
-
-def _scaled4(acc, t, c, r):
-    c0, c1, c2, c3 = c[t:t + 4]
-    r0, r1, r2, r3 = r[t:t + 4]
-    return [v + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
-            for v, x0, x1, x2, x3 in zip(acc, r0, r1, r2, r3)]
+_WIDTH = 16
+# kind: (the arguments after acc, start and stop, term i)
+_TERMS = {"scaled": ("c, r", "c{i} * x{i}"), "rows": ("r", "x{i}"), "products": ("r, w", "x{i} * u{i}")}
 
 
-def _scaled2(acc, t, c, r):
-    c0, c1 = c[t], c[t + 1]
-    return [v + c0 * x0 + c1 * x1 for v, x0, x1 in zip(acc, r[t], r[t + 1])]
+def _pass_source(kind, size):
+    """Source of the pass that adds the terms start..stop-1 of `kind`, `size` to a
+    comprehension; stop - start is a multiple of size. For ("scaled", 2):
+
+        def _scaled2(acc, start, stop, c, r):
+            for t in range(start, stop, 2):
+                [c0, c1] = c[t:t + 2]
+                acc = [v + c0 * x0 + c1 * x1 for v, x0, x1 in zip(acc, *r[t:t + 2])]
+            return acc
+    """
+    if kind not in _TERMS:
+        raise ValueError(f"unknown accumulation kind {kind!r}")
+    if type(size) is not int or not 1 <= size <= _WIDTH:
+        raise ValueError(f"pass size must be an int in 1..{_WIDTH}, got {size!r}")
+    args, term = _TERMS[kind]
+    span = f"[t:t + {size}]"
+    total = " + ".join(["v"] + [term.format(i=i) for i in range(size)])
+    targets = ["v"] + [f"x{i}" for i in range(size)]
+    columns = ["acc", "*r" + span]
+    if kind == "products":
+        targets += [f"u{i}" for i in range(size)]
+        columns.append("*w" + span)
+    coeffs = f"        [{', '.join(f'c{i}' for i in range(size))}] = c{span}\n" if kind == "scaled" else ""
+    return (f"def _{kind}{size}(acc, start, stop, {args}):\n"
+            f"    for t in range(start, stop, {size}):\n{coeffs}"
+            f"        acc = [{total} for {', '.join(targets)} in zip({', '.join(columns)})]\n"
+            f"    return acc\n")
 
 
-def _scaled1(acc, t, c, r):
-    c0 = c[t]
-    return [v + c0 * x0 for v, x0 in zip(acc, r[t])]
-
-
-def _rows8(acc, t, r):
-    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
-    return [v + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7
-            for v, x0, x1, x2, x3, x4, x5, x6, x7 in zip(acc, r0, r1, r2, r3, r4, r5, r6, r7)]
-
-
-def _rows4(acc, t, r):
-    r0, r1, r2, r3 = r[t:t + 4]
-    return [v + x0 + x1 + x2 + x3 for v, x0, x1, x2, x3 in zip(acc, r0, r1, r2, r3)]
-
-
-def _rows2(acc, t, r):
-    return [v + x0 + x1 for v, x0, x1 in zip(acc, r[t], r[t + 1])]
-
-
-def _rows1(acc, t, r):
-    return [v + x0 for v, x0 in zip(acc, r[t])]
-
-
-def _products8(acc, t, r, w):
-    r0, r1, r2, r3, r4, r5, r6, r7 = r[t:t + 8]
-    w0, w1, w2, w3, w4, w5, w6, w7 = w[t:t + 8]
-    return [v + x0 * u0 + x1 * u1 + x2 * u2 + x3 * u3 + x4 * u4 + x5 * u5 + x6 * u6 + x7 * u7
-            for v, x0, u0, x1, u1, x2, u2, x3, u3, x4, u4, x5, u5, x6, u6, x7, u7
-            in zip(acc, r0, w0, r1, w1, r2, w2, r3, w3, r4, w4, r5, w5, r6, w6, r7, w7)]
-
-
-def _products4(acc, t, r, w):
-    r0, r1, r2, r3 = r[t:t + 4]
-    w0, w1, w2, w3 = w[t:t + 4]
-    return [v + x0 * u0 + x1 * u1 + x2 * u2 + x3 * u3
-            for v, x0, u0, x1, u1, x2, u2, x3, u3 in zip(acc, r0, w0, r1, w1, r2, w2, r3, w3)]
-
-
-def _products2(acc, t, r, w):
-    return [v + x0 * u0 + x1 * u1
-            for v, x0, u0, x1, u1 in zip(acc, r[t], w[t], r[t + 1], w[t + 1])]
-
-
-def _products1(acc, t, r, w):
-    return [v + x0 * u0 for v, x0, u0 in zip(acc, r[t], w[t])]
-
-
-def _largest_fitting(p8, p4, p2, p1):
-    """Indexed by the count r = 1..8 of terms left: (size, pass) of the largest pass that fits."""
-    return [None, (1, p1), (2, p2), (2, p2), (4, p4), (4, p4), (4, p4), (4, p4), (8, p8)]
-
-
-_PASSES = {
-    "scaled": _largest_fitting(_scaled8, _scaled4, _scaled2, _scaled1),
-    "rows": _largest_fitting(_rows8, _rows4, _rows2, _rows1),
-    "products": _largest_fitting(_products8, _products4, _products2, _products1),
-}
+@cache
+def _pass(kind, size):
+    """The pass of _pass_source(kind, size), compiled the first time it is asked for."""
+    namespace = {}
+    exec(compile(_pass_source(kind, size), f"<normlab {kind} pass of {size}>", "exec"), namespace)
+    return namespace[f"_{kind}{size}"]
 
 
 def _accumulate(acc, kind, *terms):
@@ -414,15 +382,14 @@ def _accumulate(acc, kind, *terms):
     kind "scaled" takes (coeffs, rows) and adds coeffs[t] * rows[t], "rows"
     takes (rows,) and adds rows[t], and "products" takes (rows, weights) and
     adds rows[t] * weights[t], each product formed as it is added. The terms
-    go 8 to a comprehension, the rest to at most one pass each of 4, 2 and 1.
+    go 16 to a comprehension, the last 1 to 15 to one pass of their count.
     """
-    passes = _PASSES[kind]
     n = len(terms[0])
-    t = 0
-    while t < n:
-        size, add = passes[min(n - t, 8)]
-        acc = add(acc, t, *terms)
-        t += size
+    full = n - n % _WIDTH
+    if full:
+        acc = _pass(kind, _WIDTH)(acc, 0, full, *terms)
+    if full < n:
+        acc = _pass(kind, n - full)(acc, full, n, *terms)
     return acc
 
 

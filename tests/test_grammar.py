@@ -1,5 +1,6 @@
-"""Every Python file of the project parses under the oldest grammar pyproject.toml admits,
-and the package imports nothing outside the standard library.
+"""Every Python file of the project, and every accumulation pass tensor.py writes at
+run time, parses under the oldest grammar pyproject.toml admits, and the package
+imports nothing outside the standard library.
 
 ast.parse with feature_version=(3, 10) rejects syntax newer than 3.10, such
 as except* groups or type-parameter lists, on the interpreter that runs the
@@ -9,6 +10,10 @@ tests. It checks the grammar only; the CI matrix runs 3.10 itself.
 import ast
 import sys
 from pathlib import Path
+
+import pytest
+
+from normlab import tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +29,21 @@ def test_every_source_parses_with_the_python_3_10_grammar():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert not failures, "\n".join(failures)
+
+
+def test_every_generated_accumulation_pass_parses_with_the_python_3_10_grammar():
+    # tensor writes these passes at run time, so no source file holds them
+    for kind in ("scaled", "rows", "products"):
+        for size in range(1, tensor._WIDTH + 1):
+            source = tensor._pass_source(kind, size)
+            ast.parse(source, filename=f"<{kind} pass of {size}>", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("kind, size", [("scaled", 0), ("rows", 17), ("products", -1), ("rows", 2.0),
+                                        ("rows", True), ("rows", "3"), ("sum", 2), ("rows; x", 2)])
+def test_pass_source_takes_only_the_three_kinds_and_sizes_1_to_16(kind, size):
+    with pytest.raises(ValueError):
+        tensor._pass_source(kind, size)
 
 
 def test_every_import_in_the_package_is_standard_library_or_normlab():

@@ -245,9 +245,10 @@ MIXED = st.one_of(SPECIALS, VALUES)
 
 @st.composite
 def accumulations(draw):
-    """(kind, acc, terms): 0 to 19 terms, so every pass size and remainder runs."""
+    """(kind, acc, terms): 0 to 40 terms, so every remainder runs alone, after
+    one full pass of 16 and after two."""
     kind = draw(st.sampled_from(["scaled", "rows", "products"]))
-    length, count = draw(st.integers(1, 4)), draw(st.integers(0, 19))
+    length, count = draw(st.integers(1, 4)), draw(st.integers(0, 40))
     acc = draw(st.lists(st.one_of(st.just(-0.0), MIXED), min_size=length, max_size=length))
     rows = [draw(st.lists(MIXED, min_size=length, max_size=length)) for _ in range(count)]
     if kind == "scaled":
@@ -279,12 +280,12 @@ def _drawn(rng, size):
     return [normal(rng) for _ in range(size)]
 
 
-def _drawn_accumulation(kind, seed):
-    """31 terms of length 32: passes of 8, 8, 8, 4, 2 and 1."""
+def _drawn_accumulation(kind, seed, count=31):
+    """`count` terms of length 32; 31 terms run a pass of 16 and one of 15."""
     rng = Rng(seed)
-    rows = [_drawn(rng, 32) for _ in range(31)]
-    terms = {"scaled": (_drawn(rng, 31), rows), "rows": (rows,),
-             "products": (rows, [_drawn(rng, 32) for _ in range(31)])}[kind]
+    rows = [_drawn(rng, 32) for _ in range(count)]
+    terms = {"scaled": (_drawn(rng, count), rows), "rows": (rows,),
+             "products": (rows, [_drawn(rng, 32) for _ in range(count)])}[kind]
     return kind, _drawn(rng, 32), terms
 
 
@@ -293,12 +294,27 @@ def _drawn_accumulation(kind, seed):
 @example(_drawn_accumulation("scaled", 1))
 @example(_drawn_accumulation("rows", 2))
 @example(_drawn_accumulation("products", 3))
+@example(_drawn_accumulation("scaled", 4, 16))   # one full pass
+@example(_drawn_accumulation("rows", 5, 17))     # a full pass, then one term
+@example(_drawn_accumulation("products", 6, 32))  # two full passes
+@example(_drawn_accumulation("scaled", 7, 33))
+@example(_drawn_accumulation("products", 8, 47))  # two full passes, then 15 terms
 @example(("rows", [-0.0], ([[-0.0]] * 19,)))
 @example(("scaled", [-0.0, 1.0], ([0.0] * 17, [[INF, -0.0]] * 17)))
 @example(("products", [1e308], ([[1e308]] * 11, [[1.0]] * 11)))
 def test_accumulate_matches_one_term_at_a_time_bit_for_bit(case):
     kind, acc, terms = case
     assert hexes(tensor._accumulate(acc, kind, *terms)) == hexes(_one_term_at_a_time(kind, acc, terms))
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+@pytest.mark.parametrize("kind", ["scaled", "rows", "products"])
+def test_every_pass_adds_its_terms_one_at_a_time_from_start_to_stop(kind, size):
+    _, acc, terms = _drawn_accumulation(kind, size, 2 * size + 3)
+    add = tensor._pass(kind, size)
+    for start, stop in ((0, size), (3, 3 + size), (3, 3 + 2 * size)):
+        window = tuple(part[start:stop] for part in terms)
+        assert hexes(add(acc, start, stop, *terms)) == hexes(_one_term_at_a_time(kind, acc, window))
 
 
 @st.composite
