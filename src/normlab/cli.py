@@ -55,7 +55,7 @@ _EXIT_CODES = {UsageError: 1, DataFormatError: 2, UninitializedStatsError: 2,
                DivergedRunError: 3, WorkerLostError: 4}
 
 # the characters str.splitlines() breaks at, each written as its escape, so
-# that every error main reports stays on one line
+# every error main reports is one line; main escapes lone surrogates too
 _ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 # one row of the metrics CSV
@@ -400,7 +400,8 @@ def main(argv=None):
             args = parser.parse_args(argv)
             return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+        message = str(exc).translate(_ONE_LINE).encode("utf-8", "backslashreplace").decode()
+        print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

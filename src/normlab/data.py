@@ -68,7 +68,8 @@ def load_cifar10_binary(path):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # open raises ValueError for a path holding a NUL or a lone surrogate
         raise DataFormatError(f"cannot read CIFAR-10 binary {path}: {exc}") from exc
     if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
         raise DataFormatError(f"malformed CIFAR-10 binary: {path} ({len(raw)} bytes)")

@@ -18,10 +18,9 @@ any layer is built, and Network.buffers/set_buffers follow it.
 
 import math
 from functools import reduce
-from itertools import compress
 
-from .tensor import (Tensor, _accumulate, line_sums, matmul, ordered_sum, randn, reshape, take,
-                     transpose2d, zeros)
+from .tensor import (Tensor, _accumulate, _accumulate_nonzero, line_sums, matmul, ordered_sum,
+                     randn, reshape, take, transpose2d, zeros)
 from . import norm as _norm
 from . import workers
 from .norm import init_params, init_running
@@ -147,14 +146,12 @@ class Conv2d(Layer):
         dwd = []
         dbd = []
         for oc in range(cout):
-            # this channel's non-zero g over (s, oy, ox), in that order
+            # this channel's g over (s, oy, ox), in that order
             g = []
             for s in range(m):
                 g += dyd[(s * cout + oc) * plane:(s * cout + oc + 1) * plane]
-            nonzero = [v != 0.0 for v in g]
-            g = list(compress(g, nonzero))
             dbd.append(ordered_sum(g))
-            dwd += _accumulate([0.0] * len(cols), "scaled", g, list(compress(patches, nonzero)))
+            dwd += _accumulate_nonzero([0.0] * len(cols), g, patches, True)
         grads = {
             "w": Tensor._wrap(self.w.shape, dwd),
             "b": Tensor._wrap((cout,), dbd),
@@ -551,10 +548,10 @@ class Network:
         row adds nothing) and _rnn_chain. Each parameter gradient is a sum of
         such products from +0.0 (matmul and its k = 1 form 0.0 + c*v,
         line_sums, _accumulate, _rnn_param_grads), and +0.0 + (+-0.0) is
-        +0.0. Conv2d skips zero g, so its sums are ordered_sum([]) = 0.0 and
-        its +0.0 starts. An inf or nan below runs the full backward, as
-        0 * inf is nan, and so does an inference-mode cache (None), which
-        the normalizer's backward refuses.
+        +0.0. Conv2d's db is ordered_sum(g) from 0.0, and its dw skips zero
+        g, leaving its +0.0 starts. An inf or nan below runs the full
+        backward, as 0 * inf is nan, and so does an inference-mode cache
+        (None), which the normalizer's backward refuses.
         """
         grads = {}
         grad = dout

@@ -7,8 +7,8 @@ inputs; tensors are treated as immutable values once constructed.
 import math
 import operator
 import struct
-from functools import cache, reduce
-from itertools import repeat
+from functools import cache
+from itertools import compress, repeat
 
 MAX_RANK = 4
 
@@ -236,17 +236,11 @@ class Tensor:
         return mul(self, other)
 
 
-def _sizes(shape):
-    """shape as a tuple; a size that is not an int (2.5, 2.0, True) raises ValueError."""
+def _shape(shape):
+    """shape as a tuple of 1 to MAX_RANK int sizes (not 2.0 or True), each >= 1; else ValueError."""
     shape = tuple(shape)
     if any(type(s) is not int for s in shape):
         raise ValueError(f"dimension sizes must be integers, got {shape}")
-    return shape
-
-
-def _shape(shape):
-    """shape as a tuple of 1 to MAX_RANK integer sizes, each at least 1; else ValueError."""
-    shape = _sizes(shape)
     if len(shape) == 0:
         raise ValueError("tensor shape must have at least one dimension")
     if len(shape) > MAX_RANK:
@@ -289,15 +283,16 @@ def matmul(a, b):
         return Tensor._wrap((m, n), [0.0 + c * v for c in ad for v in bd])
     # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ... in t order.
     # The row form scales rows of B by entries of A, the column form columns
-    # of A by entries of B, both skipping zero entries. The form with fewer
-    # multiply-adds left runs (on a tie, the one whose comprehensions run
-    # along the longer output axis). all() is the cheaper scan, and operands
-    # without zeros are common. One ordered dot product per output replaces
-    # it only when that form's comprehensions would be shorter than 4
-    # elements and there are fewer outputs than terms: a reduce step costs
-    # more than an element of a comprehension of up to 16 terms, but such
-    # short comprehensions cost more per element still: at (1,32)x(32,2), the
-    # last dense forward at batch 1, the dot form is about 1.7 times as fast.
+    # of A by entries of B, both skipping zero entries when every value of
+    # the operand they scale is finite. The form with fewer multiply-adds left
+    # runs (on a tie, the one whose comprehensions run along the longer
+    # output axis). all() is the cheaper scan, and operands without zeros are
+    # common. One ordered dot product per output replaces it only when that
+    # form's comprehensions would be shorter than 4 elements and there are
+    # fewer outputs than terms: a step of ordered_sum costs more than an
+    # element of a comprehension of up to 16 terms, but such short
+    # comprehensions cost more per element still: at (1,32)x(32,2), the last
+    # dense forward at batch 1, the dot form is about 1.7 times as fast.
     row_terms = m * k - (0 if all(ad) else ad.count(0.0))
     col_terms = n * k - (0 if all(bd) else bd.count(0.0))
     use_rows = row_terms * n < col_terms * m or (row_terms * n == col_terms * m and n >= m)
@@ -306,20 +301,20 @@ def matmul(a, b):
         out = []
         for i in range(m):
             arow = ad[i * k:(i + 1) * k]
-            out += [reduce(operator.add, map(operator.mul, arow, bcol), 0.0) for bcol in bcols]
+            out += [ordered_sum(map(operator.mul, arow, bcol)) for bcol in bcols]
         return Tensor._wrap((m, n), out)
     if use_rows:
         brows = [bd[t * n:(t + 1) * n] for t in range(k)]
-        finite = [None] * k
+        skip = row_terms < m * k and all(map(math.isfinite, bd))
         out = []
         for i in range(m):
-            out += _accumulate_nonzero([0.0] * n, ad[i * k:(i + 1) * k], brows, finite)
+            out += _accumulate_nonzero([0.0] * n, ad[i * k:(i + 1) * k], brows, skip)
         return Tensor._wrap((m, n), out)
     acols = [ad[t::k] for t in range(k)]
-    finite = [None] * k
+    skip = col_terms < n * k and all(map(math.isfinite, ad))
     out = [0.0] * (m * n)
     for j in range(n):
-        out[j::n] = _accumulate_nonzero([0.0] * m, bd[j::n], acols, finite)
+        out[j::n] = _accumulate_nonzero([0.0] * m, bd[j::n], acols, skip)
     return Tensor._wrap((m, n), out)
 
 
@@ -393,28 +388,20 @@ def _accumulate(acc, kind, *terms):
     return acc
 
 
-def _accumulate_nonzero(acc, coeffs, rows, finite):
-    """Scaled _accumulate from an all-+0.0 acc, skipping zero coefficients of finite rows.
+def _accumulate_nonzero(acc, coeffs, rows, skip):
+    """Scaled _accumulate from an all-+0.0 acc; if skip, zero coefficients are dropped.
 
-    Exact: c*r is +-0.0 for c = +-0.0 and finite r, and adding +-0.0 leaves
-    an accumulator that started at +0.0 unchanged, since under
-    round-to-nearest it never becomes -0.0. A row holding inf or nan is
-    never skipped (0*inf is nan). finite[t] caches whether rows[t] is
-    finite, None until a zero coefficient first meets it. The surviving
-    terms keep their order, so grouping them keeps each element's order.
+    Exact where the caller sets skip only when every value of every row is
+    finite: c*r is then +-0.0 for c = +-0.0, and adding +-0.0 leaves an
+    accumulator that started at +0.0 unchanged, since under round-to-nearest
+    it never becomes -0.0. With an inf or nan in a row, nothing may be
+    dropped (0*inf is nan). The coefficients are their own mask: +-0.0 is
+    false, nan true. The surviving terms keep their order, so grouping them
+    keeps each element's order.
     """
-    if not all(coeffs):
-        kept = []
-        for t, c in enumerate(coeffs):
-            if c == 0.0:
-                ok = finite[t]
-                if ok is None:
-                    ok = finite[t] = all(map(math.isfinite, rows[t]))
-                if ok:
-                    continue
-            kept.append(t)
-        coeffs = [coeffs[t] for t in kept]
-        rows = [rows[t] for t in kept]
+    if skip and not all(coeffs):
+        rows = list(compress(rows, coeffs))
+        coeffs = list(compress(coeffs, coeffs))
     return _accumulate(acc, "scaled", coeffs, rows)
 
 
@@ -505,9 +492,7 @@ def div(a, b):
 
 def reshape(x, shape):
     """A copy of x's buffer under a new shape with identical element count."""
-    shape = _sizes(shape)
-    if len(shape) == 0 or len(shape) > MAX_RANK or any(s < 1 for s in shape):
-        raise ValueError(f"invalid target shape {shape}")
+    shape = _shape(shape)
     if math.prod(shape) != x.size:
         raise ValueError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
     return Tensor._wrap(shape, list(x.data))

@@ -169,6 +169,25 @@ class TestTrainCommand:
         assert code == 2
         assert err.startswith("error: cannot read CIFAR-10 binary") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("key", ["train", "test"])
+    @pytest.mark.parametrize("bad", ["a\u0000b", "a\ud800b"], ids=["nul", "lone-surrogate"])
+    def test_unopenable_cifar_path_is_data_error(self, tmp_path, capsys, command, key, bad):
+        # open() refuses these paths with ValueError, not OSError
+        good = tmp_path / "good.bin"
+        good.write_bytes(bytes(3073) * 4)
+        paths = {"train": str(good), "test": str(good), key: bad}
+        normalizer = ["bn", "bln"] if command == "compare" else "bln"
+        config = write_config(tmp_path, task="cnn-cifar10", normalizer=normalizer, paths=paths)
+        outputs = ["--out", str(tmp_path / "x.csv")]
+        if command == "train":
+            outputs += ["--checkpoint", str(tmp_path / "x.ckpt")]
+        code = main([command, "--config", config] + outputs)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read CIFAR-10 binary") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "good.bin"]
+
     def test_missing_checkpoint_directory_fails_before_training(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "m.csv"

@@ -178,7 +178,7 @@ def _operand(rng, size, zero_every, specials=()):
 
 # (m, k, n, zero_every of A, zero_every of B, specials of A, specials of B, form)
 # where form is the variant that runs: "rows" accumulates length-n rows,
-# "columns" length-m columns, "dot" takes one reduce per output and "outer"
+# "columns" length-m columns, "dot" takes one ordered sum per output and "outer"
 # (k = 1) forms every 0.0 + a[i]*b[j] in one comprehension
 VARIANT_CASES = [
     (2, 3, 4, 0, 0, (), (), "rows"),        # dense, n >= m
@@ -205,9 +205,9 @@ def test_matmul_variant_choice_keeps_the_bits(case, monkeypatch):
     lengths = []
     original = tensor._accumulate_nonzero
 
-    def spy(acc, coeffs, rows, finite):
+    def spy(acc, coeffs, rows, skip):
         lengths.append(len(acc))
-        return original(acc, coeffs, rows, finite)
+        return original(acc, coeffs, rows, skip)
 
     monkeypatch.setattr(tensor, "_accumulate_nonzero", spy)
     out = matmul(Tensor((m, k), a), Tensor((k, n), b))
