@@ -39,6 +39,8 @@ METRICS_HEADER = "run_id,normalizer,batch_size,seed,epoch,step,split,loss,accura
 GRID_HEADER = ",".join(("rank", *FLAG_KEYS, "loss", "accuracy"))
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_STEP = 1e-5
+# a gradcheck's cost grows as (m*d)**2; README gives its time at this bound
+GRADCHECK_MAX_SIZE = 1024
 # A mean train loss above -log of the smallest positive double (744.4) means
 # some sample's softmax probability of its true class is below every
 # positive double: the run has exploded. The test loss has no such bound,
@@ -262,6 +264,8 @@ def _validate_gradcheck(raw):
     if layer not in _GRADCHECK_LAYERS:
         raise UsageError(f"config key 'layer' must be one of {list(_GRADCHECK_LAYERS)}, got {layer!r}")
     m, d = positive_int(raw["m"], "m"), positive_int(raw["d"], "d")
+    if m * d > GRADCHECK_MAX_SIZE:
+        raise UsageError(f"config keys m * d must be <= {GRADCHECK_MAX_SIZE}, got m={m}, d={d}")
     seed = check_seed(raw["seed"])
     corrupt = raw.get("corrupt", False)
     if not isinstance(corrupt, bool):

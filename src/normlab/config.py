@@ -212,15 +212,8 @@ def load_config_file(path):
 
 def seed_plan(seed):
     """Named sub-seeds derived from the experiment seed in a fixed order."""
-    r = Rng(seed)
-    return {
-        "data": r.next_u64(),
-        "split": r.next_u64(),
-        "validation": r.next_u64(),
-        "train_subset": r.next_u64(),
-        "init": r.next_u64(),
-        "epochs": r.next_u64(),
-    }
+    names = ("data", "split", "validation", "train_subset", "init", "epochs")
+    return dict(zip(names, Rng(seed).next_u64s(len(names))))
 
 
 def prepare_task(config):

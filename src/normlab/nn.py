@@ -414,10 +414,9 @@ class Normalizer(Layer):
     kind = "normalizer"
     PARAMS = ("gamma", "beta")
     KEYS = ("scheme", "d", "epsilon", "momentum")
-    SCHEMES = _norm.SCHEMES
 
     def __init__(self, scheme, d, epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
-        if scheme not in self.SCHEMES:
+        if scheme not in _norm.SCHEMES:
             raise ValueError(f"unknown normalization scheme {scheme!r}")
         self.scheme = scheme
         self.d = d
@@ -585,10 +584,6 @@ class Network:
     def set_param(self, key, value):
         idx, name = key.split(".", 1)
         self.layers[int(idx)].set_param(name, value)
-
-    def apply_params(self, params):
-        for key, value in params.items():
-            self.set_param(key, value)
 
     def normalizers(self):
         return [layer for layer in self.layers if isinstance(layer, Normalizer)]
@@ -759,7 +754,8 @@ def network_train_epoch(net, dataset, batch_size, optimizer, rng):
         yb = [dataset.labels[i] for i in idx]
         value, acc, caches, dlogits = net.loss(xb, yb)
         grads = net.backward(caches, dlogits)
-        net.apply_params(optimizer.step(net.params(), grads))
+        for key, param in optimizer.step(net.params(), grads).items():
+            net.set_param(key, param)
         records.append((value, acc, len(idx)))
     return records
 

@@ -43,11 +43,6 @@ def flag_prefix_length(net):
     return len(net.layers)
 
 
-def _chunks(items, n):
-    """items cut into n contiguous runs whose lengths differ by at most one."""
-    return [items[a:b] for a, b in workers.spans(len(items), n)]
-
-
 def _score_chunk(tail, hidden, flag_list, labels):
     """(loss, accuracy) of each configuration in flag_list, from the prefix output.
 
@@ -88,8 +83,8 @@ def evaluate_all(net, dataset):
         hidden, _ = forward_layers(net.layers[:split], dataset.inputs, train=False)
         configs = enumerate_configs()
         tail, labels = net.layers[split:], dataset.labels
-        chunks = _chunks(configs, workers.block_count(len(configs)))
+        spans = workers.spans(len(configs), workers.block_count(len(configs)))
         scores = workers.run_blocks(_score_chunk,
-                                    [(tail, hidden, chunk, labels) for chunk in chunks])
+                                    [(tail, hidden, configs[a:b], labels) for a, b in spans])
     pairs = [pair for chunk_scores in scores for pair in chunk_scores]
     return rank_results([ConfigResult(flags, *pair) for flags, pair in zip(configs, pairs)])

@@ -77,7 +77,7 @@ class Rng:
         self._spare = None
 
     def next_u64s(self, count):
-        """The next count values of next_u64(), as a list."""
+        """The next count splitmix64 outputs, each in [0, 2**64), as a list."""
         return self._outputs(count, 0)
 
     def _outputs(self, count, shift):
@@ -98,14 +98,6 @@ class Rng:
             state = (state + k * _GOLDEN) & _MASK64
         self._state = state
         return out
-
-    def next_u64(self):
-        """The next splitmix64 output, in [0, 2**64)."""
-        return self.next_u64s(1)[0]
-
-    def uniform(self):
-        """Uniform draw in [0, 1) with 53 random mantissa bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
     def _redraw(self, draws, first_rejected, shift):
         """draws (outputs shifted right by shift) with the value at index
@@ -167,12 +159,8 @@ class Rng:
         draws = self._redraw(self.next_u64s(len(bounds)), first_rejected, 0)
         return list(map(operator.mod, draws, bounds))
 
-    def randint(self, n):
-        """Unbiased integer in [0, n) via rejection sampling."""
-        return self.randints(n, 1)[0]
-
     def randints(self, n, count):
-        """count unbiased integers in [0, n); count calls of randint(n) draw the same.
+        """count unbiased integers in [0, n); count calls of randints(n, 1) draw the same.
 
         n is at most 2**64, the number of outputs: above it, every output
         would fall in the rejection region and the draw would never end.
@@ -190,7 +178,7 @@ class Rng:
 
     def child(self):
         """Derive an independent stream (advances this one by one draw)."""
-        return Rng(self.next_u64())
+        return Rng(self.next_u64s(1)[0])
 
 
 def _first_zero_uniform(draws):

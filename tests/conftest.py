@@ -9,6 +9,24 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+try:
+    from hypothesis.internal.conjecture import providers
+except ImportError:  # the property tests skip themselves
+    providers = None
+
+
+def _no_local_constants():
+    return providers.Constants()
+
+
+# hypothesis also draws the literals it mines from every local module loaded
+# (src/ and tests/), so a derandomized test would draw other cases when a
+# literal changes or other test files load first; with none mined, each test
+# draws from its strategies and seed alone. tests/test_properties.py checks
+# that both names still exist in the installed hypothesis.
+if hasattr(providers, "_get_local_constants"):
+    providers._get_local_constants = _no_local_constants
+
 from normlab import norm  # noqa: E402
 
 
@@ -122,9 +140,9 @@ def _undo_xorshift(z, shift):
 
 
 def splitmix64_state_before(output, draws=0):
-    """The Rng state whose next_u64() returns `output` after `draws` other
-    draws: splitmix64's finalizer inverted, then draws + 1 steps of the
-    state sequence undone."""
+    """The Rng state whose next_u64s(draws + 1)[-1] is `output`, after `draws`
+    other outputs: splitmix64's finalizer inverted, then draws + 1 steps of
+    the state sequence undone."""
     z = _undo_xorshift(output, 31)
     z = _undo_xorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
     z = _undo_xorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)

@@ -96,8 +96,8 @@ def test_criterion_3_oracle_equivalence():
 
     # training transform: 100 random instances against the scalar-loop oracle
     for trial in range(100):
-        m = 1 + rng.randint(8)
-        d = 1 + rng.randint(8)
+        m = 1 + rng.randints(8, 1)[0]
+        d = 1 + rng.randints(8, 1)[0]
         x = randn([m, d], rng)
         gamma = [1.0 + 0.3 * normal(rng) for _ in range(d)]
         beta = [0.3 * normal(rng) for _ in range(d)]
@@ -111,7 +111,7 @@ def test_criterion_3_oracle_equivalence():
 
     # inference transform: all 16 quadruples with stats from 3 absorbed batches
     for trial in range(5):
-        d = 2 + rng.randint(6)
+        d = 2 + rng.randints(6, 1)[0]
         p = init_params(d)
         p.gamma = randn([d], rng) * 0.2 + 1.0
         p.beta = randn([d], rng) * 0.2
@@ -231,7 +231,7 @@ def test_criterion_5_gradient_suite():
             rng = Rng(5000 + m)
             net = build_dense_net(6, 5, 3, scheme, rng)
             x = randn([m, 6], rng)
-            labels = [rng.randint(3) for _ in range(m)]
+            labels = [rng.randints(3, 1)[0] for _ in range(m)]
             _, _, caches, dlogits = net.loss(x, labels)
             grads = net.backward(caches, dlogits)
             for key, param in net.params().items():

@@ -834,6 +834,27 @@ class TestGradcheckCommand:
         assert code == 1
         assert "'stride'" in capsys.readouterr().err
 
+    # a check's cost grows as (m*d)**2: above the bound it would run for
+    # minutes, and at m = d = 10**6 it would never end
+    @pytest.mark.parametrize("layer, m, d", [
+        ("bln", 25, 41), ("network", 1, cli.GRADCHECK_MAX_SIZE + 1), ("bn", 10**6, 10**6),
+    ])
+    def test_size_over_the_bound_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                         layer, m, d):
+        assert m * d > cli.GRADCHECK_MAX_SIZE
+        monkeypatch.setattr(cli, "Rng", None)
+        code = main(["gradcheck", "--config", self.write_spec(tmp_path, layer=layer, m=m, d=d)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: config keys m * d must be <= {cli.GRADCHECK_MAX_SIZE}, "
+                                f"got m={m}, d={d}\n")
+
+    @pytest.mark.parametrize("m, d", [(cli.GRADCHECK_MAX_SIZE, 1), (32, 32), (1, cli.GRADCHECK_MAX_SIZE)])
+    def test_size_at_the_bound_is_accepted(self, m, d):
+        raw = {"layer": "network", "m": m, "d": d, "seed": 0}
+        assert cli._validate_gradcheck(raw) == ("network", m, d, 0, False)
+
 
 class TestGradcheckOutput:
     """gradcheck prints the same errors, digit for digit, as the scalar-loop kernels gave."""

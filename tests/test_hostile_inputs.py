@@ -5,7 +5,10 @@ an unknown key, or the file itself, and runs `cli.main` on it in a fresh
 directory with BLN_SEED unset, valid or invalid. Each manifest case runs
 `gridsearch` on a copy of a trained checkpoint whose manifest has one value,
 at any depth, replaced from the same palette, or one key or list entry
-removed. Whatever the damage, the command must end in a documented exit code
+removed. Each checkpoint-bytes case runs `gridsearch` on a copy damaged
+outside its manifest: truncated, appended to, or one byte changed in the
+magic, the manifest length word or the payload. Whatever the damage, the
+command must end in a documented exit code
 (0-4); a nonzero exit prints exactly one `error:` line and leaves every
 output as it found it: a pre-existing one keeps its bytes, an absent one
 stays absent.
@@ -183,16 +186,13 @@ def manifest_damages(bln_checkpoint):
                      st.sampled_from([("remove", path) for path in paths[1:]]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_damaged_manifest_exits_with_one_line_and_writes_nothing(bln_checkpoint, manifest_damages,
-                                                                 data):
-    raw = bln_checkpoint.read_bytes()
-    damage = data.draw(manifest_damages)
+def assert_gridsearch_ends_cleanly(checkpoint_bytes):
+    """gridsearch on a checkpoint holding these bytes ends in a documented
+    code, and a nonzero one with one `error:` line and no --out."""
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         (directory / "config.json").write_text(json.dumps(TINY), encoding="utf-8")
-        (directory / "net.ckpt").write_bytes(damaged_checkpoint(raw, damage))
+        (directory / "net.ckpt").write_bytes(checkpoint_bytes)
         out = directory / "out.csv"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -205,4 +205,43 @@ def test_damaged_manifest_exits_with_one_line_and_writes_nothing(bln_checkpoint,
             assert not out.exists()
         else:
             assert err == ""
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_manifest_exits_with_one_line_and_writes_nothing(bln_checkpoint, manifest_damages,
+                                                                 data):
+    raw = bln_checkpoint.read_bytes()
+    assert_gridsearch_ends_cleanly(damaged_checkpoint(raw, data.draw(manifest_damages)))
+    assert bln_checkpoint.read_bytes() == raw
+
+
+@pytest.fixture(scope="module")
+def checkpoint_damages(bln_checkpoint):
+    """A third of the cases each: a truncation, an append, or one byte xored
+    with a nonzero value in the magic, the length word or the payload."""
+    raw = bln_checkpoint.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    offsets = st.one_of(st.integers(0, 3), st.integers(4, 7), st.integers(8 + length, len(raw) - 1))
+    return st.one_of(st.tuples(st.just("truncate"), st.integers(0, len(raw) - 1)),
+                     st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+                     st.tuples(st.just("xor"), offsets, st.integers(1, 255)))
+
+
+def damaged_bytes(raw, damage):
+    """raw with one damage: ("truncate", length), ("append", tail) or ("xor", offset, value)."""
+    kind, what = damage[:2]
+    if kind == "truncate":
+        return raw[:what]
+    if kind == "append":
+        return raw + what
+    return raw[:what] + bytes([raw[what] ^ damage[2]]) + raw[what + 1:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_checkpoint_bytes_exit_with_one_line_and_write_nothing(bln_checkpoint,
+                                                                       checkpoint_damages, data):
+    raw = bln_checkpoint.read_bytes()
+    assert_gridsearch_ends_cleanly(damaged_bytes(raw, data.draw(checkpoint_damages)))
     assert bln_checkpoint.read_bytes() == raw

@@ -315,7 +315,7 @@ class TestWholeNetworkGradients:
         rng = Rng(31)
         net = build_dense_net(6, 5, 3, scheme, rng)
         x = randn([4, 6], rng)
-        labels = [rng.randint(3) for _ in range(4)]
+        labels = [rng.randints(3, 1)[0] for _ in range(4)]
         _, _, caches, dlogits = net.loss(x, labels)
         grads = net.backward(caches, dlogits)
         for key, p in net.params().items():
@@ -414,7 +414,7 @@ def _zero_case(case):
         net, x, below = build_rnn(4, 5, 3, scheme, rng), randn([m, 3, 4], rng), 1
     else:
         net, x, below = build_dense_net(4, 5, 3, scheme, rng), randn([m, 4], rng), 2
-    _, _, caches, dlogits = net.loss(x, [rng.randint(3) for _ in range(m)])
+    _, _, caches, dlogits = net.loss(x, [rng.randints(3, 1)[0] for _ in range(m)])
     if m > 1:
         # a hand-zeroed loss gradient, one -0.0 among the +0.0
         dlogits = Tensor._wrap(dlogits.shape, [-0.0] + [0.0] * (dlogits.size - 1))

@@ -10,6 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+import conftest
 import oracles
 from conftest import checksum, hexes, normal
 from normlab.checkpoint import load_checkpoint, save_checkpoint
@@ -38,6 +39,15 @@ from normlab.norm import (
 from normlab.tensor import Rng, Tensor, matmul, randn, transpose2d
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def test_hypothesis_draws_no_mined_literals():
+    """conftest switches off the literals hypothesis mines from local modules,
+    so the cases below do not move with the code's literals; a hypothesis
+    that renames either patched name fails here."""
+    from hypothesis.internal.conjecture import providers
+    assert providers._get_local_constants is conftest._no_local_constants
+    assert len(providers.Constants()) == 0
 
 
 @st.composite
@@ -505,7 +515,7 @@ def trained_networks(draw, arch, scheme):
         v = draw(st.integers(1, 3))
         net = build_rnn(v, draw(st.integers(2, 5)), classes, scheme, rng)
         shape = [n, draw(st.integers(1, 3)), v]
-    labels = [i if i < classes else rng.randint(classes) for i in range(n)]
+    labels = [i if i < classes else rng.randints(classes, 1)[0] for i in range(n)]
     data = Dataset(randn(shape, rng), labels, classes)
     network_train_epoch(net, data, draw(st.integers(1, 3)), Adam(1e-2), rng)
     return net

@@ -305,7 +305,7 @@ class TestWorkers:
     def test_chunks_are_contiguous_and_balanced(self):
         configs = enumerate_configs()
         for n, sizes in [(1, [16]), (2, [8, 8]), (3, [6, 5, 5]), (16, [1] * 16)]:
-            chunks = search._chunks(configs, n)
+            chunks = [configs[a:b] for a, b in workers.spans(len(configs), n)]
             assert [len(c) for c in chunks] == sizes
             assert [f for c in chunks for f in c] == configs
 

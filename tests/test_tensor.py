@@ -95,14 +95,8 @@ class TestFactories:
 
 
 class TestRng:
-    def test_uniform_range(self):
-        r = Rng(5)
-        draws = [r.uniform() for _ in range(1000)]
-        assert all(0.0 <= u < 1.0 for u in draws)
-
     def test_randint_unbiased_bounds(self):
-        r = Rng(5)
-        draws = [r.randint(7) for _ in range(500)]
+        draws = Rng(5).randints(7, 500)
         assert set(draws) <= set(range(7))
 
     def test_permutation_is_a_permutation(self):
@@ -128,7 +122,7 @@ def assert_same_stream(fast, slow):
 
 class TestNormalStream:
     def test_zero_uniform_seed_draws_zero(self):
-        assert Rng(ZERO_UNIFORM_SEED).uniform() == 0.0
+        assert Rng(ZERO_UNIFORM_SEED).next_u64s(1)[0] >> 11 == 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 101, -3, *AROUND_CHUNKS])
     @pytest.mark.parametrize("spare", [None, -1.25], ids=["no-spare", "spare"])
@@ -185,7 +179,7 @@ class TestBulkDraws:
     def test_randint_and_randints_equal_scalar_draws(self, n):
         fast, slow = Rng(3), Rng(3)
         assert fast.randints(n, 40) == [scalar_randint(slow, n) for _ in range(40)]
-        assert [fast.randint(n) for _ in range(5)] == [scalar_randint(slow, n) for _ in range(5)]
+        assert [fast.randints(n, 1)[0] for _ in range(5)] == [scalar_randint(slow, n) for _ in range(5)]
         assert_same_stream(fast, slow)
 
     # permutation(10) draws for bounds 10, 9, ..., 2: bound 10 rejects the
@@ -211,7 +205,7 @@ class TestBulkDraws:
         with pytest.raises(ValueError):
             Rng(1).randints(n, 3)
         with pytest.raises(ValueError):
-            Rng(1).randint(n)
+            Rng(1).randints(n, 0)
 
 
 class TestMatmul:
