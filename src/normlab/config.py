@@ -5,9 +5,10 @@ import math
 import sys
 from collections import namedtuple
 
-from .data import Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset, train_test_split
+from .data import (CIFAR_CLASSES, Dataset, gen_blobs, gen_parity_sequences, load_cifar10_binary, subset,
+                   train_test_split)
 from .nn import build_cnn, build_rnn
-from .norm import EPSILON, MOMENTUM, SCHEMES, InferenceFlags
+from .norm import EPSILON, MOMENTUM, SCHEMES, InferenceFlags, check_settings
 from .tensor import Rng, reshape
 
 
@@ -23,6 +24,7 @@ FLAG_KEYS = InferenceFlags._fields
 BLOBS_PER_CLASS = 120
 BLOBS_CLASSES = 2
 BLOBS_DIM = 36            # reshaped to 1x6x6 images for the CNN
+BLOBS_SIDE = math.isqrt(BLOBS_DIM)
 BLOBS_SEPARATION = 10.0
 PARITY_SAMPLES = 300
 PARITY_LENGTH = 6
@@ -90,14 +92,6 @@ def _positive_number(raw, key):
     return float(raw)
 
 
-def _check_momentum(raw):
-    if raw == "cumulative":
-        return raw
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and 0.0 < raw <= 1.0:
-        return float(raw)
-    raise UsageError(f"config key 'momentum' must be in (0, 1] or 'cumulative', got {raw!r}")
-
-
 def _check_flags(raw):
     if not isinstance(raw, dict):
         raise UsageError("config key 'flags' must be an object")
@@ -162,8 +156,11 @@ def validate_experiment(raw, multi=False):
     epochs = positive_int(raw["epochs"], "epochs")
     seed = check_seed(raw["seed"])
     settings = {**DEFAULTS, **raw}
-    epsilon = _positive_number(settings["epsilon"], "epsilon")
-    momentum = _check_momentum(settings["momentum"])
+    epsilon, momentum = settings["epsilon"], settings["momentum"]
+    try:
+        check_settings(epsilon, momentum)
+    except ValueError as exc:
+        raise UsageError(f"config key {exc}") from None
     train_fraction = settings["train_fraction"]
     if (
         not isinstance(train_fraction, (int, float))
@@ -182,8 +179,8 @@ def validate_experiment(raw, multi=False):
             batch_size=bs,
             epochs=epochs,
             seed=seed,
-            epsilon=epsilon,
-            momentum=momentum,
+            epsilon=float(epsilon),
+            momentum=momentum if momentum == "cumulative" else float(momentum),
             train_fraction=float(train_fraction),
             learning_rate=learning_rate,
             flags=flags,
@@ -226,8 +223,8 @@ def prepare_task(config):
     plan = seed_plan(config.seed)
     if config.task == "cnn-synthetic":
         full = gen_blobs(BLOBS_PER_CLASS, BLOBS_CLASSES, BLOBS_DIM, BLOBS_SEPARATION, plan["data"])
-        side = int(math.isqrt(BLOBS_DIM))
-        full = Dataset(reshape(full.inputs, (len(full), 1, side, side)), full.labels, full.num_classes)
+        full = Dataset(reshape(full.inputs, (len(full), 1, BLOBS_SIDE, BLOBS_SIDE)), full.labels,
+                       full.num_classes)
         pool, test = train_test_split(full, TEST_FRACTION, plan["split"])
     elif config.task == "rnn-synthetic":
         full = gen_parity_sequences(PARITY_SAMPLES, PARITY_LENGTH, PARITY_VOCAB, plan["data"])
@@ -243,12 +240,11 @@ def prepare_task(config):
 def build_network_for_config(config, rng):
     """Network for the config's task with the configured normalizer."""
     if config.task == "cnn-synthetic":
-        side = int(math.isqrt(BLOBS_DIM))
-        return build_cnn(1, side, side, BLOBS_CLASSES, config.normalizer, rng,
+        return build_cnn(1, BLOBS_SIDE, BLOBS_SIDE, BLOBS_CLASSES, config.normalizer, rng,
                          config.epsilon, config.momentum)
     if config.task == "rnn-synthetic":
         return build_rnn(PARITY_VOCAB, RNN_HIDDEN, 2, config.normalizer, rng,
                          config.epsilon, config.momentum)
-    return build_cnn(3, 32, 32, 10, config.normalizer, rng,
+    return build_cnn(3, 32, 32, CIFAR_CLASSES, config.normalizer, rng,
                      config.epsilon, config.momentum)
 

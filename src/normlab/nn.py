@@ -407,8 +407,8 @@ class Normalizer(Layer):
     and restored afterwards; the feature count is the flattened size.
     gamma, beta, epsilon and momentum are plain attributes, and the layer
     itself is the params record the norm kernels read. Values are checked
-    once, at construction (from a config or a checkpoint descriptor); the
-    population statistics live in running.
+    once, at construction, by norm.init_params (from a config, a builder or
+    a checkpoint descriptor); the population statistics live in running.
     """
 
     kind = "normalizer"

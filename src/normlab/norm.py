@@ -20,6 +20,7 @@ import math
 import sys
 from collections import namedtuple
 from operator import mul, sub
+from types import SimpleNamespace
 
 from .tensor import Tensor, line_sums, ones, ordered_sum, zeros
 
@@ -34,35 +35,25 @@ class UninitializedStatsError(ValueError):
     """Population statistics were requested before any batch was absorbed."""
 
 
-class NormParams:
-    """Learnable per-feature scale/shift plus layer hyperparameters.
-
-    momentum is either a float in (0, 1] (exponential moving average) or
-    the string "cumulative" (running arithmetic mean over absorbed batches).
-    """
-
-    __slots__ = ("gamma", "beta", "epsilon", "momentum")
-
-    def __init__(self, gamma, beta, epsilon=EPSILON, momentum=MOMENTUM):
-        if isinstance(epsilon, bool) or not 0.0 < epsilon <= sys.float_info.max:
-            raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
-        if gamma.shape != beta.shape or gamma.rank != 1:
-            raise ValueError("gamma and beta must be equal-length vectors")
-        _check_momentum(momentum)
-        self.gamma, self.beta, self.epsilon, self.momentum = gamma, beta, epsilon, momentum
+def check_settings(epsilon, momentum):
+    """Raise ValueError unless epsilon is a finite positive number and momentum
+    is in (0, 1] (an exponential moving average) or "cumulative" (a running
+    arithmetic mean over absorbed batches): the one rule for these settings."""
+    # the upper bound turns away nan, inf and an int too large for a float
+    if not _is_number(epsilon) or not 0.0 < epsilon <= sys.float_info.max:
+        raise ValueError(f"'epsilon' must be a finite positive number, got {epsilon!r}")
+    if momentum != "cumulative" and not (_is_number(momentum) and 0.0 < momentum <= 1.0):
+        raise ValueError(f"'momentum' must be in (0, 1] or 'cumulative', got {momentum!r}")
 
 
-def _check_momentum(momentum):
-    if momentum == "cumulative":
-        return
-    if isinstance(momentum, (int, float)) and not isinstance(momentum, bool) and 0.0 < momentum <= 1.0:
-        return
-    raise ValueError(f"momentum must be in (0, 1] or 'cumulative', got {momentum!r}")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def init_params(d, epsilon=EPSILON, momentum=MOMENTUM):
-    """Fresh per-feature parameters: gamma ones, beta zeros."""
-    return NormParams(ones([d]), zeros([d]), epsilon, momentum)
+    """Fresh per-feature parameters, gamma ones and beta zeros, with the checked settings."""
+    check_settings(epsilon, momentum)
+    return SimpleNamespace(gamma=ones([d]), beta=zeros([d]), epsilon=epsilon, momentum=momentum)
 
 
 class RunningStats:
@@ -277,7 +268,6 @@ def update_running(running, mu_b, sigma_b, mu_f, sigma_f, momentum):
     the configured averaging rule applies. Feature statistics enter as
     their batch-mean scalars.
     """
-    _check_momentum(momentum)
     count = running.count
     mu_b = _blend_vector(running.e_mu_b.data, mu_b, momentum, count)
     sigma_b = _blend_vector(running.e_sigma_b.data, sigma_b, momentum, count)

@@ -5,15 +5,16 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from conftest import checksum
-from normlab import checkpoint, cli, nn, tensor
+from normlab import checkpoint, cli, nn, norm, tensor
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.cli import METRICS_HEADER, main, run_training
-from normlab.config import load_config_file, validate_experiment
+from normlab.config import UsageError, load_config_file, validate_experiment
 from normlab.nn import Dense, build_cnn, build_rnn, network_evaluate
 from normlab.config import prepare_task
 from normlab.tensor import Rng
@@ -402,6 +403,46 @@ class TestMalformedManifest:
         assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
         assert draws == []
         assert built == []
+
+
+# values both normalizer settings must refuse; momentum must refuse 1.5 too
+BAD_SETTINGS = [0, -0.0, math.nan, math.inf, True, "x", []]
+SETTINGS_CASES = ([("epsilon", value) for value in BAD_SETTINGS]
+                  + [("momentum", value) for value in BAD_SETTINGS + [1.5]])
+
+
+def settings_sentence(key, value):
+    rule = "a finite positive number" if key == "epsilon" else "in (0, 1] or 'cumulative'"
+    return f"'{key}' must be {rule}, got {value!r}"
+
+
+@pytest.mark.parametrize("key, value", SETTINGS_CASES,
+                         ids=[f"{key}-{value!r}" for key, value in SETTINGS_CASES])
+class TestSettingsRule:
+    """norm.check_settings is the one rule: a config, init_params, Normalizer
+    and a checkpoint descriptor refuse a bad value with the same sentence."""
+
+    def test_config_key_is_usage_error(self, key, value):
+        with pytest.raises(UsageError) as info:
+            validate_experiment(base_config(**{key: value}))
+        assert str(info.value) == "config key " + settings_sentence(key, value)
+
+    def test_init_params_and_normalizer_refuse(self, key, value):
+        for build in (norm.init_params, partial(nn.Normalizer, "bln")):
+            with pytest.raises(ValueError) as info:
+                build(4, **{key: value})
+            assert str(info.value) == settings_sentence(key, value)
+
+    def test_checkpoint_descriptor_exits_2_with_one_line(self, tmp_path, capsys, key, value):
+        ck = str(tmp_path / "net.ckpt")
+        save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
+        _rewrite_manifest(ck, lambda m: m["layers"][-2].update({key: value}))
+        code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
+                     "--out", str(tmp_path / "grid.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
+        assert err.endswith(settings_sentence(key, value) + "\n"), err
 
 
 class TestCompareCommand:

@@ -2,7 +2,9 @@
 
 Each config case damages one tiny config, by one key's value, a removed or
 an unknown key, or the file itself, and runs `cli.main` on it in a fresh
-directory with BLN_SEED unset, valid or invalid. Each manifest case runs
+directory with BLN_SEED unset, valid or invalid. Each gradcheck case damages
+a tiny gradcheck spec the same ways and must end in exit 0, 3 (a FAIL line)
+or 1 (one `error:` line and nothing on stdout). Each manifest case runs
 `gridsearch` on a copy of a trained checkpoint whose manifest has one value,
 at any depth, replaced from the same palette, or one key or list entry
 removed. Each checkpoint-bytes case runs `gridsearch` on a copy damaged
@@ -56,13 +58,25 @@ OLD_BYTES = b"old bytes\n"
 # (kind, key or file damage[, value]); a valid epochs of 10**30 would train for ever
 VALUE_DAMAGES = [("value", key, value) for key in KEYS for value in PALETTE
                  if not (key == "epochs" and value == 10**30)]
-OTHER_DAMAGES = (
-    [("remove", key) for key in TINY]
-    + [("unknown", key) for key in UNKNOWN_KEYS]
-    + [("file", damage) for damage in ("truncate", "not-utf8", "deep", "array")]
-)
+
+
+def other_damages(config):
+    """Each key of config removed, an unknown key added, or the file itself damaged."""
+    return ([("remove", key) for key in config]
+            + [("unknown", key) for key in UNKNOWN_KEYS]
+            + [("file", damage) for damage in ("truncate", "not-utf8", "deep", "array")])
+
+
 # half the cases each, so that each of the few other damages is drawn often
-damages = st.one_of(st.sampled_from(VALUE_DAMAGES), st.sampled_from(OTHER_DAMAGES))
+damages = st.one_of(st.sampled_from(VALUE_DAMAGES), st.sampled_from(other_damages(TINY)))
+
+# a gradcheck spec; the palette keeps every valid damage tiny, since 10**30
+# and 1e308 fail the m*d bound or the integer check
+GRADCHECK_TINY = {"layer": "bln", "m": 2, "d": 3, "seed": 0}
+GRADCHECK_KEYS = tuple(GRADCHECK_TINY) + ("corrupt",)
+gradcheck_damages = st.one_of(
+    st.sampled_from([("value", key, value) for key in GRADCHECK_KEYS for value in PALETTE]),
+    st.sampled_from(other_damages(GRADCHECK_TINY)))
 
 
 def damaged_config(config, damage):
@@ -146,6 +160,26 @@ def test_damaged_config_exits_with_one_line_and_keeps_outputs(bln_checkpoint, co
         else:
             assert err == ""
     assert bln_checkpoint.read_bytes() == checkpoint_bytes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(damage=gradcheck_damages)
+def test_damaged_gradcheck_config_exits_with_one_line(damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "gradcheck.json"
+        config.write_bytes(damaged_config(GRADCHECK_TINY, damage))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gradcheck", "--config", str(config)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 3)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert out == ""
+    else:
+        # a verification failure is a FAIL line, not an error
+        assert err == "" and out.endswith("\n")
+        assert ("FAIL\n" in out) == (code == 3), out
 
 
 def manifest_paths(value, path=()):

@@ -8,7 +8,6 @@ import oracles
 from conftest import assert_lists_close, at, batch_stats, feature_stats, hexes, rows_of
 from normlab.norm import (
     InferenceFlags,
-    NormParams,
     SIGMA_F_GUARD,
     UninitializedStatsError,
     bln_backward,
@@ -23,7 +22,7 @@ from normlab.norm import (
     ln_forward,
     update_running,
 )
-from normlab.tensor import Rng, Tensor, ones, randn, zeros
+from normlab.tensor import Rng, Tensor, randn
 
 EPS = 1e-4
 
@@ -413,15 +412,14 @@ class TestUpdateRunning:
         ]
 
     def test_invalid_momentum_rejected(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
         with pytest.raises(ValueError):
-            update_running(init_running(2), *batch_stats(x, EPS), *feature_stats(x), 1.5)
+            init_params(2, EPS, 1.5)
 
 
 class TestParamValidation:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            NormParams(ones([2]), zeros([2]), epsilon=0.0)
+            init_params(2, epsilon=0.0)
 
     def test_flag_enumeration_has_16_values(self):
         flags = {InferenceFlags.from_index(i).as_tuple() for i in range(16)}
