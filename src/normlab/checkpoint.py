@@ -56,8 +56,6 @@ def _rebuild_network(descriptors, path):
             layer = layer_from_descriptor(desc)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise _malformed(path, f"layer {i}: {exc}") from None
-        if layer.describe() != desc:
-            raise _malformed(path, f"layer {i} descriptor keys {sorted(desc)} are incomplete")
         layers.append(layer)
     try:
         return Network(layers)

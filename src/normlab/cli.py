@@ -49,7 +49,8 @@ TRAIN_LOSS_BOUND = -math.log(math.ulp(0.0))
 
 
 class DivergedRunError(Exception):
-    """A training run reached a non-finite loss or a train loss above TRAIN_LOSS_BOUND."""
+    """A training run reached a non-finite loss or a train loss above TRAIN_LOSS_BOUND,
+    or a gridsearch configuration scored a non-finite loss."""
 
 
 # the exit code of each error main reports in one line
@@ -242,12 +243,21 @@ def cmd_gridsearch(args):
         # the checkpoint's layers cannot take this task's inputs
         raise DataFormatError(f"checkpoint {args.checkpoint} does not fit task {config.task!r}: "
                               f"{exc}") from None
+    # a nan loss has no place in the ranking; flag tuples sort in enumerate_configs order
+    diverged = [r for r in results if not math.isfinite(r.loss)]
+    if diverged:
+        first = min(diverged, key=lambda r: r.flags)
+        raise DivergedRunError(f"configuration ({_flag_text(first.flags)}) diverged: "
+                               f"loss is {first.loss!r}")
     _write_output(write_grid_csv, args.out, config.to_dict(), results)
     best = results[0]
-    chosen = ", ".join(f"{k}={v}" for k, v in zip(FLAG_KEYS, best.flags.as_tuple()))
-    print(f"wrote {args.out}; best configuration ({chosen}) "
+    print(f"wrote {args.out}; best configuration ({_flag_text(best.flags)}) "
           f"loss={best.loss!r} accuracy={best.accuracy!r}")
     return 0
+
+
+def _flag_text(flags):
+    return ", ".join(f"{k}={v}" for k, v in zip(FLAG_KEYS, flags.as_tuple()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +296,8 @@ def _gradient_errors(analytic, values, loss):
             plus, minus = list(value.data), list(value.data)
             plus[i] += GRADCHECK_STEP
             minus[i] -= GRADCHECK_STEP
-            n = (loss(name, Tensor._wrap(value.shape, plus))
-                 - loss(name, Tensor._wrap(value.shape, minus))) / (2.0 * GRADCHECK_STEP)
+            n = (loss(name, Tensor(value.shape, plus))
+                 - loss(name, Tensor(value.shape, minus))) / (2.0 * GRADCHECK_STEP)
             worst = max(worst, abs(a - n) / max(abs(a), abs(n), 1e-6))
         errors[name] = worst
     return errors

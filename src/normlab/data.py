@@ -47,7 +47,7 @@ def gen_blobs(n_per_class, num_classes, dim, separation, seed):
     data = list(map(add, means, rng.normals(n * dim)))
     labels = [c for c in range(num_classes) for _ in range(n_per_class)]
     order = rng.permutation(n)
-    inputs = take(Tensor._wrap((n, dim), data), order)
+    inputs = take(Tensor((n, dim), data), order)
     return Dataset(inputs, [labels[i] for i in order], num_classes)
 
 
@@ -60,7 +60,7 @@ def gen_parity_sequences(n, length, vocab, seed):
     for i, tok in enumerate(tokens):
         data[i * vocab + tok] = 1.0
     labels = [tokens[i:i + length].count(0) % 2 for i in range(0, n * length, length)]
-    return Dataset(Tensor._wrap((n, length, vocab), data), labels, 2)
+    return Dataset(Tensor((n, length, vocab), data), labels, 2)
 
 
 def load_cifar10_binary(path):
@@ -84,7 +84,7 @@ def load_cifar10_binary(path):
             raise DataFormatError(f"malformed CIFAR-10 binary: record {i} has label {label}")
         labels.append(label)
         data += [b * scale for b in raw[base + 1:base + CIFAR_RECORD]]
-    return Dataset(Tensor._wrap((n, 3, 32, 32), data), labels, CIFAR_CLASSES)
+    return Dataset(Tensor((n, 3, 32, 32), data), labels, CIFAR_CLASSES)
 
 
 def _class_quotas(labels, num_classes, total):

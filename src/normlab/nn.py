@@ -84,7 +84,7 @@ class Dense(Layer):
     def backward(self, cache, dy):
         x = cache
         dw = matmul(transpose2d(x), dy)
-        db = Tensor._wrap((self.out_dim,), line_sums(dy.data, dy.shape, 0))
+        db = Tensor((self.out_dim,), line_sums(dy.data, dy.shape, 0))
         return matmul(dy, transpose2d(self.w)), {"w": dw, "b": db}
 
 
@@ -131,7 +131,7 @@ class Conv2d(Layer):
         for s in range(m):
             for acc in planes:
                 out += acc[s * plane:(s + 1) * plane]
-        return Tensor._wrap((m, self.out_channels, oh, ow), out), cols
+        return Tensor((m, self.out_channels, oh, ow), out), cols
 
     def backward(self, cache, dy):
         cols = cache
@@ -153,8 +153,8 @@ class Conv2d(Layer):
             dbd.append(ordered_sum(g))
             dwd += _accumulate_nonzero([0.0] * len(cols), g, patches, True)
         grads = {
-            "w": Tensor._wrap(self.w.shape, dwd),
-            "b": Tensor._wrap((cout,), dbd),
+            "w": Tensor(self.w.shape, dwd),
+            "b": Tensor((cout,), dbd),
         }
         return None, grads
 
@@ -197,7 +197,7 @@ class AvgPool2x2(Layer):
             0.25 * (((p + q) + r) + s)
             for p, q, r, s in zip(top[::2], top[1::2], bottom[::2], bottom[1::2])
         ]
-        return Tensor._wrap((m, c, h // 2, w // 2), out), x.shape
+        return Tensor((m, c, h // 2, w // 2), out), x.shape
 
     def backward(self, cache, dy):
         m, c, h, w = cache
@@ -211,7 +211,7 @@ class AvgPool2x2(Layer):
             row = rows[lo:lo + w]
             dxd += row
             dxd += row
-        return Tensor._wrap((m, c, h, w), dxd), {}
+        return Tensor((m, c, h, w), dxd), {}
 
 
 class Flatten(Layer):
@@ -245,19 +245,19 @@ class Activation(Layer):
 
     def forward(self, x, train=True, flags=None):
         if self.name == "relu":
-            y = Tensor._wrap(x.shape, [v if v > 0.0 else 0.0 for v in x.data])
+            y = Tensor(x.shape, [v if v > 0.0 else 0.0 for v in x.data])
             return y, x
-        y = Tensor._wrap(x.shape, [math.tanh(v) for v in x.data])
+        y = Tensor(x.shape, [math.tanh(v) for v in x.data])
         return y, y
 
     def backward(self, cache, dy):
         if self.name == "relu":
             x = cache
             dx = [g if v > 0.0 else 0.0 for v, g in zip(x.data, dy.data)]
-            return Tensor._wrap(x.shape, dx), {}
+            return Tensor(x.shape, dx), {}
         y = cache
         dx = [g * (1.0 - t * t) for t, g in zip(y.data, dy.data)]
-        return Tensor._wrap(y.shape, dx), {}
+        return Tensor(y.shape, dx), {}
 
 
 class RnnCell(Layer):
@@ -327,7 +327,7 @@ def _step_input(x, t):
     data = []
     for lo in range(t * v, m * steps * v, steps * v):
         data += x.data[lo:lo + v]
-    return Tensor._wrap((m, v), data)
+    return Tensor((m, v), data)
 
 
 def _rnn_steps(cell, x):
@@ -339,7 +339,7 @@ def _rnn_steps(cell, x):
     bias = _broadcast_row(cell.b, m)
     for t in range(steps):
         pre = matmul(_step_input(x, t), cell.w_xh) + matmul(h, cell.w_hh) + bias
-        h = Tensor._wrap(pre.shape, [math.tanh(u) for u in pre.data])
+        h = Tensor(pre.shape, [math.tanh(u) for u in pre.data])
         hs.append(h)
     return hs
 
@@ -355,7 +355,7 @@ def _rnn_chain(cell, dy, hs):
     dh = dy
     for t in range(len(hs) - 1, -1, -1):
         ht = hs[t]
-        da = Tensor._wrap(ht.shape, [g * (1.0 - u * u) for u, g in zip(ht.data, dh.data)])
+        da = Tensor(ht.shape, [g * (1.0 - u * u) for u, g in zip(ht.data, dh.data)])
         das[t] = da
         if t:  # at t = 0 it would be the gradient of the zero initial state
             dh = matmul(da, w_hh_t)
@@ -377,7 +377,7 @@ def _rnn_param_grads(x, hs, das):
         da = das[t]
         dw_xh = dw_xh + matmul(da, _step_input(x, t))
         dw_hh = dw_hh + matmul(da, hs[t])
-        db = db + Tensor._wrap((units,), line_sums(da.data, da.shape, 1))
+        db = db + Tensor((units,), line_sums(da.data, da.shape, 1))
     return dw_xh, dw_hh, db
 
 
@@ -390,14 +390,14 @@ def _stack(blocks):
         data = []
         for part in parts:
             data += part.data
-        out.append(Tensor._wrap((sum(p.shape[0] for p in parts),) + parts[0].shape[1:], data))
+        out.append(Tensor((sum(p.shape[0] for p in parts),) + parts[0].shape[1:], data))
     return out
 
 
 def _rows(x, a, b):
     """Rows a to b of x, a tensor of any rank: its entries a to b along axis 0."""
     row = x.size // x.shape[0]
-    return Tensor._wrap((b - a,) + x.shape[1:], x.data[a * row:b * row])
+    return Tensor((b - a,) + x.shape[1:], x.data[a * row:b * row])
 
 
 class Normalizer(Layer):
@@ -425,7 +425,7 @@ class Normalizer(Layer):
         self.running = init_running(d)
 
     @staticmethod
-    def param_shapes(scheme, d, epsilon=_norm.EPSILON, momentum=_norm.MOMENTUM):
+    def param_shapes(scheme, d, epsilon, momentum):
         return {"gamma": [d], "beta": [d]}
 
     def _flat(self, x):
@@ -476,18 +476,19 @@ _LAYER_TYPES = {cls.kind: cls for cls in (Dense, Conv2d, AvgPool2x2, Flatten, Ac
 def _descriptor_args(desc):
     """(layer class, constructor keywords) of a describe() dict.
 
-    Every describe() key but "kind" names a constructor parameter, so an
-    unknown key raises TypeError once the keywords are passed on. The
-    initializer stream `rng` is the one constructor parameter that is not a
-    descriptor key.
+    The keys other than "kind" must be exactly the class's KEYS, each a
+    constructor parameter; any other set raises ValueError naming both.
     """
+    if not isinstance(desc, dict):
+        raise ValueError(f"layer descriptor must be a dict, got {type(desc).__name__}")
     desc = dict(desc)
     kind = desc.pop("kind", None)
     if kind not in _LAYER_TYPES:
         raise ValueError(f"unknown layer kind {kind!r}")
-    if "rng" in desc:
-        raise ValueError("'rng' is not a layer descriptor key")
-    return _LAYER_TYPES[kind], desc
+    cls = _LAYER_TYPES[kind]
+    if set(desc) != set(cls.KEYS):
+        raise ValueError(f"{kind} descriptor keys {sorted(desc)} are not {sorted(cls.KEYS)}")
+    return cls, desc
 
 
 def layer_from_descriptor(desc):
@@ -563,7 +564,7 @@ class Network:
                 if None not in caches[:i] and _finite([caches[:i], below]):
                     for j in range(i - 1, -1, -1):
                         for name, p in below[j].items():
-                            grads[f"{j}.{name}"] = Tensor._wrap(p.shape, [0.0] * p.size)
+                            grads[f"{j}.{name}"] = Tensor(p.shape, [0.0] * p.size)
                     break
         return grads
 
@@ -606,7 +607,7 @@ class Network:
             i, *path, attr = name.split(".")
             owner, data = reduce(getattr, path, self.layers[int(i)]), values[name]
             scalar = not isinstance(getattr(owner, attr), Tensor)
-            setattr(owner, attr, data[0] if scalar else Tensor._wrap(shape, data))
+            setattr(owner, attr, data[0] if scalar else Tensor(shape, data))
 
     def running_counters(self):
         """{"layer", "count", "batch_m"} of each normalizer, in layer order."""
@@ -670,7 +671,7 @@ def cross_entropy(logits, labels):
         for k in range(c):
             dlogits[base + k] = exps[k] / z * inv_m
         dlogits[base + label] -= inv_m
-    return total * inv_m, Tensor._wrap((m, c), dlogits)
+    return total * inv_m, Tensor((m, c), dlogits)
 
 
 def accuracy(logits, labels):
@@ -735,7 +736,7 @@ class Adam:
                 w - lr * (a / bc1) / (sqrt(b / bc2) + eps)
                 for w, a, b in zip(p.data, mom, vel)
             ]
-            out[key] = Tensor._wrap(p.shape, new)
+            out[key] = Tensor(p.shape, new)
         return out
 
 
@@ -815,4 +816,4 @@ def build_dense_net(in_dim, hidden, num_classes, normalizer, rng):
 
 def _broadcast_row(vec, m):
     d = vec.shape[0]
-    return Tensor._wrap((m, d), vec.data * m)
+    return Tensor((m, d), vec.data * m)

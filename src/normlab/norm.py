@@ -123,7 +123,7 @@ def _check_input(x, params):
 
 
 def _vec(values):
-    return Tensor._wrap((len(values),), values)
+    return Tensor((len(values),), values)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def _param_grads(dx, dy, h):
     """(dx, dgamma, dbeta) with dgamma = column sums of dy * h, dbeta of dy."""
     dgamma = line_sums(dy.data, dy.shape, 0, h)
     dbeta = line_sums(dy.data, dy.shape, 0)
-    return Tensor._wrap(dy.shape, dx), _vec(dgamma), _vec(dbeta)
+    return Tensor(dy.shape, dx), _vec(dgamma), _vec(dbeta)
 
 
 def _standardize(kind, axis, x, params):
@@ -217,7 +217,7 @@ def _standardize(kind, axis, x, params):
     m, d = _check_input(x, params)
     mu, var, _, inv_std, x_hat = _branch(x, axis, params.epsilon)
     y = _scale_shift(x_hat, params.gamma.data, params.beta.data)
-    return Tensor._wrap((m, d), y), NormCache(kind, m, d, params.gamma, x_hat, inv_std), mu, var
+    return Tensor((m, d), y), NormCache(kind, m, d, params.gamma, x_hat, inv_std), mu, var
 
 
 def _backward(kind, cache, dy):
@@ -314,7 +314,7 @@ def bn_forward_infer(x, params, running):
     scale = [g / math.sqrt(factor * v + params.epsilon)
              for g, v in zip(params.gamma.data, running.e_sigma_b.data)]
     shift = [b - s * mu for b, s, mu in zip(params.beta.data, scale, running.e_mu_b.data)]
-    return Tensor._wrap(x.shape, _scale_shift(x.data, scale, shift))
+    return Tensor(x.shape, _scale_shift(x.data, scale, shift))
 
 
 def bn_backward(cache, dy):
@@ -381,7 +381,7 @@ def bln_forward_train(x, params, running):
         w_batch=w_batch, w_feat=w_feat,
     )
     new_running = update_running(running, mu_b, std_b, mu_f, std_f, params.momentum)
-    return Tensor._wrap((m, d), y), cache, new_running
+    return Tensor((m, d), y), cache, new_running
 
 
 def bln_forward_infer(x, params, running, flags):
@@ -437,7 +437,7 @@ def _infer_outputs(x, params, running, flag_list):
         x_hat, x_hh = (forms[side] if last_use[side] > i else forms.pop(side) for side in pair)
         y = [s * (wb * a + wf * b) + t for a, b, s, t in zip(x_hat, x_hh, gamma, beta)]
         del x_hat, x_hh     # a form popped above is freed while the caller holds y
-        yield Tensor._wrap((m, d), y)
+        yield Tensor((m, d), y)
 
 
 def bln_backward(cache, dy):

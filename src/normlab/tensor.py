@@ -188,26 +188,14 @@ def _first_zero_uniform(draws):
 
 
 class Tensor:
-    """Dense n-dimensional array: shape tuple plus flat row-major buffer."""
+    """Dense n-dimensional array: shape tuple plus the caller's fresh flat
+    row-major list of floats, which is kept as it is, neither checked nor copied."""
 
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data):
-        shape = _shape(shape)
-        n = math.prod(shape)
-        data = [float(v) for v in data]
-        if n != len(data):
-            raise ValueError(f"shape {shape} needs {n} elements, got {len(data)}")
-        self.shape = shape
+        self.shape = tuple(shape)
         self.data = data
-
-    @classmethod
-    def _wrap(cls, shape, data):
-        # internal fast path: caller guarantees a fresh, well-formed buffer
-        t = object.__new__(cls)
-        t.shape = tuple(shape)
-        t.data = data
-        return t
 
     @property
     def size(self):
@@ -241,19 +229,19 @@ def _shape(shape):
 def zeros(shape):
     """Tensor of the given shape filled with 0.0."""
     shape = _shape(shape)
-    return Tensor._wrap(shape, [0.0] * math.prod(shape))
+    return Tensor(shape, [0.0] * math.prod(shape))
 
 
 def ones(shape):
     """Tensor of the given shape filled with 1.0."""
     shape = _shape(shape)
-    return Tensor._wrap(shape, [1.0] * math.prod(shape))
+    return Tensor(shape, [1.0] * math.prod(shape))
 
 
 def randn(shape, rng):
     """Tensor of seeded standard-normal draws."""
     shape = _shape(shape)
-    return Tensor._wrap(shape, rng.normals(math.prod(shape)))
+    return Tensor(shape, rng.normals(math.prod(shape)))
 
 
 def matmul(a, b):
@@ -268,7 +256,7 @@ def matmul(a, b):
     if k == 1:
         # the one term from 0.0 as it is: a skipped zero term gives +0.0,
         # and so does 0.0 + (+-0.0)
-        return Tensor._wrap((m, n), [0.0 + c * v for c in ad for v in bd])
+        return Tensor((m, n), [0.0 + c * v for c in ad for v in bd])
     # out[i,j] = ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ... in t order.
     # The row form scales rows of B by entries of A, the column form columns
     # of A by entries of B, both skipping zero entries when every value of
@@ -290,20 +278,20 @@ def matmul(a, b):
         for i in range(m):
             arow = ad[i * k:(i + 1) * k]
             out += [ordered_sum(map(operator.mul, arow, bcol)) for bcol in bcols]
-        return Tensor._wrap((m, n), out)
+        return Tensor((m, n), out)
     if use_rows:
         brows = [bd[t * n:(t + 1) * n] for t in range(k)]
         skip = row_terms < m * k and all(map(math.isfinite, bd))
         out = []
         for i in range(m):
             out += _accumulate_nonzero([0.0] * n, ad[i * k:(i + 1) * k], brows, skip)
-        return Tensor._wrap((m, n), out)
+        return Tensor((m, n), out)
     acols = [ad[t::k] for t in range(k)]
     skip = col_terms < n * k and all(map(math.isfinite, ad))
     out = [0.0] * (m * n)
     for j in range(n):
         out[j::n] = _accumulate_nonzero([0.0] * m, bd[j::n], acols, skip)
-    return Tensor._wrap((m, n), out)
+    return Tensor((m, n), out)
 
 
 # Each pass adds the terms t, t+1, ... of one kind, `size` to a comprehension.
@@ -404,11 +392,11 @@ def transpose2d(x):
     m, n = x.shape
     xd = x.data
     if m == 1 or n == 1:
-        return Tensor._wrap((n, m), list(xd))
+        return Tensor((n, m), list(xd))
     out = []
     for j in range(n):
         out += xd[j::n]
-    return Tensor._wrap((n, m), out)
+    return Tensor((n, m), out)
 
 
 def ordered_sum(values):
@@ -452,10 +440,10 @@ def line_sums(values, shape, axis, weights=None):
 
 def _binary(a, b, op):
     if isinstance(b, (int, float)):
-        return Tensor._wrap(a.shape, list(map(op, a.data, repeat(float(b)))))
+        return Tensor(a.shape, list(map(op, a.data, repeat(float(b)))))
     if a.shape != b.shape:
         raise ValueError(f"elementwise op shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor._wrap(a.shape, list(map(op, a.data, b.data)))
+    return Tensor(a.shape, list(map(op, a.data, b.data)))
 
 
 def add(a, b):
@@ -483,7 +471,7 @@ def reshape(x, shape):
     shape = _shape(shape)
     if math.prod(shape) != x.size:
         raise ValueError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
-    return Tensor._wrap(shape, list(x.data))
+    return Tensor(shape, list(x.data))
 
 
 def take(x, indices):
@@ -496,4 +484,4 @@ def take(x, indices):
         if not 0 <= i < n:
             raise IndexError(f"row index {i} out of range for axis 0 (size {n})")
         out.extend(xd[i * row:(i + 1) * row])
-    return Tensor._wrap((len(indices),) + x.shape[1:], out)
+    return Tensor((len(indices),) + x.shape[1:], out)

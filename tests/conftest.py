@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import sys
@@ -28,6 +29,18 @@ if hasattr(providers, "_get_local_constants"):
     providers._get_local_constants = _no_local_constants
 
 from normlab import norm  # noqa: E402
+from normlab.tensor import Tensor, _shape  # noqa: E402
+
+
+def make_tensor(shape, values):
+    """Tensor holding float(v) of each value, after the checks Tensor itself
+    leaves to its callers: the shape passes tensor._shape and holds exactly
+    as many elements as there are values."""
+    shape = _shape(shape)
+    data = [float(v) for v in values]
+    if math.prod(shape) != len(data):
+        raise ValueError(f"shape {shape} needs {math.prod(shape)} elements, got {len(data)}")
+    return Tensor(shape, data)
 
 
 def assert_lists_close(actual, expected, tol=1e-12):

@@ -492,6 +492,152 @@ def adam_loops(w, grads, learning_rate):
 
 
 # ---------------------------------------------------------------------------
+# Training steps of nn.build_dense_net (Dense, tanh, an optional bn, ln or bln
+# normalizer, Dense) under cross-entropy and Adam, as scalar loops built on
+# the kernel oracles above: a bitwise reference for the composed step. The
+# backward runs every layer; the network's backward stop must give the same
+# bits. Parameters are flat lists named w1, b1, gamma, beta, w2 and b2.
+# ---------------------------------------------------------------------------
+
+def _dense_loops(xd, w, b, m, k, n):
+    """x w + b of a flat (m, k) batch, each product's terms added from 0.0, then the bias."""
+    out = matmul_loops(xd, w, m, k, n)
+    return [out[i * n + j] + b[j] for i in range(m) for j in range(n)]
+
+
+def _dense_backward_loops(xd, w, dy, m, k, n):
+    """(dx, dw, db) of x w + b: dw = x^T dy and dx = dy w^T as matmul_loops, db the column sums of dy."""
+    dw = matmul_loops(transpose2d_loops(xd, m, k), dy, k, m, n)
+    dx = matmul_loops(dy, transpose2d_loops(w, k, n), m, n, k)
+    return dx, dw, line_sums_loops(dy, (m, n), 0)
+
+
+def _bln_root_d_weights(m, d, eps):
+    """bln's blend weights divided by sqrt(d); w_batch is (1 - 2 eps) - w_feat."""
+    w_feat = 1.0 / m - eps
+    w_batch = (1.0 - 2.0 * eps) - w_feat
+    inv_root_d = 1.0 / math.sqrt(d)
+    return w_batch * inv_root_d, w_feat * inv_root_d
+
+
+def _ema(old, new, momentum, count):
+    """The running estimate after one batch: the batch's value first, then an EMA."""
+    return new if count == 0 else momentum * old + (1.0 - momentum) * new
+
+
+def _normalizer_loops(scheme, h, m, d, gamma, beta, eps, momentum, running):
+    """(y, cache, new running) of a training forward; running holds e_mu_b,
+    e_sigma_b (bn: the variance), e_mu_f, e_sigma_f, count and batch_m."""
+    shape, count = (m, d), running["count"]
+    new = dict(running, count=count + 1, batch_m=m)
+    if scheme == "ln":
+        mean, var, std, inv_std, x_hat = branch_loops(h, shape, 1, eps)
+        comb, new = x_hat, running
+    else:
+        mean, var, std, inv_std, x_hat = branch_loops(h, shape, 0, eps)
+        new["e_mu_b"] = [_ema(o, v, momentum, count) for o, v in zip(running["e_mu_b"], mean)]
+        spread = var if scheme == "bn" else std
+        new["e_sigma_b"] = [_ema(o, v, momentum, count) for o, v in zip(running["e_sigma_b"], spread)]
+        comb = x_hat
+    cache = {"x_hat": x_hat, "inv_std": inv_std}
+    if scheme == "bln":
+        mean_f, _, std_f, inv_f, x_hh = branch_loops(h, shape, 1, 0.0)
+        wb, wf = _bln_root_d_weights(m, d, eps)
+        comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
+        new["e_mu_f"] = _ema(running["e_mu_f"], _ordered_sum(mean_f) / m, momentum, count)
+        new["e_sigma_f"] = _ema(running["e_sigma_f"], _ordered_sum(std_f) / m, momentum, count)
+        cache.update(x_hh=x_hh, inv_f=inv_f)
+    cache["comb"] = comb
+    y = [gamma[e % d] * comb[e] + beta[e % d] for e in range(m * d)]
+    return y, cache, new
+
+
+def _normalizer_backward_loops(scheme, cache, dy, m, d, gamma, eps):
+    """(dx, dgamma, dbeta); bln's dx is the sum of its branches' gradients,
+    the feature branch's left out on a guarded row (inverse std 0.0)."""
+    shape = (m, d)
+    dc = [dy[e] * gamma[e % d] for e in range(m * d)]
+    if scheme == "bln":
+        wb, wf = _bln_root_d_weights(m, d, eps)
+        dx_b = normalize_backward_loops([v * wb for v in dc], cache["x_hat"], shape, 0,
+                                        cache["inv_std"])
+        dx_f = normalize_backward_loops([v * wf for v in dc], cache["x_hh"], shape, 1,
+                                        cache["inv_f"])
+        dx = [b + f if cache["inv_f"][e // d] != 0.0 else b
+              for e, (b, f) in enumerate(zip(dx_b, dx_f))]
+    else:
+        dx = normalize_backward_loops(dc, cache["x_hat"], shape, 0 if scheme == "bn" else 1,
+                                      cache["inv_std"])
+    return dx, line_sums_loops(dy, shape, 0, cache["comb"]), line_sums_loops(dy, shape, 0)
+
+
+def _cross_entropy_loops(logits, labels, c):
+    """(mean of -log softmax of each true class, its logits gradient), in log-sum-exp form."""
+    m = len(labels)
+    inv_m = 1.0 / m
+    total, dlogits = 0.0, []
+    for i, label in enumerate(labels):
+        row = logits[i * c:(i + 1) * c]
+        mx = row[0]
+        for v in row[1:]:
+            if v > mx:
+                mx = v
+        exps = [math.exp(v - mx) for v in row]
+        z = _ordered_sum(exps)
+        total -= (row[label] - mx) - math.log(z)
+        grad = [e / z * inv_m for e in exps]
+        grad[label] -= inv_m
+        dlogits += grad
+    return total * inv_m, dlogits
+
+
+def _dense_net_gradients(scheme, params, running, xd, labels, sizes, eps, momentum):
+    """(loss, {name: gradient}, new running) of one batch through the network."""
+    k, hidden, c = sizes
+    m = len(labels)
+    t = [math.tanh(v) for v in _dense_loops(xd, params["w1"], params["b1"], m, k, hidden)]
+    h = t
+    if scheme != "none":
+        h, cache, running = _normalizer_loops(scheme, t, m, hidden, params["gamma"],
+                                              params["beta"], eps, momentum, running)
+    loss, dlogits = _cross_entropy_loops(_dense_loops(h, params["w2"], params["b2"], m, hidden, c),
+                                         labels, c)
+    grads = {}
+    dh, grads["w2"], grads["b2"] = _dense_backward_loops(h, params["w2"], dlogits, m, hidden, c)
+    if scheme != "none":
+        dh, grads["gamma"], grads["beta"] = _normalizer_backward_loops(
+            scheme, cache, dh, m, hidden, params["gamma"], eps)
+    da = [g * (1.0 - u * u) for u, g in zip(t, dh)]
+    _, grads["w1"], grads["b1"] = _dense_backward_loops(xd, params["w1"], da, m, k, hidden)
+    return loss, grads, running
+
+
+def dense_net_training_loops(scheme, params, batches, sizes, learning_rate, eps, momentum):
+    """[(loss, parameters after the step, running statistics after it)] of one
+    training step per (flat inputs, labels) batch, from the initial parameters
+    and fresh running statistics (means 0.0, stds 1.0, count 0).
+
+    sizes is (input width, hidden width, classes). Each step's weights come
+    from adam_loops over every gradient so far, which replays the earlier
+    steps' updates bit for bit.
+    """
+    hidden = sizes[1]
+    running = {"e_mu_b": [0.0] * hidden, "e_sigma_b": [1.0] * hidden, "e_mu_f": 0.0,
+               "e_sigma_f": 1.0, "count": 0, "batch_m": 0}
+    history = {name: [] for name in params}
+    current = dict(params)
+    steps = []
+    for xd, labels in batches:
+        loss, grads, running = _dense_net_gradients(scheme, current, running, xd, labels, sizes,
+                                                    eps, momentum)
+        for name, g in grads.items():
+            history[name].append(g)
+            current[name] = adam_loops(params[name], history[name], learning_rate)[-1]
+        steps.append((loss, dict(current), running))
+    return steps
+
+
+# ---------------------------------------------------------------------------
 # splitmix64 one output at a time, the reference for tensor.Rng's bulk draws.
 # Each function takes an Rng and updates its _state and _spare as Rng does.
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import assert_lists_close, batch_stats, feature_stats, normal, rows_of
+from conftest import assert_lists_close, batch_stats, feature_stats, make_tensor, normal, rows_of
 from normlab.cli import main, run_training
 from normlab.config import validate_experiment
 from normlab.norm import (
@@ -30,7 +30,7 @@ from normlab.norm import (
     update_running,
 )
 from normlab.nn import build_dense_net
-from normlab.tensor import Rng, Tensor, randn
+from normlab.tensor import Rng, randn
 
 EPS = 1e-4
 FD_STEP = 1e-5
@@ -102,8 +102,8 @@ def test_criterion_3_oracle_equivalence():
         gamma = [1.0 + 0.3 * normal(rng) for _ in range(d)]
         beta = [0.3 * normal(rng) for _ in range(d)]
         p = init_params(d)
-        p.gamma = Tensor([d], gamma)
-        p.beta = Tensor([d], beta)
+        p.gamma = make_tensor([d], gamma)
+        p.beta = make_tensor([d], beta)
         y, _, _ = bln_forward_train(x, p, init_running(d))
         expected, _ = oracles.blended_train_oracle(rows_of(x), gamma, beta, EPS)
         for got, want in zip(rows_of(y), expected):
@@ -194,7 +194,7 @@ def test_criterion_5_gradient_suite():
             dx, dgamma, dbeta = backwards[kind](cache, dy)
 
             def loss_x(vals):
-                y, _ = _layer_forward(kind, Tensor((m, d), vals), p)
+                y, _ = _layer_forward(kind, make_tensor((m, d), vals), p)
                 return sum(u * v for u, v in zip(y.data, dy.data))
 
             numeric = [
@@ -205,8 +205,8 @@ def test_criterion_5_gradient_suite():
 
             def loss_params(gamma_vals, beta_vals):
                 trial = init_params(d)
-                trial.gamma = Tensor((d,), gamma_vals)
-                trial.beta = Tensor((d,), beta_vals)
+                trial.gamma = make_tensor((d,), gamma_vals)
+                trial.beta = make_tensor((d,), beta_vals)
                 y, _ = _layer_forward(kind, x, trial)
                 return sum(u * v for u, v in zip(y.data, dy.data))
 
@@ -239,11 +239,11 @@ def test_criterion_5_gradient_suite():
                 for i in range(param.size):
                     plus = list(param.data)
                     plus[i] += FD_STEP
-                    net.set_param(key, Tensor(param.shape, plus))
+                    net.set_param(key, make_tensor(param.shape, plus))
                     up, _, _, _ = net.loss(x, labels)
                     minus = list(param.data)
                     minus[i] -= FD_STEP
-                    net.set_param(key, Tensor(param.shape, minus))
+                    net.set_param(key, make_tensor(param.shape, minus))
                     down, _, _, _ = net.loss(x, labels)
                     numeric.append((up - down) / (2 * FD_STEP))
                     net.set_param(key, param)

@@ -17,6 +17,7 @@ from normlab.cli import METRICS_HEADER, main, run_training
 from normlab.config import UsageError, load_config_file, validate_experiment
 from normlab.nn import Dense, build_cnn, build_rnn, network_evaluate
 from normlab.config import prepare_task
+from normlab.norm import InferenceFlags
 from normlab.tensor import Rng
 
 
@@ -405,6 +406,42 @@ class TestMalformedManifest:
         assert built == []
 
 
+NORMALIZER_KEYS = "['d', 'epsilon', 'momentum', 'scheme']"
+
+
+@pytest.mark.parametrize("layer, edit, message", [
+    (7, lambda desc: desc.pop("epsilon"),
+     f"normalizer descriptor keys ['d', 'momentum', 'scheme'] are not {NORMALIZER_KEYS}"),
+    (7, lambda desc: desc.update(rng=5),
+     f"normalizer descriptor keys ['d', 'epsilon', 'momentum', 'rng', 'scheme'] are not {NORMALIZER_KEYS}"),
+    (2, lambda desc: desc.update(stride=2),
+     f"normalizer descriptor keys ['d', 'epsilon', 'momentum', 'scheme', 'stride'] are not {NORMALIZER_KEYS}"),
+    (4, lambda desc: desc.update(d=32), "flatten descriptor keys ['d'] are not []"),
+], ids=["normalizer-without-epsilon", "normalizer-with-rng", "normalizer-with-unknown-key",
+        "flatten-with-key"])
+def test_descriptor_keys_must_be_the_layer_keys(tmp_path, capsys, layer, edit, message):
+    ck = str(tmp_path / "net.ckpt")
+    save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
+    _rewrite_manifest(ck, lambda m: edit(m["layers"][layer]))
+    code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
+                 "--out", str(tmp_path / "grid.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed checkpoint: {ck} layer {layer}: {message}\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_descriptor_that_is_not_a_dict_is_refused(tmp_path, capsys):
+    # dict() would read a list of key-value pairs as the descriptor it spells
+    ck = str(tmp_path / "net.ckpt")
+    save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
+    _rewrite_manifest(ck, lambda m: m["layers"].__setitem__(4, [["kind", "flatten"]]))
+    code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
+                 "--out", str(tmp_path / "grid.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: malformed checkpoint: {ck} layer 4: "
+                                       "layer descriptor must be a dict, got list\n")
+
+
 # values both normalizer settings must refuse; momentum must refuse 1.5 too
 BAD_SETTINGS = [0, -0.0, math.nan, math.inf, True, "x", []]
 SETTINGS_CASES = ([("epsilon", value) for value in BAD_SETTINGS]
@@ -550,6 +587,38 @@ class TestGridsearchCommand:
         main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", test_out,
               "--search-on-test"])
         assert Path(val_out).read_bytes() != Path(test_out).read_bytes()
+
+    def test_non_finite_score_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # check_settings admits an epsilon of 1e308, which makes every score nan
+        config, ck = self.run_train(tmp_path)
+        capsys.readouterr()
+        _rewrite_manifest(ck, lambda m: [desc.update(epsilon=1e308) for desc in m["layers"]
+                                         if desc["kind"] == "normalizer"])
+        out = tmp_path / "grid.csv"
+        code = main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: configuration (e_b=False, std_b=False, "
+                                           "e_f=False, std_f=False) diverged: loss is nan\n")
+        assert not out.exists()
+
+    def test_non_finite_score_names_the_first_configuration(self, tmp_path, capsys, monkeypatch):
+        config, ck = self.run_train(tmp_path)
+        capsys.readouterr()
+        original = cli.evaluate_all
+
+        def with_two_infinite_losses(net, dataset):
+            # listed from the last configuration to the first, so 9 comes before 5
+            results = sorted(original(net, dataset), key=lambda r: r.flags, reverse=True)
+            hit = {InferenceFlags.from_index(5): math.inf, InferenceFlags.from_index(9): -math.inf}
+            return [r._replace(loss=hit.get(r.flags, r.loss)) for r in results]
+
+        monkeypatch.setattr(cli, "evaluate_all", with_two_infinite_losses)
+        out = tmp_path / "grid.csv"
+        code = main(["gridsearch", "--config", config, "--checkpoint", ck, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: configuration (e_b=False, std_b=True, "
+                                           "e_f=False, std_f=True) diverged: loss is inf\n")
+        assert not out.exists()
 
     def test_checkpoint_without_bln_layers_is_data_error(self, tmp_path, capsys):
         config, ck = self.run_train(tmp_path, normalizer="bn")

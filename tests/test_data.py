@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import at, tolist
+from conftest import at, make_tensor, tolist
 from normlab.data import (
     DataFormatError,
     Dataset,
@@ -185,11 +185,9 @@ class TestSplit:
 
 class TestDatasetValidation:
     def test_label_out_of_range_rejected(self):
-        from normlab.tensor import Tensor
         with pytest.raises(ValueError):
-            Dataset(Tensor([2, 2], [1, 2, 3, 4]), [0, 5], 2)
+            Dataset(make_tensor([2, 2], [1, 2, 3, 4]), [0, 5], 2)
 
     def test_label_count_mismatch_rejected(self):
-        from normlab.tensor import Tensor
         with pytest.raises(ValueError):
-            Dataset(Tensor([2, 2], [1, 2, 3, 4]), [0], 2)
+            Dataset(make_tensor([2, 2], [1, 2, 3, 4]), [0], 2)

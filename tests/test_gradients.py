@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import assert_lists_close
+from conftest import assert_lists_close, make_tensor
 from normlab.norm import (
     bln_backward,
     bln_forward_train,
@@ -12,7 +12,7 @@ from normlab.norm import (
     ln_backward,
     ln_forward,
 )
-from normlab.tensor import Rng, Tensor, randn, zeros
+from normlab.tensor import Rng, randn, zeros
 
 STEP = 1e-5
 TOLERANCE = 1e-4
@@ -59,7 +59,7 @@ class TestFiniteDifferences:
         dx, _, _ = backward_fn(kind)(cache, dy)
         numeric = [
             oracles.central_difference(
-                lambda vals: projected_loss(kind, Tensor((m, d), vals), params, dy),
+                lambda vals: projected_loss(kind, make_tensor((m, d), vals), params, dy),
                 x.data, i, STEP,
             )
             for i in range(m * d)
@@ -73,7 +73,7 @@ class TestFiniteDifferences:
 
         def loss_at(vals):
             trial = init_params(d, params.epsilon, params.momentum)
-            trial.gamma = Tensor((d,), vals)
+            trial.gamma = make_tensor((d,), vals)
             trial.beta = params.beta
             return projected_loss(kind, x, trial, dy)
 
@@ -91,7 +91,7 @@ class TestFiniteDifferences:
         def loss_at(vals):
             trial = init_params(d, params.epsilon, params.momentum)
             trial.gamma = params.gamma
-            trial.beta = Tensor((d,), vals)
+            trial.beta = make_tensor((d,), vals)
             return projected_loss(kind, x, trial, dy)
 
         numeric = [
@@ -115,7 +115,7 @@ class TestGradientStructure:
         m, d = 5, 2
         x, _, params = make_case(kind, m, d, seed=8)
         _, cache = forward_fn(kind)(x, params)
-        dy = Tensor([m, d], [1.0] * (m * d))
+        dy = make_tensor([m, d], [1.0] * (m * d))
         _, _, dbeta = backward_fn(kind)(cache, dy)
         assert_lists_close(dbeta.data, [float(m)] * d, tol=1e-12)
 
@@ -139,7 +139,7 @@ class TestGuardedRowGradient:
         # its batch-branch gradient still matches finite differences as long
         # as perturbations keep the other rows non-constant
         rows = [[2.0, 2.0, 2.0], [1.0, -1.0, 0.5]]
-        x = Tensor([2, 3], [v for r in rows for v in r])
+        x = make_tensor([2, 3], [v for r in rows for v in r])
         dy = randn([2, 3], Rng(4))
         params = init_params(3)
         _, cache, _ = bln_forward_train(x, params, init_running(3))

@@ -19,6 +19,7 @@ stays absent.
 import contextlib
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -222,7 +223,8 @@ def manifest_damages(bln_checkpoint):
 
 def assert_gridsearch_ends_cleanly(checkpoint_bytes):
     """gridsearch on a checkpoint holding these bytes ends in a documented
-    code, and a nonzero one with one `error:` line and no --out."""
+    code: a nonzero one with one `error:` line and no --out, exit 0 with an
+    --out of 16 rows whose losses are all finite."""
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         (directory / "config.json").write_text(json.dumps(TINY), encoding="utf-8")
@@ -239,6 +241,11 @@ def assert_gridsearch_ends_cleanly(checkpoint_bytes):
             assert not out.exists()
         else:
             assert err == ""
+            rows = [line for line in out.read_text(encoding="utf-8").splitlines()
+                    if not line.startswith("#")][1:]
+            assert len(rows) == 16
+            assert all(math.isfinite(float(row.split(",")[-2])) for row in rows), rows
+    return code
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -248,6 +255,13 @@ def test_damaged_manifest_exits_with_one_line_and_writes_nothing(bln_checkpoint,
     raw = bln_checkpoint.read_bytes()
     assert_gridsearch_ends_cleanly(damaged_checkpoint(raw, data.draw(manifest_damages)))
     assert bln_checkpoint.read_bytes() == raw
+
+
+def test_huge_epsilon_in_the_last_normalizer_exits_3(bln_checkpoint):
+    # a case of the manifest sweep's space: 1e308 passes check_settings and
+    # makes every score nan, which gridsearch must not rank or write
+    damage = ("value", ("layers", 7, "epsilon"), 1e308)
+    assert assert_gridsearch_ends_cleanly(damaged_checkpoint(bln_checkpoint.read_bytes(), damage)) == 3
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from conftest import assert_lists_close, hexes
+from conftest import assert_lists_close, hexes, make_tensor
 from normlab.data import gen_blobs
 from normlab.nn import (
     Activation,
@@ -31,11 +31,11 @@ TOLERANCE = 1e-4
 
 class TestActivations:
     def test_relu_values(self):
-        y, _ = Activation("relu").forward(Tensor([3], [-1, 0, 2]))
+        y, _ = Activation("relu").forward(make_tensor([3], [-1, 0, 2]))
         assert y.data == [0.0, 0.0, 2.0]
 
     def test_tanh_values(self):
-        t, _ = Activation("tanh").forward(Tensor([2], [0.0, 1.0]))
+        t, _ = Activation("tanh").forward(make_tensor([2], [0.0, 1.0]))
         assert_lists_close(t.data, [0.0, math.tanh(1.0)])
 
     def test_unknown_name_rejected(self):
@@ -52,7 +52,7 @@ class TestActivations:
         dx, _ = layer.backward(cache, dy)
 
         def loss_at(vals):
-            y, _ = layer.forward(Tensor((3, 4), vals))
+            y, _ = layer.forward(make_tensor((3, 4), vals))
             return sum(u * v for u, v in zip(y.data, dy.data))
 
         numeric = [oracles.central_difference(loss_at, x.data, i, STEP) for i in range(12)]
@@ -67,7 +67,7 @@ class TestCrossEntropy:
             assert abs(loss - math.log(c)) < 1e-12
 
     def test_confident_correct_logits(self):
-        logits = Tensor([2, 3], [30, 0, 0, 0, 30, 0])
+        logits = make_tensor([2, 3], [30, 0, 0, 0, 30, 0])
         loss, _ = cross_entropy(logits, [0, 1])
         assert loss < 1e-9
         assert accuracy(logits, [0, 1]) == 1.0
@@ -83,7 +83,7 @@ class TestCrossEntropy:
         _, dlogits = cross_entropy(logits, labels)
 
         def loss_at(vals):
-            value, _ = cross_entropy(Tensor((4, 3), vals), labels)
+            value, _ = cross_entropy(make_tensor((4, 3), vals), labels)
             return value
 
         numeric = [oracles.central_difference(loss_at, logits.data, i, STEP) for i in range(12)]
@@ -93,9 +93,9 @@ class TestCrossEntropy:
 class TestConv2d:
     def test_valid_3x3_kernel_on_3x3_input_is_frobenius_product(self):
         conv = Conv2d(1, 1, 3, Rng(0))
-        conv.w = Tensor([1, 1, 3, 3], [1, 2, 3, 4, 5, 6, 7, 8, 9])
+        conv.w = make_tensor([1, 1, 3, 3], [1, 2, 3, 4, 5, 6, 7, 8, 9])
         conv.b = zeros([1])
-        x = Tensor([1, 1, 3, 3], [9, 8, 7, 6, 5, 4, 3, 2, 1])
+        x = make_tensor([1, 1, 3, 3], [9, 8, 7, 6, 5, 4, 3, 2, 1])
         y, _ = conv.forward(x)
         expected = sum(a * b for a, b in zip(conv.w.data, x.data))
         assert y.shape == (1, 1, 1, 1)
@@ -118,7 +118,7 @@ class TestConv2d:
         w0 = conv.w
 
         def loss_w(vals):
-            conv.w = Tensor(w0.shape, vals)
+            conv.w = make_tensor(w0.shape, vals)
             out, _ = conv.forward(x)
             conv.w = w0
             return sum(u * v for u, v in zip(out.data, dy.data))
@@ -129,7 +129,7 @@ class TestConv2d:
 
 class TestPoolAndFlatten:
     def test_avgpool_values(self):
-        x = Tensor([1, 1, 2, 2], [1, 2, 3, 4])
+        x = make_tensor([1, 1, 2, 2], [1, 2, 3, 4])
         y, _ = AvgPool2x2().forward(x)
         assert y.data == [2.5]
 
@@ -141,7 +141,7 @@ class TestPoolAndFlatten:
         x = randn([1, 1, 4, 4], Rng(1))
         pool = AvgPool2x2()
         _, cache = pool.forward(x)
-        dy = Tensor([1, 1, 2, 2], [4, 8, 12, 16])
+        dy = make_tensor([1, 1, 2, 2], [4, 8, 12, 16])
         dx, _ = pool.backward(cache, dy)
         assert dx.data[:2] == [1.0, 1.0]
         assert sum(dx.data) == sum(dy.data)
@@ -162,7 +162,7 @@ class TestRnnCell:
         cell.w_hh = zeros([4, 4])
         x = randn([2, 5, 3], rng)
         y, _ = cell.forward(x)
-        last = Tensor([2, 3], [x.data[(s * 5 + 4) * 3 + j] for s in range(2) for j in range(3)])
+        last = make_tensor([2, 3], [x.data[(s * 5 + 4) * 3 + j] for s in range(2) for j in range(3)])
         pre = matmul(last, cell.w_xh)
         expected = [math.tanh(v) for v in pre.data]
         assert_lists_close(y.data, expected)
@@ -180,7 +180,7 @@ class TestRnnCell:
             p0 = getattr(cell, name)
 
             def loss_p(vals):
-                setattr(cell, name, Tensor(p0.shape, vals))
+                setattr(cell, name, make_tensor(p0.shape, vals))
                 out, _ = cell.forward(x)
                 setattr(cell, name, p0)
                 return sum(u * v for u, v in zip(out.data, dy.data))
@@ -204,7 +204,7 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         for scale in (1e-3, 1.0, 1e3):
             params = {"w": zeros([4])}
-            grads = {"w": Tensor([4], [scale] * 4)}
+            grads = {"w": make_tensor([4], [scale] * 4)}
             opt = Adam(learning_rate=0.01)
             out = opt.step(params, grads)
             for v in out["w"].data:
@@ -220,9 +220,9 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             w -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
         opt = Adam(learning_rate=lr)
-        params = {"w": Tensor([1], [1.0])}
-        params = opt.step(params, {"w": Tensor([1], [g1])})
-        params = opt.step(params, {"w": Tensor([1], [g2])})
+        params = {"w": make_tensor([1], [1.0])}
+        params = opt.step(params, {"w": make_tensor([1], [g1])})
+        params = opt.step(params, {"w": make_tensor([1], [g2])})
         assert abs(params["w"].data[0] - w) < 1e-15
 
 
@@ -250,10 +250,10 @@ class TestAdamZeroGradientSkip:
         grads = ADAM_SCHEDULES[schedule]
         want = oracles.adam_loops(ADAM_WEIGHTS, grads, 0.01)
         opt = Adam(learning_rate=0.01)
-        params = {"w": Tensor([8], ADAM_WEIGHTS)}
+        params = {"w": make_tensor([8], ADAM_WEIGHTS)}
         seen_nonzero = False
         for step, g in enumerate(grads):
-            out = opt.step(params, {"w": Tensor([8], g)})
+            out = opt.step(params, {"w": make_tensor([8], g)})
             seen_nonzero = seen_nonzero or any(g)
             # a nan's sign is not reproducible, so hexes compares nans by position
             assert hexes(out["w"].data) == hexes(want[step])
@@ -264,8 +264,8 @@ class TestAdamZeroGradientSkip:
 
     def test_each_parameter_is_skipped_on_its_own(self):
         opt = Adam(learning_rate=0.01)
-        params = {"a": Tensor([8], ADAM_WEIGHTS), "b": Tensor([8], ADAM_WEIGHTS)}
-        out = opt.step(params, {"a": Tensor([8], NEG_ZERO), "b": Tensor([8], NONZERO)})
+        params = {"a": make_tensor([8], ADAM_WEIGHTS), "b": make_tensor([8], ADAM_WEIGHTS)}
+        out = opt.step(params, {"a": make_tensor([8], NEG_ZERO), "b": make_tensor([8], NONZERO)})
         assert out["a"] is params["a"]
         assert hexes(out["b"].data) == hexes(oracles.adam_loops(ADAM_WEIGHTS, [NONZERO], 0.01)[0])
         assert sorted(opt.m) == sorted(opt.v) == ["b"]
@@ -302,9 +302,9 @@ class TestNetworkConstruction:
         layer = make()
         before = {name: p.data for name, p in layer.params().items()}
         with pytest.raises(KeyError):
-            layer.set_param("bogus", Tensor([1], [0.0]))
+            layer.set_param("bogus", make_tensor([1], [0.0]))
         with pytest.raises(KeyError):
-            Network([Activation("relu"), layer]).set_param("1.bogus", Tensor([1], [0.0]))
+            Network([Activation("relu"), layer]).set_param("1.bogus", make_tensor([1], [0.0]))
         assert not hasattr(layer, "bogus")
         assert {name: p.data for name, p in layer.params().items()} == before
 
@@ -323,11 +323,11 @@ class TestWholeNetworkGradients:
             for i in range(p.size):
                 plus = list(p.data)
                 plus[i] += STEP
-                net.set_param(key, Tensor(p.shape, plus))
+                net.set_param(key, make_tensor(p.shape, plus))
                 up, _, _, _ = net.loss(x, labels)
                 minus = list(p.data)
                 minus[i] -= STEP
-                net.set_param(key, Tensor(p.shape, minus))
+                net.set_param(key, make_tensor(p.shape, minus))
                 down, _, _, _ = net.loss(x, labels)
                 numeric.append((up - down) / (2 * STEP))
                 net.set_param(key, p)
@@ -417,7 +417,7 @@ def _zero_case(case):
     _, _, caches, dlogits = net.loss(x, [rng.randints(3, 1)[0] for _ in range(m)])
     if m > 1:
         # a hand-zeroed loss gradient, one -0.0 among the +0.0
-        dlogits = Tensor._wrap(dlogits.shape, [-0.0] + [0.0] * (dlogits.size - 1))
+        dlogits = Tensor(dlogits.shape, [-0.0] + [0.0] * (dlogits.size - 1))
         below = len(net.layers) - 1
     return net, caches, dlogits, net.layers[:below]
 

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 import oracles
-from conftest import assert_lists_close, at, batch_stats, feature_stats, hexes, rows_of
+from conftest import assert_lists_close, at, batch_stats, feature_stats, hexes, make_tensor, rows_of
 from normlab.norm import (
     InferenceFlags,
     SIGMA_F_GUARD,
@@ -34,26 +34,26 @@ def random_batch(m, d, seed):
 def params_for(d, gamma=None, beta=None, epsilon=EPS, momentum=0.9):
     p = init_params(d, epsilon, momentum)
     if gamma is not None:
-        p.gamma = Tensor([d], gamma)
+        p.gamma = make_tensor([d], gamma)
     if beta is not None:
-        p.beta = Tensor([d], beta)
+        p.beta = make_tensor([d], beta)
     return p
 
 
 class TestBatchStats:
     def test_hand_example(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         s = batch_stats(x, EPS)
         assert s.mu_b == [2.0, 3.0]
         assert_lists_close(s.sigma_b, [math.sqrt(1 + EPS)] * 2)
 
     def test_single_sample_forces_sqrt_eps(self):
-        x = Tensor([1, 3], [5, -2, 9])
+        x = make_tensor([1, 3], [5, -2, 9])
         s = batch_stats(x, EPS)
         assert_lists_close(s.sigma_b, [math.sqrt(EPS)] * 3)
 
     def test_constant_column(self):
-        x = Tensor([3, 1], [4.5, 4.5, 4.5])
+        x = make_tensor([3, 1], [4.5, 4.5, 4.5])
         s = batch_stats(x, EPS)
         assert s.mu_b == [4.5]
         assert_lists_close(s.sigma_b, [math.sqrt(EPS)])
@@ -61,22 +61,22 @@ class TestBatchStats:
 
 class TestFeatureStats:
     def test_hand_example(self):
-        s = feature_stats(Tensor([1, 2], [1, 3]))
+        s = feature_stats(make_tensor([1, 2], [1, 3]))
         assert s.mu_f == [2.0]
         assert s.sigma_f == [1.0]
 
     def test_constant_row_gives_zero_std(self):
-        s = feature_stats(Tensor([1, 4], [7, 7, 7, 7]))
+        s = feature_stats(make_tensor([1, 4], [7, 7, 7, 7]))
         assert s.sigma_f == [0.0]
 
     def test_single_feature_always_zero_std(self):
-        s = feature_stats(Tensor([3, 1], [1, 5, -2]))
+        s = feature_stats(make_tensor([3, 1], [1, 5, -2]))
         assert s.sigma_f == [0.0, 0.0, 0.0]
 
 
 class TestBatchNormTrain:
     def test_normalized_columns(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         y, _, _ = bn_forward_train(x, params_for(2), init_running(2))
         cols = list(zip(*rows_of(y)))
         for col in cols:
@@ -93,13 +93,13 @@ class TestBatchNormTrain:
         assert rows_of(y) == [[1.0, 2.0, 3.0]] * 4
 
     def test_batch_of_one_returns_beta(self):
-        x = Tensor([1, 3], [10, -4, 2])
+        x = make_tensor([1, 3], [10, -4, 2])
         p = params_for(3, beta=[0.5, 0.6, 0.7])
         y, _, _ = bn_forward_train(x, p, init_running(3))
         assert y.data == [0.5, 0.6, 0.7]
 
     def test_running_slot_absorbs_mean_and_variance(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         _, _, running = bn_forward_train(x, params_for(2), init_running(2))
         assert running.count == 1 and running.batch_m == 2
         assert running.e_mu_b.data == [2.0, 3.0]
@@ -109,11 +109,11 @@ class TestBatchNormTrain:
 class TestBatchNormInfer:
     def test_matches_direct_linear_map_oracle(self):
         rows = [[1.0, -2.0, 0.5], [3.0, 0.0, -1.0], [2.0, 2.0, 4.0], [0.0, 1.0, 1.5]]
-        x = Tensor([4, 3], [v for row in rows for v in row])
+        x = make_tensor([4, 3], [v for row in rows for v in row])
         p = params_for(3, gamma=[1.5, 0.5, 2.0], beta=[0.1, -0.2, 0.0], momentum="cumulative")
         _, _, running = bn_forward_train(x, p, init_running(3))
         probe = [[0.3, 0.4, 0.5], [1.0, 1.0, 1.0]]
-        y = bn_forward_infer(Tensor([2, 3], [v for r in probe for v in r]), p, running)
+        y = bn_forward_infer(make_tensor([2, 3], [v for r in probe for v in r]), p, running)
         mu, _, var = oracles.batch_moments(rows, EPS)
         expected = oracles.bn_infer_oracle(probe, p.gamma.data, p.beta.data, EPS, mu, var, 4)
         for got, want in zip(rows_of(y), expected):
@@ -121,33 +121,33 @@ class TestBatchNormInfer:
 
     def test_population_mean_maps_to_zero(self):
         rows = [[1.0, 5.0], [3.0, 7.0]]
-        x = Tensor([2, 2], [v for r in rows for v in r])
+        x = make_tensor([2, 2], [v for r in rows for v in r])
         p = params_for(2, momentum="cumulative")
         _, _, running = bn_forward_train(x, p, init_running(2))
-        y = bn_forward_infer(Tensor([1, 2], [2.0, 6.0]), p, running)
+        y = bn_forward_infer(make_tensor([1, 2], [2.0, 6.0]), p, running)
         assert_lists_close(y.data, [0.0, 0.0])
 
     def test_uninitialized_stats_rejected(self):
         with pytest.raises(UninitializedStatsError):
-            bn_forward_infer(Tensor([1, 2], [0, 0]), params_for(2), init_running(2))
+            bn_forward_infer(make_tensor([1, 2], [0, 0]), params_for(2), init_running(2))
 
 
 class TestLayerNorm:
     def test_hand_example(self):
-        y, _ = ln_forward(Tensor([1, 2], [1, 3]), params_for(2))
+        y, _ = ln_forward(make_tensor([1, 2], [1, 3]), params_for(2))
         expected = 1.0 / math.sqrt(1.0 + EPS)
         assert_lists_close(y.data, [-expected, expected])
 
     def test_constant_row_returns_beta(self):
         p = params_for(3, beta=[9, 8, 7])
-        y, _ = ln_forward(Tensor([1, 3], [2, 2, 2]), p)
+        y, _ = ln_forward(make_tensor([1, 3], [2, 2, 2]), p)
         assert y.data == [9.0, 8.0, 7.0]
 
     def test_independent_of_batch_size(self):
         row = [0.3, -1.2, 2.2, 0.0]
         p = params_for(4)
-        single, _ = ln_forward(Tensor([1, 4], row), p)
-        repeated, _ = ln_forward(Tensor([100, 4], row * 100), p)
+        single, _ = ln_forward(make_tensor([1, 4], row), p)
+        repeated, _ = ln_forward(make_tensor([100, 4], row * 100), p)
         assert repeated.data[:4] == single.data
         assert repeated.data[-4:] == single.data
 
@@ -176,7 +176,7 @@ class TestBlendWeights:
 
 class TestBlendedTrain:
     def test_hand_example_matches_oracle(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         y, _, _ = bln_forward_train(x, params_for(2), init_running(2))
         expected, _ = oracles.blended_train_oracle([[1.0, 2.0], [3.0, 4.0]], [1, 1], [0, 0], EPS)
         for got, want in zip(rows_of(y), expected):
@@ -195,7 +195,7 @@ class TestBlendedTrain:
                 assert_lists_close(got, want)
 
     def test_batch_of_one_is_pure_scaled_feature_norm(self):
-        x = Tensor([1, 4], [1.0, 3.0, -1.0, 2.0])
+        x = make_tensor([1, 4], [1.0, 3.0, -1.0, 2.0])
         p = params_for(4)
         y, cache, _ = bln_forward_train(x, p, init_running(4))
         # batch branch is exactly zero, so only the feature branch remains
@@ -239,7 +239,7 @@ class TestBlendedTrain:
             assert abs(std - 1.0) < 1e-12
 
     def test_guarded_constant_row_contributes_zero(self):
-        x = Tensor([2, 3], [5.0, 5.0, 5.0, 1.0, 2.0, 3.0])
+        x = make_tensor([2, 3], [5.0, 5.0, 5.0, 1.0, 2.0, 3.0])
         _, cache, _ = bln_forward_train(x, params_for(3), init_running(3))
         assert cache.x_hh[:3] == [0.0, 0.0, 0.0]
         assert any(v != 0.0 for v in cache.x_hh[3:])
@@ -249,10 +249,10 @@ class TestBlendedTrain:
         # gives dx = -0.0, and the guarded row's feature branch +0.0 (its
         # mean gradient is negative). Adding that +0.0 would turn -0.0 into
         # +0.0: a guarded row must take the batch branch alone.
-        x = Tensor([1, 4], [2.5] * 4)
+        x = make_tensor([1, 4], [2.5] * 4)
         _, cache, _ = bln_forward_train(x, params_for(4), init_running(4))
         assert cache.inv_std_f == [0.0] and cache.w_batch < 0.0
-        dx, _, _ = bln_backward(cache, Tensor([1, 4], [0.0, -1.0, 0.0, -0.5]))
+        dx, _, _ = bln_backward(cache, make_tensor([1, 4], [0.0, -1.0, 0.0, -0.5]))
         assert hexes(dx.data) == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
 
     def test_scale_shift_affine_contract(self):
@@ -283,7 +283,7 @@ class TestBlendedInfer:
         base = [1.0, -2.0, 0.5, 3.0]
         rows = [base, base[::-1], [base[1], base[3], base[0], base[2]]]
         m, d = 3, 4
-        x = Tensor([m, d], [v for r in rows for v in r])
+        x = make_tensor([m, d], [v for r in rows for v in r])
         p = params_for(d, momentum="cumulative")
         _, _, running = bln_forward_train(x, p, init_running(d))
 
@@ -320,11 +320,11 @@ class TestBlendedInfer:
         # with e_b True and std_b False, the spread is measured around the
         # population mean, not the batch mean
         rows = [[1.0, 2.0], [3.0, 5.0]]
-        x = Tensor([2, 2], [v for r in rows for v in r])
+        x = make_tensor([2, 2], [v for r in rows for v in r])
         p = params_for(2, momentum="cumulative")
         _, _, running = bln_forward_train(x, p, init_running(2))
         shifted = [[2.0, 3.0], [4.0, 6.0]]
-        xs = Tensor([2, 2], [v for r in shifted for v in r])
+        xs = make_tensor([2, 2], [v for r in shifted for v in r])
         y = bln_forward_infer(xs, p, running, InferenceFlags(True, False, False, False))
         pop = {
             "e_mu_b": running.e_mu_b.data,
@@ -339,21 +339,21 @@ class TestBlendedInfer:
             assert_lists_close(got, want)
 
     def test_batch_of_one_all_false_matches_training(self):
-        x = Tensor([1, 5], [0.4, -1.0, 2.0, 0.0, 1.5])
+        x = make_tensor([1, 5], [0.4, -1.0, 2.0, 0.0, 1.5])
         p = params_for(5)
         y_train, _, _ = bln_forward_train(x, p, init_running(5))
         y = bln_forward_infer(x, p, init_running(5), InferenceFlags())
         assert_lists_close(y.data, y_train.data)
 
     def test_population_flag_requires_absorbed_batch(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         with pytest.raises(UninitializedStatsError):
             bln_forward_infer(x, params_for(2), init_running(2), InferenceFlags(True, False, False, False))
 
 
 class TestUpdateRunning:
     def test_first_batch_initializes_directly(self):
-        x = Tensor([2, 2], [1, 2, 3, 4])
+        x = make_tensor([2, 2], [1, 2, 3, 4])
         b = batch_stats(x, EPS)
         f = feature_stats(x)
         r = update_running(init_running(2), *b, *f, 0.9)
@@ -443,7 +443,7 @@ def _norm_bits_inputs():
         data = list(x.data)
         for i in range(0, m, 2):
             data[i * d:(i + 1) * d] = [data[i * d]] * d
-        yield Tensor._wrap((m, d), data)
+        yield Tensor((m, d), data)
 
 
 def test_norm_outputs_match_golden_bits():

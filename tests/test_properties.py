@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import conftest
 import oracles
-from conftest import checksum, hexes, normal
+from conftest import checksum, hexes, make_tensor, normal
 from normlab.checkpoint import load_checkpoint, save_checkpoint
 from normlab.data import DataFormatError, Dataset
 from normlab import nn, norm, tensor
@@ -36,7 +36,7 @@ from normlab.norm import (
     init_params,
     init_running,
 )
-from normlab.tensor import Rng, Tensor, matmul, randn, transpose2d
+from normlab.tensor import Rng, matmul, randn, transpose2d
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -63,19 +63,19 @@ def bln_batches(draw):
             rows.extend(draw(st.lists(VALUES, min_size=d, max_size=d)))
     gamma = draw(st.lists(VALUES, min_size=d, max_size=d))
     beta = draw(st.lists(VALUES, min_size=d, max_size=d))
-    return Tensor((m, d), rows), gamma, beta
+    return make_tensor((m, d), rows), gamma, beta
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(bln_batches())
-@example((Tensor((1, 3), [2.5, 2.5, 2.5]), [1.0, -2.0, 0.5], [0.0, 1.0, -1.0]))
-@example((Tensor((2, 2), [1.0, 1.0, -3.0, 4.0]), [1.0, 1.0], [0.0, 0.0]))
+@example((make_tensor((1, 3), [2.5, 2.5, 2.5]), [1.0, -2.0, 0.5], [0.0, 1.0, -1.0]))
+@example((make_tensor((2, 2), [1.0, 1.0, -3.0, 4.0]), [1.0, 1.0], [0.0, 0.0]))
 def test_bln_all_false_inference_equals_training_forward_bit_for_bit(batch):
     x, gamma, beta = batch
     d = x.shape[1]
     params = init_params(d)
-    params.gamma = Tensor((d,), gamma)
-    params.beta = Tensor((d,), beta)
+    params.gamma = make_tensor((d,), gamma)
+    params.beta = make_tensor((d,), beta)
     trained, _, _ = bln_forward_train(x, params, init_running(d))
     inferred = bln_forward_infer(x, params, init_running(d), InferenceFlags())
     assert [v.hex() for v in inferred.data] == [v.hex() for v in trained.data]
@@ -90,14 +90,14 @@ def packed(values):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(bln_batches(), st.integers(0, 2),
        st.lists(st.integers(0, 15).map(InferenceFlags.from_index), max_size=20))
-@example((Tensor((1, 2), [3.0, 3.0]), [1.0, -1.0], [0.0, -0.0]), 1,
+@example((make_tensor((1, 2), [3.0, 3.0]), [1.0, -1.0], [0.0, -0.0]), 1,
          [InferenceFlags.from_index(i) for i in (15, 0, 15, 5, 10, 0)])
 def test_bln_infer_configs_equal_separate_calls_bit_for_bit(batch, absorbed, flag_list):
     x, gamma, beta = batch
     d = x.shape[1]
     params = init_params(d)
-    params.gamma = Tensor((d,), gamma)
-    params.beta = Tensor((d,), beta)
+    params.gamma = make_tensor((d,), gamma)
+    params.beta = make_tensor((d,), beta)
     running = init_running(d)
     for _ in range(absorbed):
         running = bln_forward_train(x, params, running)[2]
@@ -140,7 +140,7 @@ def matmul_operands(draw):
 @example((2, 1, 3, [1e3, -0.0], [0.0, -0.0, -1e3]))
 def test_matmul_matches_scalar_loops_bit_for_bit(operands):
     m, k, n, a, b = operands
-    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    out = matmul(make_tensor((m, k), a), make_tensor((k, n), b))
     assert out.shape == (m, n)
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
 
@@ -172,7 +172,7 @@ def special_operands(draw):
 @example((2, 1, 2, [1e308, -1e308], [1e308, -0.0]))
 def test_matmul_zero_skip_keeps_non_finite_lines(operands):
     m, k, n, a, b = operands
-    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    out = matmul(make_tensor((m, k), a), make_tensor((k, n), b))
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
 
 
@@ -220,7 +220,7 @@ def test_matmul_variant_choice_keeps_the_bits(case, monkeypatch):
         return original(acc, coeffs, rows, skip)
 
     monkeypatch.setattr(tensor, "_accumulate_nonzero", spy)
-    out = matmul(Tensor((m, k), a), Tensor((k, n), b))
+    out = matmul(make_tensor((m, k), a), make_tensor((k, n), b))
     assert hexes(out.data) == hexes(oracles.matmul_loops(a, b, m, k, n))
     expected = {"rows": [n] * m, "columns": [m] * n, "dot": [], "outer": []}[form]
     assert lengths == expected
@@ -376,7 +376,7 @@ def test_norm_kernels_match_line_loops_bit_for_bit(case):
     # at m = 1 the batch axis takes the one-element shortcuts, which must
     # keep the general order's bits, -0.0, inf and nan included
     x, dh, h, shape, axis, epsilon = case
-    got = norm._branch(Tensor(shape, x), axis, epsilon)
+    got = norm._branch(make_tensor(shape, x), axis, epsilon)
     expected = oracles.branch_loops(x, shape, axis, epsilon)
     assert [hexes(v) for v in got] == [hexes(v) for v in expected]
     inv_std = got[3]
@@ -400,10 +400,10 @@ def pool_cases(draw):
 def test_avgpool2x2_matches_index_loops_bit_for_bit(case):
     shape, x, dy = case
     pool = AvgPool2x2()
-    y, cache = pool.forward(Tensor(shape, x))
+    y, cache = pool.forward(make_tensor(shape, x))
     assert y.shape == (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
     assert hexes(y.data) == hexes(oracles.avgpool2x2_forward_loops(x, shape))
-    dx, grads = pool.backward(cache, Tensor(y.shape, dy))
+    dx, grads = pool.backward(cache, make_tensor(y.shape, dy))
     assert dx.shape == shape and grads == {}
     assert hexes(dx.data) == hexes(oracles.avgpool2x2_backward_loops(dy, shape))
 
@@ -412,7 +412,7 @@ def test_avgpool2x2_matches_index_loops_bit_for_bit(case):
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
 def test_transpose2d_matches_index_loops_bit_for_bit(m, n, data):
     x = data.draw(st.lists(st.one_of(SPECIALS, VALUES), min_size=m * n, max_size=m * n))
-    t = Tensor((m, n), x)
+    t = make_tensor((m, n), x)
     out = transpose2d(t)
     assert out.shape == (n, m) and out.data is not t.data
     assert hexes(out.data) == hexes(oracles.transpose2d_loops(x, m, n))
@@ -453,12 +453,12 @@ INF_CASE = (
 def test_conv2d_matches_scalar_loops_bit_for_bit(case):
     shape, cout, k, x, wd, b, dy = case
     conv = Conv2d(shape[1], cout, k)
-    conv.w = Tensor(conv.w.shape, wd)
-    conv.b = Tensor((cout,), b)
-    y, cache = conv.forward(Tensor(shape, x))
+    conv.w = make_tensor(conv.w.shape, wd)
+    conv.b = make_tensor((cout,), b)
+    y, cache = conv.forward(make_tensor(shape, x))
     assert hexes(y.data) == hexes(oracles.conv2d_forward_loops(x, wd, b, shape, cout, k))
 
-    dx, grads = conv.backward(cache, Tensor(y.shape, dy))
+    dx, grads = conv.backward(cache, make_tensor(y.shape, dy))
     _, want_dw, want_db = oracles.conv2d_backward_loops(x, wd, dy, shape, cout, k)
     assert dx is None
     assert hexes(grads["w"].data) == hexes(want_dw)
@@ -616,3 +616,60 @@ def test_single_byte_corruption_loads_or_raises_data_format_error(rnn_bln_checkp
         _load_bytes(bytes(blob))
     except DataFormatError:
         pass
+
+
+
+PLAIN = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+STEP_SPECIALS = st.sampled_from([0.0, -0.0, 1e308, -1e308, -INF])
+STEP_RATE = 0.05
+
+
+@st.composite
+def dense_net_cases(draw):
+    """(m, (input width, hidden width, classes), seed, two (inputs, labels)
+    batches); half the cases draw inputs with 0.0, -0.0, +-1e308 and -inf among
+    them. A sampled value shrinks towards the first, so m and the hidden width
+    lead with sizes whose lines hold several values."""
+    m = draw(st.sampled_from([3, 5, 2, 1]))
+    k, hidden, classes = draw(st.integers(1, 4)), draw(st.sampled_from([3, 2, 4, 1])), draw(st.integers(2, 3))
+    values = st.one_of(STEP_SPECIALS, PLAIN) if draw(st.booleans()) else PLAIN
+    batches = [(draw(st.lists(values, min_size=m * k, max_size=m * k)),
+                 draw(st.lists(st.integers(0, classes - 1), min_size=m, max_size=m)))
+                for _ in range(2)]
+    return m, (k, hidden, classes), draw(st.integers(0, 2**16)), batches
+
+
+@pytest.mark.parametrize("scheme", ["none", "bn", "ln", "bln"])
+@settings(max_examples=14, deadline=None, derandomize=True, database=None)
+@given(case=dense_net_cases())
+# at m = 1 bn passes back exact zeros, and the -inf input makes the first
+# layer's weight gradient nan: the backward stop must not fire
+@example(case=(1, (2, 3, 2), 0, [([-INF, 1.0], [0]), ([0.5, -0.5], [1])]))
+def test_two_training_steps_match_the_scalar_oracle(scheme, case):
+    """Each step's loss, and the parameters and running statistics after it, of
+    build_dense_net under Adam equal oracles.dense_net_training_loops bit for
+    bit; float.hex writes every nan as 'nan', so a nan is compared by position
+    only (a nan's sign and payload are not reproducible)."""
+    m, sizes, seed, batches = case
+    net = nn.build_dense_net(*sizes, scheme, Rng(seed))
+    last = len(net.layers) - 1
+    names = {"0.w": "w1", "0.b": "b1", "2.gamma": "gamma", "2.beta": "beta",
+             f"{last}.w": "w2", f"{last}.b": "b2"}
+    initial = {names[key]: list(p.data) for key, p in net.params().items()}
+    expected = oracles.dense_net_training_loops(scheme, initial, batches, sizes, STEP_RATE,
+                                                norm.EPSILON, norm.MOMENTUM)
+    optimizer = Adam(STEP_RATE)
+    for (x, labels), (want_loss, want_params, want_running) in zip(batches, expected):
+        loss, _, caches, dlogits = net.loss(make_tensor((m, sizes[0]), x), labels)
+        for key, p in optimizer.step(net.params(), net.backward(caches, dlogits)).items():
+            net.set_param(key, p)
+        assert hexes([loss]) == hexes([want_loss])
+        assert ({names[key]: hexes(p.data) for key, p in net.params().items()}
+                == {name: hexes(values) for name, values in want_params.items()})
+        if scheme != "none":
+            r = net.layers[2].running
+            assert (hexes(r.e_mu_b.data), hexes(r.e_sigma_b.data), hexes([r.e_mu_f, r.e_sigma_f]),
+                    r.count, r.batch_m) == (
+                hexes(want_running["e_mu_b"]), hexes(want_running["e_sigma_b"]),
+                hexes([want_running["e_mu_f"], want_running["e_sigma_f"]]),
+                want_running["count"], want_running["batch_m"])

@@ -1,11 +1,10 @@
 import pytest
 
-from conftest import at, hexes, normal, splitmix64_state_before, tolist
+from conftest import at, hexes, make_tensor, normal, splitmix64_state_before, tolist
 from normlab.nn import Dense
 from normlab.tensor import (
     _CHUNK,
     Rng,
-    Tensor,
     add,
     div,
     matmul,
@@ -23,29 +22,27 @@ from oracles import scalar_normal, scalar_permutation, scalar_randint, scalar_u6
 
 
 class TestConstruction:
-    def test_shape_and_buffer_must_agree(self):
-        with pytest.raises(ValueError):
-            Tensor([2, 2], [1.0, 2.0, 3.0])
-
+    # Tensor(shape, data) takes its list as it is; the checks on a shape run
+    # where a size can come from outside: zeros, ones, randn and reshape
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError):
-            Tensor([], [])
+            reshape(zeros([1]), [])
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            Tensor([0, 2], [])
+            reshape(zeros([1]), [0, 2])
 
     def test_rank_above_four_rejected(self):
         with pytest.raises(ValueError):
-            Tensor([1, 1, 1, 1, 1], [1.0])
+            reshape(zeros([1]), [1, 1, 1, 1, 1])
 
     @pytest.mark.parametrize("make", [
         lambda: zeros([2.5]),
-        lambda: Tensor([2.0, 1], [1.0, 2.0]),
+        lambda: zeros([2.0, 1]),
         lambda: reshape(zeros([4]), [2.0, 2]),
         lambda: Dense(32.5, 2),
-        lambda: Tensor([True], [1.0]),
-    ], ids=["zeros-2.5", "tensor-2.0", "reshape-2.0", "dense-32.5", "tensor-true"])
+        lambda: zeros([True]),
+    ], ids=["zeros-2.5", "zeros-2.0", "reshape-2.0", "dense-32.5", "zeros-true"])
     def test_size_that_is_not_an_int_rejected(self, make):
         # int() would truncate 2.5 to 2 and read True as 1
         with pytest.raises(ValueError):
@@ -60,7 +57,7 @@ class TestConstruction:
             make(shape)
 
     def test_row_major_layout(self):
-        t = Tensor([2, 3], [1, 2, 3, 4, 5, 6])
+        t = make_tensor([2, 3], [1, 2, 3, 4, 5, 6])
         for i in range(2):
             for j in range(3):
                 assert t.data[i * 3 + j] == at(t, i, j)
@@ -210,47 +207,47 @@ class TestBulkDraws:
 
 class TestMatmul:
     def test_identity(self):
-        eye = Tensor([2, 2], [1, 0, 0, 1])
-        a = Tensor([2, 2], [5, 6, 7, 8])
+        eye = make_tensor([2, 2], [1, 0, 0, 1])
+        a = make_tensor([2, 2], [5, 6, 7, 8])
         assert matmul(eye, a).data == a.data
 
     def test_hand_product(self):
-        a = Tensor([2, 2], [1, 2, 3, 4])
-        b = Tensor([2, 1], [1, 1])
+        a = make_tensor([2, 2], [1, 2, 3, 4])
+        b = make_tensor([2, 1], [1, 1])
         assert tolist(matmul(a, b)) == [[3.0], [7.0]]
 
     def test_shape_mismatch(self):
-        a = Tensor([2, 3], [0.0] * 6)
+        a = make_tensor([2, 3], [0.0] * 6)
         with pytest.raises(ValueError):
             matmul(a, a)
 
 
 class TestElementwise:
     def test_add_sub_mul(self):
-        a = Tensor([3], [1, 2, 3])
-        b = Tensor([3], [4, 5, 6])
+        a = make_tensor([3], [1, 2, 3])
+        b = make_tensor([3], [4, 5, 6])
         assert add(a, b).data == [5.0, 7.0, 9.0]
         assert sub(b, a).data == [3.0, 3.0, 3.0]
         assert mul(a, b).data == [4.0, 10.0, 18.0]
 
     def test_scalar_operand(self):
-        a = Tensor([2], [2, 4])
+        a = make_tensor([2], [2, 4])
         assert mul(a, 0.5).data == [1.0, 2.0]
         assert (a + 1).data == [3.0, 5.0]
 
     def test_div_by_exact_zero_raises(self):
-        a = Tensor([2], [1, 2])
-        z = Tensor([2], [1, 0])
+        a = make_tensor([2], [1, 2])
+        z = make_tensor([2], [1, 0])
         with pytest.raises(ZeroDivisionError):
             div(a, z)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            add(Tensor([2], [1, 2]), Tensor([3], [1, 2, 3]))
+            add(make_tensor([2], [1, 2]), make_tensor([3], [1, 2, 3]))
 
     def test_operations_do_not_mutate_inputs(self):
-        a = Tensor([2], [1, 2])
-        b = Tensor([2], [3, 4])
+        a = make_tensor([2], [1, 2])
+        b = make_tensor([2], [3, 4])
         before_a, before_b = list(a.data), list(b.data)
         add(a, b)
         mul(a, b)
@@ -265,18 +262,18 @@ class TestReductionsAndReshape:
         assert ordered_sum([]) == 0.0
 
     def test_reshape_round_trip(self):
-        x = Tensor([4], [1, 2, 3, 4])
+        x = make_tensor([4], [1, 2, 3, 4])
         back = reshape(reshape(x, [2, 2]), [4])
         assert back.shape == x.shape and back.data == x.data
 
     def test_reshape_count_mismatch(self):
         with pytest.raises(ValueError):
-            reshape(Tensor([4], [1, 2, 3, 4]), [3])
+            reshape(make_tensor([4], [1, 2, 3, 4]), [3])
 
     def test_transpose2d(self):
-        x = Tensor([2, 3], [1, 2, 3, 4, 5, 6])
+        x = make_tensor([2, 3], [1, 2, 3, 4, 5, 6])
         assert tolist(transpose2d(x)) == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
     def test_take_rows(self):
-        x = Tensor([3, 2], [1, 2, 3, 4, 5, 6])
+        x = make_tensor([3, 2], [1, 2, 3, 4, 5, 6])
         assert tolist(take(x, [2, 0])) == [[5.0, 6.0], [1.0, 2.0]]

@@ -51,7 +51,7 @@ def special_inputs(m, steps, hidden, rng, case):
         dy[mid * hidden + 2] = math.nan
         if case == "nans":
             x[m * row - 1] = math.nan
-    return Tensor._wrap((m, steps, 3), x), Tensor._wrap((m, hidden), dy)
+    return Tensor((m, steps, 3), x), Tensor((m, hidden), dy)
 
 
 def rnn_steps_or_exit(*args):
