@@ -56,7 +56,8 @@ def rows_of(tensor):
 
 
 def hexes(values):
-    """float.hex of every value: equal lists mean equal bits."""
+    """float.hex of every value: equal lists mean equal bits, except that
+    float.hex writes every nan as 'nan', whatever its sign and payload."""
     return [v.hex() for v in values]
 
 
