@@ -529,25 +529,22 @@ def _normalizer_loops(scheme, h, m, d, gamma, beta, eps, momentum, running):
     """(y, cache, new running) of a training forward; running holds e_mu_b,
     e_sigma_b (bn: the variance), e_mu_f, e_sigma_f, count and batch_m."""
     shape, count = (m, d), running["count"]
-    new = dict(running, count=count + 1, batch_m=m)
+    mean, var, std, inv_std, x_hat = branch_loops(h, shape, 1 if scheme == "ln" else 0, eps)
+    cache = {"x_hat": x_hat, "inv_std": inv_std, "comb": x_hat}
     if scheme == "ln":
-        mean, var, std, inv_std, x_hat = branch_loops(h, shape, 1, eps)
-        comb, new = x_hat, running
+        new = running
     else:
-        mean, var, std, inv_std, x_hat = branch_loops(h, shape, 0, eps)
+        new = dict(running, count=count + 1, batch_m=m)
         new["e_mu_b"] = [_ema(o, v, momentum, count) for o, v in zip(running["e_mu_b"], mean)]
         spread = var if scheme == "bn" else std
         new["e_sigma_b"] = [_ema(o, v, momentum, count) for o, v in zip(running["e_sigma_b"], spread)]
-        comb = x_hat
-    cache = {"x_hat": x_hat, "inv_std": inv_std}
     if scheme == "bln":
         mean_f, _, std_f, inv_f, x_hh = branch_loops(h, shape, 1, 0.0)
         wb, wf = _bln_root_d_weights(m, d, eps)
-        comb = [wb * a + wf * b for a, b in zip(x_hat, x_hh)]
         new["e_mu_f"] = _ema(running["e_mu_f"], _ordered_sum(mean_f) / m, momentum, count)
         new["e_sigma_f"] = _ema(running["e_sigma_f"], _ordered_sum(std_f) / m, momentum, count)
-        cache.update(x_hh=x_hh, inv_f=inv_f)
-    cache["comb"] = comb
+        cache.update(x_hh=x_hh, inv_f=inv_f, comb=[wb * a + wf * b for a, b in zip(x_hat, x_hh)])
+    comb = cache["comb"]
     y = [gamma[e % d] * comb[e] + beta[e % d] for e in range(m * d)]
     return y, cache, new
 

@@ -410,36 +410,28 @@ NORMALIZER_KEYS = "['d', 'epsilon', 'momentum', 'scheme']"
 
 
 @pytest.mark.parametrize("layer, edit, message", [
-    (7, lambda desc: desc.pop("epsilon"),
+    (7, lambda layers: layers[7].pop("epsilon"),
      f"normalizer descriptor keys ['d', 'momentum', 'scheme'] are not {NORMALIZER_KEYS}"),
-    (7, lambda desc: desc.update(rng=5),
+    (7, lambda layers: layers[7].update(rng=5),
      f"normalizer descriptor keys ['d', 'epsilon', 'momentum', 'rng', 'scheme'] are not {NORMALIZER_KEYS}"),
-    (2, lambda desc: desc.update(stride=2),
+    (2, lambda layers: layers[2].update(stride=2),
      f"normalizer descriptor keys ['d', 'epsilon', 'momentum', 'scheme', 'stride'] are not {NORMALIZER_KEYS}"),
-    (4, lambda desc: desc.update(d=32), "flatten descriptor keys ['d'] are not []"),
+    (4, lambda layers: layers[4].update(d=32), "flatten descriptor keys ['d'] are not []"),
+    # dict() would read a list of key-value pairs as the descriptor it spells
+    (4, lambda layers: layers.__setitem__(4, [["kind", "flatten"]]),
+     "layer descriptor must be a dict, got list"),
 ], ids=["normalizer-without-epsilon", "normalizer-with-rng", "normalizer-with-unknown-key",
-        "flatten-with-key"])
-def test_descriptor_keys_must_be_the_layer_keys(tmp_path, capsys, layer, edit, message):
+        "flatten-with-key", "flatten-as-pairs"])
+def test_damaged_descriptor_exits_2_with_one_line(tmp_path, capsys, layer, edit, message):
+    """A layer descriptor's keys besides kind must be exactly its class's KEYS."""
     ck = str(tmp_path / "net.ckpt")
     save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
-    _rewrite_manifest(ck, lambda m: edit(m["layers"][layer]))
+    _rewrite_manifest(ck, lambda m: edit(m["layers"]))
     code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
                  "--out", str(tmp_path / "grid.csv")])
     assert code == 2
     assert capsys.readouterr().err == f"error: malformed checkpoint: {ck} layer {layer}: {message}\n"
     assert not (tmp_path / "grid.csv").exists()
-
-
-def test_descriptor_that_is_not_a_dict_is_refused(tmp_path, capsys):
-    # dict() would read a list of key-value pairs as the descriptor it spells
-    ck = str(tmp_path / "net.ckpt")
-    save_checkpoint(ck, build_cnn(1, 6, 6, 2, "bln", Rng(0)))
-    _rewrite_manifest(ck, lambda m: m["layers"].__setitem__(4, [["kind", "flatten"]]))
-    code = main(["gridsearch", "--config", write_config(tmp_path), "--checkpoint", ck,
-                 "--out", str(tmp_path / "grid.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == (f"error: malformed checkpoint: {ck} layer 4: "
-                                       "layer descriptor must be a dict, got list\n")
 
 
 # values both normalizer settings must refuse; momentum must refuse 1.5 too
